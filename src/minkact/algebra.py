@@ -10,12 +10,11 @@ pairwise brackets stay inside the lifted span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .linalg import (
-    ELL,
     ETA,
+    IDENTITY4,
     ZERO4,
     ZERO_MAT4,
     DependentBasisError,
@@ -31,6 +30,7 @@ from .linalg import (
     matmul,
     matvec,
     rank_of,
+    reduce_mod,
     span_contains,
     transpose,
     vadd,
@@ -81,25 +81,6 @@ TRANSLATION_VECTORS = {
     "e4": vec4(0, 0, 0, 1),
 }
 
-# Distinguished subspaces of the translation part: the null line ell spanned
-# by e3 - e4, the degenerate plane W2, and the degenerate hyperplane W3.
-ELL_BASIS = (ELL,)
-W2_BASIS = (vec4(0, 1, 0, 0), ELL)
-W3_BASIS = (vec4(1, 0, 0, 0), vec4(0, 1, 0, 0), ELL)
-
-
-class GeneratorLabel(Enum):
-    YK1 = "Yk1"
-    YK2 = "Yk2"
-    YK3 = "Yk3"
-    YA = "Ya"
-    YN1 = "Yn1"
-    YN2 = "Yn2"
-    E1 = "e1"
-    E2 = "e2"
-    E3 = "e3"
-    E4 = "e4"
-
 
 @dataclass(frozen=True)
 class AlgebraElement:
@@ -124,9 +105,6 @@ class AlgebraElement:
         return mat_is_zero(self.linear) and is_zero_vec(self.trans)
 
 
-ZERO_ELEMENT = AlgebraElement(ZERO_MAT4, ZERO4)
-
-
 def element(linear=None, trans=None) -> AlgebraElement:
     return AlgebraElement(linear if linear is not None else ZERO_MAT4,
                           tuple(frac(t) for t in trans) if trans is not None else ZERO4)
@@ -134,13 +112,12 @@ def element(linear=None, trans=None) -> AlgebraElement:
 
 def standard_generator(label) -> AlgebraElement:
     """The exact generator for a label: Yk*/Ya/Yn* matrices or e1..e4 translations."""
-    token = label.value if isinstance(label, GeneratorLabel) else str(label)
-    if token in GENERATOR_MATRICES:
-        return AlgebraElement(GENERATOR_MATRICES[token], ZERO4)
-    low = token.lower()
+    if label in GENERATOR_MATRICES:
+        return AlgebraElement(GENERATOR_MATRICES[label], ZERO4)
+    low = label.lower()
     if low in TRANSLATION_VECTORS:
         return AlgebraElement(ZERO_MAT4, TRANSLATION_VECTORS[low])
-    raise KeyError(f"unknown generator label: {token!r}")
+    raise KeyError(f"unknown generator label: {label!r}")
 
 
 def eta_skew_ok(x) -> bool:
@@ -221,11 +198,6 @@ def from_coords10(c) -> AlgebraElement:
     return AlgebraElement(linear_from_coords(c[:6]), tuple(frac(x) for x in c[6:]))
 
 
-def generator_coords_of_bracket(a: AlgebraElement, b: AlgebraElement) -> tuple:
-    """10 coordinates of [a, b]; convenient for golden structure tables."""
-    return coords10(bracket(a, b))
-
-
 # ---------------------------------------------------------------------------
 # Lifting a linear subalgebra to decorated elements
 # ---------------------------------------------------------------------------
@@ -254,19 +226,8 @@ class LiftFamily:
 
 def reduction_matrix(span_vectors):
     """Matrix of the linear map 'reduce modulo span' on R^4 (kills the span)."""
-    ech = echelon_basis(list(span_vectors)) if span_vectors else []
-
-    def reduce_vec(w):
-        w = list(w)
-        for row in ech:
-            pivot = next(i for i, x in enumerate(row) if x != 0)
-            if w[pivot] != 0:
-                f = w[pivot]
-                w = [a - f * b for a, b in zip(w, row)]
-        return tuple(w)
-
-    cols = [reduce_vec(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
-    return tuple(tuple(frac(cols[j][i]) for j in range(4)) for i in range(4))
+    ech = echelon_basis(list(span_vectors))
+    return transpose([reduce_mod(ech, e) for e in IDENTITY4])
 
 
 def lift_constraints(proj_basis, translation_span=()) -> LiftFamily:
@@ -311,11 +272,8 @@ def lift_constraints(proj_basis, translation_span=()) -> LiftFamily:
                     row[4 * l + m] -= c
             block.append(row)
         # impose reduce_mat . block = 0 (membership in the translation span)
-        for m in range(4):
-            reduced = [sum(reduce_mat[m][t] * block[t][col] for t in range(4))
-                       for col in range(nunk)]
-            if any(x != 0 for x in reduced):
-                rows.append(reduced)
+        rows.extend(row for row in matmul(reduce_mat, block)
+                    if any(x != 0 for x in row))
     if not rows:
         basis_flat = [tuple(Fraction(1) if t == s else Fraction(0) for t in range(nunk))
                       for s in range(nunk)]

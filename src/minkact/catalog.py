@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .algebra import adjoint, coords10, fundamental_field, standard_generator
 from .group import translation
-from .linalg import CausalClass, CausalKind, echelon_basis, mink_inner, vec4
+from .linalg import CausalClass, CausalKind, echelon_basis, mink_inner, reduce_mod, vec4
 from .orbits import (
     EvidenceFailedError,
     ExpInvariant,
@@ -131,6 +131,10 @@ class CatalogEntry:
     param_fit: object | None = None  # {pivot: row10} -> params | None
     rank_identity: object | None = None  # params -> (coeff polys, note)
     errata: tuple = ()
+    # params -> WitnessSequence: one fixed-point-free escaping sequence for the
+    # whole family, used even where a rational fixed point happens to exist
+    escape_witness: object | None = None
+    params_up_to_scale: bool = False  # only the ratios of the params matter
 
     @property
     def in_table(self) -> bool:
@@ -476,6 +480,7 @@ def builtin_catalog():
         strata_witnesses=_screw_witnesses,
         proper=False,
         param_fit=_fit_reader(("lam", 4, 7), ("mu", 5, 7)),
+        escape_witness=lambda p: nilpotent_pair_witness(p["lam"], p["mu"]),
     ))
     add(_entry(
         entry_id="T3:K1N-l",
@@ -504,6 +509,7 @@ def builtin_catalog():
             ((1, 2, 3, 5), 4), ((1, 2, 1, -1), 2), ((0, 0, 0, 0), 1)),
         proper=False,
         param_fit=_fit_scale,
+        params_up_to_scale=True,
         errata=("erratum:printed-lambda-not-closed", "erratum:dim4-off-W3"),
     ))
 
@@ -545,6 +551,7 @@ def builtin_catalog():
         strata_witnesses=_const_witnesses(((1, 2, 1, -1), 2), ((0, 0, 0, 0), 0)),
         proper=False,
         param_fit=_fit_scale,
+        params_up_to_scale=True,
     ))
     add(_entry(
         entry_id="T4:AN",
@@ -644,10 +651,7 @@ def catalog():
 
 
 def entry_by_id(entry_id, table=None):
-    for e in (table or catalog()):
-        if e.entry_id == entry_id:
-            return e
-    raise KeyError(entry_id)
+    return {e.entry_id: e for e in (table or catalog())}[entry_id]
 
 
 # ---------------------------------------------------------------------------
@@ -853,10 +857,10 @@ def nonproperness_witness(entry, params, h):
     """
     if entry.proper:
         raise ValueError(f"{entry.entry_id} is proper; no witness applies")
-    if entry.entry_id == "T3:nilpotent-pair":
-        # uniform mechanism for the whole family: a rational fixed point
-        # exists only when mu^2+4lam^2 happens to be a perfect square
-        witness = nilpotent_pair_witness(params["lam"], params["mu"])
+    if entry.escape_witness is not None:
+        # uniform mechanism for the whole family (for the screw family a
+        # rational fixed point exists only when mu^2+4lam^2 is a perfect square)
+        witness = entry.escape_witness(params)
         mechanism = "fixed-point-free escaping sequence"
         if fixed_point_nonproper_certificate(h) is not None:
             mechanism += " (incidental fixed point exists at these parameters)"
@@ -955,8 +959,9 @@ def _check_roundtrip(entry, insts, seed, table):
             return CheckResult(
                 "matching-roundtrip", False,
                 f"at {label}: conjugate matched {m.entry_id}")
-        if entry.params == ("a", "b"):
-            if m.params["b"] / m.params["a"] != params["b"] / params["a"]:
+        if entry.params_up_to_scale:
+            a, b = entry.params
+            if m.params[b] / m.params[a] != params[b] / params[a]:
                 return CheckResult(
                     "matching-roundtrip", False,
                     f"at {label}: fitted mixture ratio {m.params} drifted")
@@ -1019,16 +1024,6 @@ def _erratum_deg_locus(entry, insts):
         "carries Lorentzian orbits)")
 
 
-def _reduce_mod_rows(rows, vec):
-    v = list(vec)
-    for row in rows:
-        piv = next((i for i, c in enumerate(row) if c != 0), None)
-        if piv is not None and v[piv] != 0:
-            c = v[piv] / row[piv]
-            v = [x - c * y for x, y in zip(v, row)]
-    return tuple(v)
-
-
 def _erratum_not_closed(entry, insts):
     """The tabulated version of this family decorates the null rotations with
     a free parameter; closure forces that parameter to zero."""
@@ -1043,7 +1038,7 @@ def _erratum_not_closed(entry, insts):
                                f"decorated variant unexpectedly closed at "
                                f"a={a}, b={b}")
         rows = echelon_basis([coords10(x) for x in printed])
-        residual = _reduce_mod_rows(rows, coords10(verdict.witness))
+        residual = reduce_mod(rows, coords10(verdict.witness))
         expected = coords10(T1.scaled(-2 * a * lam) + T2.scaled(-b * lam))
         if residual != expected:
             return CheckResult("erratum:printed-lambda-not-closed", False,
@@ -1093,15 +1088,14 @@ def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6,
     closure = _check_closure(entry, insts)
     checks.append(closure)
     if closure.passed:
-        good = [(p, h) for p, h in insts]
-        checks.append(_check_invariants(entry, good))
-        checks.append(_check_cohomogeneity(entry, good, seed, samples))
-        checks.append(_check_properness(entry, good, seed, steps, tol, trials))
+        checks.append(_check_invariants(entry, insts))
+        checks.append(_check_cohomogeneity(entry, insts, seed, samples))
+        checks.append(_check_properness(entry, insts, seed, steps, tol, trials))
         if entry.orbit_space is not None:
-            checks.append(_check_orbit_space(entry, good, seed, samples))
-        checks.append(_check_roundtrip(entry, good, seed, table or catalog()))
+            checks.append(_check_orbit_space(entry, insts, seed, samples))
+        checks.append(_check_roundtrip(entry, insts, seed, table or catalog()))
         for slug in entry.errata:
-            checks.append(_ERRATUM_CHECKS[slug](entry, good))
+            checks.append(_ERRATUM_CHECKS[slug](entry, insts))
     else:
         for name in ("invariants", "cohomogeneity", "properness",
                      "matching-roundtrip"):

@@ -76,7 +76,10 @@ def parse_element(text):
             term = term[1:]
         if "*" in term:
             num, term = term.split("*", 1)
-            coeff = coeff * Fraction(num)
+            try:
+                coeff = coeff * Fraction(num)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
         if term not in _TOKENS:
             raise ValueError(f"unknown generator {term!r} in {text!r}")
         piece = standard_generator(term).scaled(coeff)
@@ -320,7 +323,11 @@ def cmd_export(args):
             x = (g.V @ [float(c) for c in x] + g.v).tolist()
         rows.append((t1, t2, t3, *x))
 
-    out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    try:
+        out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     try:
         writer = csv.writer(out)
         writer.writerow(["t1", "t2", "t3", "x", "y", "z", "w"])
@@ -339,23 +346,42 @@ def cmd_export(args):
 # ---------------------------------------------------------------------------
 
 
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+
+
 def _point_type(text):
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(
             "point must be four comma-separated rationals, e.g. 1,2,3,5")
-    try:
-        return tuple(Fraction(s.strip()) for s in parts)
-    except (ValueError, ZeroDivisionError) as err:
-        raise argparse.ArgumentTypeError(str(err))
+    return tuple(_rational(s) for s in parts)
+
+
+def _int_at_least(low):
+    """argparse type for an integer no smaller than ``low``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _param_flags(p):
-    p.add_argument("--lambda", dest="lam", type=Fraction,
+    p.add_argument("--lambda", dest="lam", type=_rational,
                    help="family parameter lambda (rational)")
-    p.add_argument("--mu", type=Fraction, help="family parameter mu (rational)")
-    p.add_argument("--a", type=Fraction, help="mixture coefficient a (rational)")
-    p.add_argument("--b", type=Fraction, help="mixture coefficient b (rational)")
+    p.add_argument("--mu", type=_rational, help="family parameter mu (rational)")
+    p.add_argument("--a", type=_rational, help="mixture coefficient a (rational)")
+    p.add_argument("--b", type=_rational, help="mixture coefficient b (rational)")
 
 
 def build_parser():
@@ -369,10 +395,11 @@ def build_parser():
         p.add_argument("--seed", type=int, default=42,
                        help="seed for rational sampling (default 42)")
         if sampling:
-            p.add_argument("--samples", type=int, default=32,
+            p.add_argument("--samples", type=_int_at_least(1), default=32,
                            help="number of sample points (default 32)")
         if witnessing:
-            p.add_argument("--steps", type=int, default=1024,
+            # the escape check needs the dyadic ladder 1, 2, 4, 8 at least
+            p.add_argument("--steps", type=_int_at_least(8), default=1024,
                            help="escape-sequence ladder length (default 1024)")
             p.add_argument("--tol", type=float, default=1e-6,
                            help="convergence tolerance (default 1e-6)")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -25,16 +24,12 @@ from .linalg import (
     ZERO4,
     frac,
     mat,
-    mat_add,
-    mat_is_zero,
-    mat_scale,
     matmul,
     matvec,
+    rref,
     transpose,
     vadd,
-    vec4,
     vneg,
-    vscale,
 )
 
 
@@ -56,9 +51,6 @@ class NumericIsometry:
 
     V: np.ndarray
     v: np.ndarray
-
-
-IDENTITY = Isometry(IDENTITY4, ZERO4)
 
 
 def lorentz_ok(V) -> bool:
@@ -120,14 +112,10 @@ def embed5(a: AlgebraElement):
     return mat(rows)
 
 
-def _mat_n_mul(a, b):
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
-
-
 def _is_nilpotent5(m) -> bool:
     p = m
     for _ in range(4):
-        p = _mat_n_mul(p, m)
+        p = matmul(p, m)
     return all(x == 0 for row in p for x in row)
 
 
@@ -146,7 +134,7 @@ def exp_element_exact(a: AlgebraElement, t) -> Isometry:
     power = ident5
     factorial = 1
     for k in range(1, 5):
-        power = _mat_n_mul(power, m)
+        power = matmul(power, m)
         factorial *= k
         total = tuple(
             tuple(x + y / factorial for x, y in zip(row_t, row_p))
@@ -212,27 +200,13 @@ def cayley_so3(a, b, c) -> Isometry:
     with determinant one for any rational a, b, c; acts trivially on e4.
     """
     a, b, c = frac(a), frac(b), frac(c)
-    s = ((Fraction(0), -a, -b), (a, Fraction(0), -c), (b, c, Fraction(0)))
-    ident = tuple(tuple(Fraction(1 if i == j else 0) for j in range(3)) for i in range(3))
-    i_minus = tuple(tuple(ident[i][j] - s[i][j] for j in range(3)) for i in range(3))
-    i_plus = tuple(tuple(ident[i][j] + s[i][j] for j in range(3)) for i in range(3))
-    inv = _inverse3(i_minus)
-    r3 = tuple(tuple(sum(inv[i][k] * i_plus[k][j] for k in range(3)) for j in range(3))
-               for i in range(3))
-    rows = [list(r3[i]) + [0] for i in range(3)] + [[0, 0, 0, 1]]
+    s = ((0, -a, -b), (a, 0, -c), (b, c, 0))
+    # I - S is invertible (det 1 + a^2 + b^2 + c^2), so row reduction of the
+    # augmented block [I - S | I + S] ends in [I | R]
+    reduced, _ = rref([[IDENTITY4[i][j] - s[i][j] for j in range(3)]
+                       + [IDENTITY4[i][j] + s[i][j] for j in range(3)] for i in range(3)])
+    rows = [list(row[3:]) + [0] for row in reduced] + [[0, 0, 0, 1]]
     return Isometry(mat(rows), ZERO4)
-
-
-def _inverse3(m):
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    if det == 0:
-        raise ValueError("singular 3x3 matrix")
-    cof = [[(m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]) / det
-            for i in range(3)] for j in range(3)]
-    return tuple(tuple(row) for row in cof)
 
 
 def numeric_boost_34(t: float) -> NumericIsometry:

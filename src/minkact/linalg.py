@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class DependentBasisError(ValueError):
@@ -38,11 +38,6 @@ def vec4(a, b, c, d):
 
 
 ZERO4 = vec4(0, 0, 0, 0)
-E1 = vec4(1, 0, 0, 0)
-E2 = vec4(0, 1, 0, 0)
-E3 = vec4(0, 0, 1, 0)
-E4 = vec4(0, 0, 0, 1)
-ELL = vec4(0, 0, 1, -1)  # generator of the null line spanned by e3 - e4
 
 
 def vadd(u, v):
@@ -128,15 +123,20 @@ def mink_inner(u, v) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def rref(rows):
+def rref(rows, pivot_limit=None):
     """Reduced row echelon form with leftmost-column-first pivoting.
 
     Returns ``(reduced_rows, pivot_columns)``.  Input is not mutated.  The
-    leftmost-pivot rule keeps kernel bases reproducible across runs.
+    leftmost-pivot rule keeps kernel bases reproducible across runs.  With
+    ``pivot_limit`` set, pivots are sought only in the columns before it; the
+    columns from there on (an augmented right-hand side) are carried along by
+    the row operations but never pivoted on.
     """
     work = [list(r) for r in rows]
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
+    if pivot_limit is not None:
+        ncols = min(ncols, pivot_limit)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -174,6 +174,23 @@ def echelon_basis(vectors):
         return []
     reduced, pivots = rref(vectors)
     return [reduced[i] for i in range(len(pivots))]
+
+
+def reduce_mod(echelon_rows, v):
+    """Remainder of ``v`` modulo the span of ``echelon_rows``.
+
+    The rows must be in reduced echelon form (as :func:`echelon_basis` returns
+    them): each row's pivot column is then cleared from ``v`` without
+    disturbing the pivots already cleared.  The remainder is zero exactly when
+    ``v`` lies in the span.
+    """
+    v = tuple(v)
+    for row in echelon_rows:
+        piv = next(i for i, c in enumerate(row) if c != 0)
+        if v[piv] != 0:
+            f = v[piv] / row[piv]
+            v = tuple(x - f * y for x, y in zip(v, row))
+    return v
 
 
 def span_contains(vectors, v):

@@ -27,10 +27,9 @@ from .group import (
     cayley_so3,
     exp_element,
     rational_rotation_12,
-    to_numeric,
     translation,
 )
-from .linalg import frac, solve_linear, span_contains, vec4
+from .linalg import frac, matmul, solve_linear, span_contains, vec4
 from .subalgebra import OneParamType, Subalgebra, one_param_type
 
 
@@ -273,13 +272,6 @@ def _reflection3(u):
     return tuple(rows)
 
 
-def _mat3_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
 def rotation_between(x3, y3):
     """Exact rational rotation V in SO(3) with V x3 = y3, given |x3|^2 = |y3|^2.
 
@@ -299,7 +291,7 @@ def rotation_between(x3, y3):
     if y3[0] == 0 and y3[1] == 0 and y3[2] == 0:
         raise ValueError("cannot fix the origin with a reflection")
     w = (-y3[1], y3[0], Fraction(0)) if (y3[0] != 0 or y3[1] != 0) else (Fraction(1), Fraction(0), Fraction(0))
-    return _mat3_mul(_reflection3(w), first)
+    return matmul(_reflection3(w), first)
 
 
 def _embed3(v3):

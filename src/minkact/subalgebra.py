@@ -25,6 +25,7 @@ from .linalg import (
     matmul,
     matvec,
     rank_of,
+    rref,
     span_contains,
     vadd,
 )
@@ -123,59 +124,31 @@ def normalize_translations(h: Subalgebra):
     deterministic residual decorations — exactly the surviving parameters of
     the decorated catalog families.
 
-    Returns (p, normalized subalgebra).
-    """
-    rows, rhs = [], []
-    for elt in h.basis:
-        if mat_is_zero(elt.linear):
-            continue  # a pure translation is its own decoration; nothing to solve
-        for m in range(4):
-            if any(x != 0 for x in elt.linear[m]) or elt.trans[m] != 0:
-                rows.append(list(elt.linear[m]))
-                rhs.append(-elt.trans[m])
-    p = _solve_consistent_part(rows, rhs)
-    new_basis = tuple(
-        AlgebraElement(elt.linear, vadd(elt.trans, matvec(elt.linear, p)))
-        for elt in h.basis
-    )
-    return p, require_closed(new_basis)
-
-
-def _solve_consistent_part(rows, rhs):
-    """Particular solution of the maximal consistent subsystem (free vars 0).
-
     Pivots are restricted to the coefficient columns: a row that reduces to
     (0 0 0 0 | c) is an inconsistent direction and is simply left out, so it
     can never eliminate into — and wipe out — the solved part.  The pivot
     choice depends only on the coefficient rows, which translation
     conjugation does not touch, so the surviving residuals are canonical.
+
+    Returns (p, normalized subalgebra).
     """
-    if not rows:
-        return (Fraction(0),) * 4
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivot_cols = []
-    r = 0
-    for col in range(4):
-        sel = None
-        for i in range(r, len(aug)):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = aug[r][col]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append((col, r))
-        r += 1
+    rows = []
+    for elt in h.basis:
+        if mat_is_zero(elt.linear):
+            continue  # a pure translation is its own decoration; nothing to solve
+        for m in range(4):
+            if any(x != 0 for x in elt.linear[m]) or elt.trans[m] != 0:
+                rows.append((*elt.linear[m], -elt.trans[m]))
     p = [Fraction(0)] * 4
-    for col, row in pivot_cols:
-        p[col] = aug[row][4]
-    return tuple(p)
+    reduced, pivots = rref(rows, pivot_limit=4)
+    for row, col in zip(reduced, pivots):
+        p[col] = row[4]
+    p = tuple(p)
+    new_basis = tuple(
+        AlgebraElement(elt.linear, vadd(elt.trans, matvec(elt.linear, p)))
+        for elt in h.basis
+    )
+    return p, require_closed(new_basis)
 
 
 def one_param_type(x) -> OneParamType:

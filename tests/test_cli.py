@@ -290,3 +290,40 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     assert main(["export", "--entry", "T1:R3", "--grid", "0",
                  "--out", out_path]) == 2
     assert "--grid must be at least 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bad input: exit 2 with one "error:" line, never a traceback or a check FAIL
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{tmp}/zero.txt"],
+    ["witness", "--entry", "T3:nilpotent-pair", "--mu", "1/0"],
+    ["orbit", "--entry", "T2:Ya+le1-W2", "--lambda", "1/0"],
+    ["export", "--entry", "T4:aK1bA-N", "--a", "1/0", "--out", "-"],
+    ["witness", "--entry", "T4:aK1bA-N", "--b", "1/0"],
+    ["orbit", "--entry", "T1:R3", "--point", "1,2,3,1/0"],
+    ["export", "--entry", "T1:R3", "--grid", "2", "--out", "{tmp}/missing/x.csv"],
+    ["verify", "--entry", "T1:R3", "--samples", "0"],
+    ["classify", "{tmp}/zero.txt", "--samples", "-3"],
+    ["verify", "--entry", "T2:SO11xR2", "--steps", "7"],
+    ["witness", "--entry", "T4:AN", "--steps", "4"],
+], ids=[
+    "classify-zero-denominator", "witness-mu", "orbit-lambda", "export-a",
+    "witness-b", "orbit-point", "export-missing-dir", "verify-samples-0",
+    "classify-samples-negative", "verify-steps-7", "witness-steps-4",
+])
+def test_bad_input_is_usage_error(argv, tmp_path, capsys):
+    (tmp_path / "zero.txt").write_text("Ya + 1/0*e1\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "FAIL" not in captured.out
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert captured.err.splitlines()[-1] == errors[0]

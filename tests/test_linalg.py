@@ -16,6 +16,7 @@ from minkact.linalg import (
     mat,
     mink_inner,
     rank_of,
+    reduce_mod,
     rref,
     solve_linear,
     span_contains,
@@ -51,6 +52,23 @@ def test_rref_pivots_and_idempotence():
     again, pivots2 = rref([list(r) for r in reduced if any(x != 0 for x in r)])
     assert list(pivots2) == list(pivots)
     assert [list(r) for r in again] == [list(r) for r in reduced if any(x != 0 for x in r)]
+
+
+def test_rref_pivot_limit_leaves_augmented_column_unpivoted():
+    # x + y = 1 and 2x + 2y = 3 are inconsistent: with the bound the
+    # contradiction stays in the right-hand side instead of taking a pivot
+    rows = [[1, 1, 1], [2, 2, 3]]
+    reduced, pivots = rref([list(map(Fraction, r)) for r in rows], pivot_limit=2)
+    assert pivots == [0]
+    assert reduced == [(1, 1, 1), (0, 0, 1)]
+    assert rref([list(map(Fraction, r)) for r in rows])[1] == [0, 2]
+
+
+def test_reduce_mod_echelon_basis():
+    ech = echelon_basis([(1, 0, 2, 0), (0, 1, 0, 3)])
+    assert reduce_mod(ech, (2, -1, 4, -3)) == (0, 0, 0, 0)
+    assert reduce_mod(ech, (1, 1, 3, 3)) == (0, 0, 1, 0)
+    assert reduce_mod([], (1, 2, 3, 4)) == (1, 2, 3, 4)
 
 
 def test_rank_and_span_membership():
