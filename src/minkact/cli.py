@@ -16,6 +16,7 @@ usage errors (unknown entry, malformed input file, out-of-range parameters).
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -376,6 +377,17 @@ def _int_at_least(low):
     return parse
 
 
+def _positive_float(text):
+    """argparse type for a positive finite float (a tolerance)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _param_flags(p):
     p.add_argument("--lambda", dest="lam", type=_rational,
                    help="family parameter lambda (rational)")
@@ -401,7 +413,7 @@ def build_parser():
             # the escape check needs the dyadic ladder 1, 2, 4, 8 at least
             p.add_argument("--steps", type=_int_at_least(8), default=1024,
                            help="escape-sequence ladder length (default 1024)")
-            p.add_argument("--tol", type=float, default=1e-6,
+            p.add_argument("--tol", type=_positive_float, default=1e-6,
                            help="convergence tolerance (default 1e-6)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")

@@ -29,8 +29,14 @@ from .group import (
     rational_rotation_12,
     translation,
 )
-from .linalg import frac, matmul, solve_linear, span_contains, vec4
-from .subalgebra import OneParamType, Subalgebra, one_param_type
+from .linalg import frac, matmul, quadratic_form, solve_linear, span_contains, vec4
+from .subalgebra import (
+    OneParamType,
+    Subalgebra,
+    invariant_forms,
+    one_param_type,
+    type_from_invariants,
+)
 
 
 class WitnessFailedError(AssertionError):
@@ -59,12 +65,26 @@ class FixedPointCert:
     point: tuple
 
 
+def _integral(form):
+    """``form`` times the common denominator of its entries: the same signs
+    and zeros, evaluated in int arithmetic."""
+    d = math.lcm(*(x.denominator for row in form for x in row))
+    return [[int(x * d) for x in row] for row in form]
+
+
 def fixed_point_nonproper_certificate(h: Subalgebra, combo_range: int = 2):
     """Search for a noncompact one-parameter subgroup with a fixed point.
 
     Basis elements are tried first, then small integer combinations of them
-    (coefficients in [-combo_range, combo_range]), deterministically.  Returns
-    the first certificate found, or None.
+    (coefficients in [-combo_range, combo_range]), deterministically.  Each
+    combination c is typed by the invariant rule of
+    :func:`~minkact.subalgebra.type_from_invariants`, with tr(X^2) = c^T T c
+    and 2 Pf(eta X) = c^T P c read off two forms built once on the basis's
+    linear parts (scaled to integers, which keeps every sign): a nonzero
+    Pfaffian (mixed) or a negative trace (elliptic) is skipped without
+    building the element.  Only hyperbolic and parabolic candidates are
+    assembled and solved for a fixed point.  Returns the first certificate
+    found, or None.
     """
     dim = h.dim
     singles = []
@@ -74,13 +94,21 @@ def fixed_point_nonproper_certificate(h: Subalgebra, combo_range: int = 2):
         singles.append(tuple(coeffs))
     combos = [c for c in itertools.product(range(-combo_range, combo_range + 1), repeat=dim)
               if any(c) and tuple(c) not in singles]
+    trace_form, pf_form = (_integral(form) for form in
+                           invariant_forms([b.linear for b in h.basis]))
     for coeffs in singles + combos:
+        pf = quadratic_form(pf_form, coeffs)
+        if pf != 0:
+            continue
+        trace_sq = quadratic_form(trace_form, coeffs)
+        if trace_sq < 0:
+            continue
         acc = None
         for c, b in zip(coeffs, h.basis):
             term = b.scaled(c)
             acc = term if acc is None else acc + term
         elt = acc
-        kind = one_param_type(elt.linear)
+        kind = type_from_invariants(trace_sq, pf, elt.linear)
         if kind not in (OneParamType.HYPERBOLIC, OneParamType.PARABOLIC):
             continue
         # fixed point <=> the Killing field vanishes: X p = -x

@@ -22,7 +22,6 @@ from .linalg import (
     char_poly,
     echelon_basis,
     mat_is_zero,
-    matmul,
     matvec,
     rank_of,
     rref,
@@ -151,28 +150,67 @@ def normalize_translations(h: Subalgebra):
     return p, require_closed(new_basis)
 
 
+def type_from_invariants(trace_sq, pfaffian, x) -> OneParamType:
+    """Type of exp(t X) from the two Lorentz invariants of X.
+
+    so(3,1) is sl(2,C), so X has eigenvalues +-a, +-ib with
+    tr(X^2) = 2(a^2 - b^2) and Pf(eta X) = +-ab.  A nonzero Pfaffian mixes a
+    rotation with a boost; otherwise the sign of tr(X^2) separates elliptic
+    (periodic) from hyperbolic (boost-like), and both invariants vanish
+    exactly on the nilpotent elements.  Only whether ``pfaffian`` vanishes
+    matters, and the matrix ``x`` is read only to tell Zero from Parabolic.
+    """
+    if pfaffian != 0:
+        return OneParamType.MIXED
+    if trace_sq < 0:
+        return OneParamType.ELLIPTIC
+    if trace_sq > 0:
+        return OneParamType.HYPERBOLIC
+    return OneParamType.ZERO if mat_is_zero(x) else OneParamType.PARABOLIC
+
+
 def one_param_type(x) -> OneParamType:
     """Conjugation-invariant type of the one-parameter group exp(t X).
 
-    Exact spectral trichotomy for Lorentz-algebra matrices: Parabolic iff
-    nilpotent nonzero; otherwise X^3 = g X for a unique rational g, with
-    g < 0 elliptic (periodic), g > 0 hyperbolic (boost-like); anything that
-    fits no such relation mixes a rotation with a boost.
+    Decided by :func:`type_from_invariants`, reading both invariants off the
+    characteristic polynomial of the Lorentz-algebra matrix X: its
+    coefficients are c2 = -tr(X^2)/2 and c4 = det X = -Pf(eta X)^2.
     """
-    if mat_is_zero(x):
-        return OneParamType.ZERO
-    cp = char_poly(x)
-    if all(c == 0 for c in cp[1:]):
-        return OneParamType.PARABOLIC
-    x3 = matmul(x, matmul(x, x))
-    pivot = next((i, j) for i in range(4) for j in range(4) if x[i][j] != 0)
-    gamma = x3[pivot[0]][pivot[1]] / x[pivot[0]][pivot[1]]
-    if all(x3[i][j] == gamma * x[i][j] for i in range(4) for j in range(4)):
-        if gamma < 0:
-            return OneParamType.ELLIPTIC
-        if gamma > 0:
-            return OneParamType.HYPERBOLIC
-    return OneParamType.MIXED
+    _, _, c2, _, c4 = char_poly(x)
+    return type_from_invariants(-2 * c2, c4, x)
+
+
+def _trace_product(x, y):
+    """tr(XY) for Lorentz-algebra matrices.
+
+    eta X and eta Y are skew, so the trace is a signed sum over the entries
+    above the diagonal: minus for the rotation entries, plus for the boosts.
+    """
+    return 2 * (x[0][3] * y[0][3] + x[1][3] * y[1][3] + x[2][3] * y[2][3]
+                - x[0][1] * y[0][1] - x[0][2] * y[0][2] - x[1][2] * y[1][2])
+
+
+def _pfaffian_polar(x, y):
+    """Pf(eta(X+Y)) - Pf(eta X) - Pf(eta Y) for Lorentz-algebra matrices.
+
+    Pf(eta X) = x01 x23 - x02 x13 + x03 x12 reads only rows 0-2, which eta X
+    shares with X.
+    """
+    return (x[0][1] * y[2][3] + y[0][1] * x[2][3]
+            - x[0][2] * y[1][3] - y[0][2] * x[1][3]
+            + x[0][3] * y[1][2] + y[0][3] * x[1][2])
+
+
+def invariant_forms(linears):
+    """Gram matrices of the two Lorentz invariants on a list of matrices.
+
+    Returns (T, P) with T_ij = tr(X_i X_j) and P_ij the polar form of the
+    Pfaffian, so that X = sum c_i X_i has tr(X^2) = c^T T c and
+    2 Pf(eta X) = c^T P c.
+    """
+    trace_form = [[_trace_product(a, b) for b in linears] for a in linears]
+    pf_form = [[_pfaffian_polar(a, b) for b in linears] for a in linears]
+    return trace_form, pf_form
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,8 @@ CLEAN = [e for e in ALL if e.entry_id != "T3:N-aK1bA-l"]
 
 
 @pytest.mark.parametrize("entry", CLEAN, ids=lambda e: e.entry_id)
-def test_entry_verifies(entry):
-    report = verify_entry(entry)
+def test_entry_verifies(entry, seed42_report):
+    report = next(r for r in seed42_report.reports if r.entry_id == entry.entry_id)
     failed = [c for c in report.checks if not c.passed]
     assert report.passed, f"failed checks: {[(c.name, c.detail) for c in failed]}"
 
@@ -186,8 +186,8 @@ def _masked(report_dict):
     return out
 
 
-def test_verify_all_is_deterministic_and_honest():
-    first = verify_all()
+def test_verify_all_is_deterministic_and_honest(seed42_report):
+    first = seed42_report
     second = verify_all()
     assert not first.passed
     failing = [r.entry_id for r in first.reports if not r.passed]
@@ -195,7 +195,7 @@ def test_verify_all_is_deterministic_and_honest():
     assert _masked(first.to_dict()) == _masked(second.to_dict())
 
 
-def test_verify_all_covers_every_entry_once():
-    report = verify_all()
+def test_verify_all_covers_every_entry_once(seed42_report):
+    report = seed42_report
     assert [r.entry_id for r in report.reports] == [e.entry_id for e in ALL]
     assert report.to_dict()["pass"] is False

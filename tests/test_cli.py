@@ -309,10 +309,15 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     ["classify", "{tmp}/zero.txt", "--samples", "-3"],
     ["verify", "--entry", "T2:SO11xR2", "--steps", "7"],
     ["witness", "--entry", "T4:AN", "--steps", "4"],
+    ["verify", "--entry", "T1:R3", "--tol", "0"],
+    ["witness", "--entry", "T4:AN", "--tol", "-1"],
+    ["witness", "--entry", "T4:AN", "--tol", "nan"],
+    ["verify", "--entry", "T2:Ya-W2", "--tol", "inf"],
 ], ids=[
     "classify-zero-denominator", "witness-mu", "orbit-lambda", "export-a",
     "witness-b", "orbit-point", "export-missing-dir", "verify-samples-0",
     "classify-samples-negative", "verify-steps-7", "witness-steps-4",
+    "verify-tol-0", "witness-tol-negative", "witness-tol-nan", "verify-tol-inf",
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "zero.txt").write_text("Ya + 1/0*e1\n")

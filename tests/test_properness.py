@@ -1,5 +1,6 @@
 """Properness certificates: fixed points, escaping sequences, recovery maps."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,9 +8,18 @@ import numpy as np
 import pytest
 
 from minkact.algebra import standard_generator
-from minkact.catalog import catalog
-from minkact.linalg import vec4
+from minkact.catalog import catalog, entry_by_id
+from minkact.linalg import (
+    ETA,
+    char_poly,
+    matmul,
+    quadratic_form,
+    solve_linear,
+    trace,
+    vec4,
+)
 from minkact.properness import (
+    FixedPointCert,
     RecoveryMismatchError,
     WitnessFailedError,
     WitnessSequence,
@@ -27,7 +37,12 @@ from minkact.properness import (
     rotation_between,
 )
 from minkact.group import act
-from minkact.subalgebra import OneParamType, require_closed
+from minkact.subalgebra import (
+    OneParamType,
+    invariant_forms,
+    one_param_type,
+    require_closed,
+)
 
 YK1 = standard_generator("Yk1")
 YK2 = standard_generator("Yk2")
@@ -84,6 +99,65 @@ def test_proper_entries_have_no_fixed_point_certificate(entry):
 def test_nonproper_entries_have_fixed_point_certificate(entry):
     h = require_closed(entry.build(entry.defaults[0]))
     assert fixed_point_nonproper_certificate(h) is not None
+
+
+def _reference_certificate(h, combo_range=2):
+    """The search done the slow way: assemble every combination in search
+    order and type it with one_param_type."""
+    singles = [tuple(int(i == j) for j in range(h.dim)) for i in range(h.dim)]
+    combos = [c for c in itertools.product(range(-combo_range, combo_range + 1),
+                                           repeat=h.dim)
+              if any(c) and c not in singles]
+    for coeffs in singles + combos:
+        elt = _combination(h, coeffs)
+        kind = one_param_type(elt.linear)
+        if kind not in (OneParamType.HYPERBOLIC, OneParamType.PARABOLIC):
+            continue
+        sol = solve_linear(elt.linear, tuple(-t for t in elt.trans))
+        if sol.particular is not None:
+            return FixedPointCert(coefficients=coeffs, kind=kind,
+                                  point=tuple(sol.particular))
+    return None
+
+
+def _combination(h, coeffs):
+    elt = None
+    for c, b in zip(coeffs, h.basis):
+        elt = b.scaled(c) if elt is None else elt + b.scaled(c)
+    return elt
+
+
+SEARCH_CASES = [(" ".join([e.entry_id] + [f"{k}={v}" for k, v in sorted(p.items())]),
+                 e.build(p))
+                for e in catalog() for p in e.defaults] + [
+    ("drifting boost", entry_by_id("T2:Ya+le1-W2").build({"lam": Fraction(1, 2)})),
+    ("undecorated boost", entry_by_id("T2:Ya-W2").build({})),
+    ("drifting null rotation", entry_by_id("T2:Yn1+me4-W2").build({"mu": Fraction(3)})),
+    ("undecorated null rotation", entry_by_id("T2:Yn1-W2").build({})),
+]
+
+
+@pytest.mark.parametrize("basis", [b for _, b in SEARCH_CASES],
+                         ids=[label for label, _ in SEARCH_CASES])
+def test_invariant_search_matches_reference_search(basis):
+    h = require_closed(basis)
+    assert fixed_point_nonproper_certificate(h) == _reference_certificate(h)
+
+
+@pytest.mark.parametrize("entry_id,params", [
+    ("T4:aK1bA-N", {"a": Fraction(2), "b": Fraction(-1)}),
+    ("T4:K1AN", {}),
+])
+def test_invariant_forms_evaluate_to_trace_and_pfaffian(entry_id, params):
+    h = require_closed(entry_by_id(entry_id).build(params))
+    trace_form, pf_form = invariant_forms([b.linear for b in h.basis])
+    for coeffs in itertools.product(range(-2, 3), repeat=h.dim):
+        x = _combination(h, coeffs).linear
+        assert quadratic_form(trace_form, coeffs) == trace(matmul(x, x))
+        a = matmul(ETA, x)  # skew
+        pf = a[0][1] * a[2][3] - a[0][2] * a[1][3] + a[0][3] * a[1][2]
+        assert quadratic_form(pf_form, coeffs) == 2 * pf
+        assert pf * pf == -char_poly(x)[4]  # Pf(eta X)^2 = det(eta X)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minkact.algebra import (
     GENERATOR_MATRICES,
@@ -10,10 +13,17 @@ from minkact.algebra import (
     AlgebraElement,
     adjoint,
     coords10,
+    linear_from_coords,
     standard_generator,
 )
-from minkact.group import rational_rotation_12, translation
-from minkact.linalg import CausalKind, DependentBasisError, vec4
+from minkact.group import (
+    cayley_so3,
+    compose,
+    rational_boost_34,
+    rational_rotation_12,
+    translation,
+)
+from minkact.linalg import CausalKind, DependentBasisError, mat_is_zero, vec4
 from minkact.subalgebra import (
     NotClosed,
     OneParamType,
@@ -103,6 +113,51 @@ def test_one_param_type_is_conjugation_invariant():
     for name in GENERATOR_ORDER:
         x = standard_generator(name)
         assert one_param_type(adjoint(g, x).linear) is one_param_type(x.linear)
+
+
+def _spectral_type(x):
+    """Independent float oracle: the eigenvalues of X are +-a and +-ib."""
+    eig = np.linalg.eigvals(np.array([[float(c) for c in row] for row in x]))
+    real = bool(np.any(np.abs(eig.real) > 1e-3))
+    imag = bool(np.any(np.abs(eig.imag) > 1e-3))
+    if real and imag:
+        return OneParamType.MIXED
+    if real:
+        return OneParamType.HYPERBOLIC
+    if imag:
+        return OneParamType.ELLIPTIC
+    return OneParamType.ZERO if mat_is_zero(x) else OneParamType.PARABOLIC
+
+
+# integer coordinates keep every nonzero real or imaginary eigenvalue part
+# far above the float oracle's threshold, nilpotent round-off far below it
+small_coords = st.lists(st.integers(-2, 2), min_size=6, max_size=6)
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_coords)
+@example([0, 0, 0, 0, 0, 0])
+@example([0, 0, 0, 0, 1, 0])
+@example([0, 0, 0, 1, 0, 0])
+@example([1, 0, 0, 0, 0, 0])
+@example([1, 0, 0, 1, 0, 0])
+def test_one_param_type_matches_the_spectrum(coords):
+    x = linear_from_coords(coords)
+    assert one_param_type(x) is _spectral_type(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_coords, small_rationals, small_rationals, small_rationals,
+       st.fractions(min_value=Fraction(-3, 4), max_value=Fraction(3, 4),
+                    max_denominator=4))
+def test_one_param_type_matches_the_spectrum_of_lorentz_conjugates(
+        coords, a, b, c, tau):
+    x = AlgebraElement(linear_from_coords(coords), vec4(0, 0, 0, 0))
+    g = compose(cayley_so3(a, b, c), rational_boost_34(tau))
+    y = adjoint(g, x).linear
+    assert one_param_type(y) is _spectral_type(y)
+    assert one_param_type(y) is one_param_type(x.linear)
 
 
 # ---------------------------------------------------------------------------
