@@ -50,6 +50,7 @@ from .properness import (
     RecoveryMismatchError,
     WitnessFailedError,
     check_witness,
+    combination,
     compact_rotation_certificate,
     fixed_point_nonproper_certificate,
     fixed_point_witness,
@@ -868,12 +869,7 @@ def nonproperness_witness(entry, params, h):
     cert = fixed_point_nonproper_certificate(h)
     if cert is None:
         raise LookupError("no non-properness certificate found")
-    elt = None
-    for i, c in enumerate(cert.coefficients):
-        if c:
-            term = h.basis[i].scaled(c)
-            elt = term if elt is None else elt + term
-    witness = fixed_point_witness(elt, cert.point, cert.kind)
+    witness = fixed_point_witness(combination(cert.coefficients, h.basis), cert.point, cert.kind)
     mechanism = (f"{cert.kind.value.lower()} stabilizer at "
                  f"({','.join(map(str, cert.point))})")
     return witness, mechanism

@@ -316,13 +316,16 @@ def cmd_export(args):
         triples = [tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
                    for _ in range(args.samples)]
 
+    # one exponential per generator and distinct parameter: a grid has n each
+    exps = [{t: exp_element(b, t) for t in {ts[k] for ts in triples}}
+            for k, b in enumerate(basis)]
     rows = []
-    for t1, t2, t3 in triples:
+    for ts in triples:
         x = base_f
-        for t, b in ((t3, basis[2]), (t2, basis[1]), (t1, basis[0])):
-            g = exp_element(b, float(t))
+        for k in (2, 1, 0):
+            g = exps[k][ts[k]]
             x = (g.V @ [float(c) for c in x] + g.v).tolist()
-        rows.append((t1, t2, t3, *x))
+        rows.append((*ts, *x))
 
     try:
         out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")

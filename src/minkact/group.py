@@ -1,12 +1,13 @@
 """The isometry group O(3,1) x R^{3,1} (semidirect): composition, inversion,
 the affine action on points, and exponentials of algebra elements.
 
-Two variants coexist: an exact one over Fractions for everything the
-classification logic touches, and a float one (numpy/scipy) used only where
-transcendental exponentials are unavoidable (boosts, rotations by generic
-angles, properness sequences).  Exact rational rotations and boosts are
-available through half-angle/half-velocity parameterizations for tests and
-recovery trials that must stay in the rationals.
+Isometries are exact, over Fractions, everywhere the classification logic
+touches them.  Exponentials exp(tX) come from one closed form driven by the
+two Lorentz invariants tr(X^2) and Pf(eta X): exact for nilpotent X and an
+exact t, numpy floats otherwise (boosts, rotations by generic angles,
+properness sequences, orbit patches).  Exact rational rotations and boosts
+are available through half-angle/half-velocity parameterizations for tests
+and recovery trials that must stay in the rationals.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import AlgebraElement, lorentz_inverse
 from .linalg import (
@@ -31,10 +31,7 @@ from .linalg import (
     vadd,
     vneg,
 )
-
-
-class VariantMismatchError(TypeError):
-    """Raised when exact and numeric isometries are mixed in one operation."""
+from .subalgebra import lorentz_invariants
 
 
 @dataclass(frozen=True)
@@ -63,30 +60,20 @@ def lorentz_ok_numeric(V, tol=1e-9) -> bool:
     return bool(np.max(np.abs(V.T @ eta @ V - eta)) <= tol)
 
 
-def compose(g, h):
+def compose(g: Isometry, h: Isometry) -> Isometry:
     """(V,v)(U,u) = (VU, v + V u)."""
-    if isinstance(g, Isometry) and isinstance(h, Isometry):
-        return Isometry(matmul(g.V, h.V), vadd(g.v, matvec(g.V, h.v)))
-    if isinstance(g, NumericIsometry) and isinstance(h, NumericIsometry):
-        return NumericIsometry(g.V @ h.V, g.v + g.V @ h.v)
-    raise VariantMismatchError("cannot compose exact and numeric isometries")
+    return Isometry(matmul(g.V, h.V), vadd(g.v, matvec(g.V, h.v)))
 
 
-def invert(g):
+def invert(g: Isometry) -> Isometry:
     """(V,v)^{-1} = (V^{-1}, -V^{-1} v) with V^{-1} = eta V^t eta."""
-    if isinstance(g, Isometry):
-        vinv = lorentz_inverse(g.V)
-        return Isometry(vinv, vneg(matvec(vinv, g.v)))
-    eta = np.diag([1.0, 1.0, 1.0, -1.0])
-    vinv = eta @ g.V.T @ eta
-    return NumericIsometry(vinv, -(vinv @ g.v))
+    vinv = lorentz_inverse(g.V)
+    return Isometry(vinv, vneg(matvec(vinv, g.v)))
 
 
-def act(g, p):
+def act(g: Isometry, p):
     """Affine action: p -> V p + v."""
-    if isinstance(g, Isometry):
-        return vadd(matvec(g.V, p), g.v)
-    return g.V @ np.asarray(p, dtype=float) + g.v
+    return vadd(matvec(g.V, p), g.v)
 
 
 def translation(p) -> Isometry:
@@ -112,47 +99,66 @@ def embed5(a: AlgebraElement):
     return mat(rows)
 
 
-def _is_nilpotent5(m) -> bool:
-    p = m
-    for _ in range(4):
-        p = matmul(p, m)
-    return all(x == 0 for row in p for x in row)
+def _phis(z):
+    """(phi_1, ..., phi_4) at z, where phi_k(z) = sum_{j>=0} z^j / (2j + k)!.
+
+    phi_1(u^2) = sinh(u)/u and phi_2(u^2) = (cosh u - 1)/u^2; z < 0 gives sin
+    and cos.  Near zero the closed forms cancel, so phi_3, phi_4 are summed.
+    """
+    if abs(z) < 1:
+        phi3, phi4 = (sum(z ** j / math.factorial(2 * j + k) for j in range(10))
+                      for k in (3, 4))
+        return 1 + z * phi3, 1 / 2 + z * phi4, phi3, phi4
+    r = math.sqrt(abs(z))
+    phi0, phi1 = (math.cosh(r), math.sinh(r) / r) if z > 0 else (math.cos(r), math.sin(r) / r)
+    phi2 = (phi0 - 1) / z
+    return phi1, phi2, (phi1 - 1) / z, (phi2 - 1 / 2) / z
+
+
+def exp_coefficients(trace_sq, pfaffian, t):
+    """(c1, ..., c4) with exp(tM) = I + c1 M + ... + c4 M^4, M the 5x5 embedding.
+
+    M has eigenvalues 0, +-alpha and +-i beta, where alpha^2 - beta^2 =
+    tr(X^2)/2 and alpha^2 beta^2 = Pf(eta X)^2; interpolating exp at them
+    makes c_k t^k times a weighted mean of phi_k at (alpha t)^2 and
+    -(beta t)^2.  Nilpotent X (both invariants zero) has X^3 = 0, so M^4 = 0
+    and t, t^2/2, t^3/6 are exact for an exact t; otherwise floats.
+    """
+    if trace_sq == 0 and pfaffian == 0:
+        return t, t * t / 2, t * t * t / 6, 0
+    t, h, pf = float(t), float(trace_sq) / 4, float(pfaffian)
+    larger = abs(h) + math.hypot(h, pf)  # the smaller root is pf^2 / larger
+    a2, b2 = (larger, pf * pf / larger) if h > 0 else (pf * pf / larger, larger)
+    pa, pb = _phis(a2 * t * t), _phis(-b2 * t * t)
+    c1, c2 = (t ** k * (b2 * pa[k - 1] + a2 * pb[k - 1]) / (a2 + b2) for k in (1, 2))
+    c3, c4 = (t ** k * (a2 * pa[k - 1] + b2 * pb[k - 1]) / (a2 + b2) for k in (3, 4))
+    return c1, c2, c3, c4
 
 
 def exp_element_exact(a: AlgebraElement, t) -> Isometry:
-    """Exact exponential of t*a; only defined when the series terminates.
-
-    That happens exactly when the linear part is nilpotent (null rotations,
-    pure translations); degree at most 4 in the 5x5 embedding.
-    """
-    t = frac(t)
-    m = embed5(a.scaled(t))
-    if not _is_nilpotent5(m):
+    """Exact exponential of t*a; only defined when the linear part is
+    nilpotent (null rotations, pure translations)."""
+    trace_sq, pfaffian = lorentz_invariants(a.linear)
+    if trace_sq != 0 or pfaffian != 0:
         raise ValueError("exponential series does not terminate; use the numeric variant")
-    ident5 = mat([[1 if i == j else 0 for j in range(5)] for i in range(5)])
-    total = ident5
-    power = ident5
-    factorial = 1
-    for k in range(1, 5):
-        power = matmul(power, m)
-        factorial *= k
-        total = tuple(
-            tuple(x + y / factorial for x, y in zip(row_t, row_p))
-            for row_t, row_p in zip(total, power)
-        )
-    v_mat = tuple(tuple(total[i][j] for j in range(4)) for i in range(4))
-    v_vec = tuple(total[i][4] for i in range(4))
-    return Isometry(v_mat, v_vec)
+    c1, c2, c3, _ = exp_coefficients(trace_sq, pfaffian, frac(t))
+    m = embed5(a)
+    m2 = matmul(m, m)
+    m3 = matmul(m2, m)
+    total = [[int(i == j) + c1 * m[i][j] + c2 * m2[i][j] + c3 * m3[i][j]
+              for j in range(5)] for i in range(4)]
+    return Isometry(tuple(tuple(row[:4]) for row in total),
+                    tuple(row[4] for row in total))
 
 
 def exp_element_numeric(a: AlgebraElement, t: float) -> NumericIsometry:
-    """Float exponential via scaling-and-squaring on the 5x5 embedding."""
+    """Float exponential of t*a from the closed form of :func:`exp_coefficients`."""
+    c1, c2, c3, c4 = exp_coefficients(*lorentz_invariants(a.linear), float(t))
     m = np.zeros((5, 5))
-    for i in range(4):
-        for j in range(4):
-            m[i, j] = float(a.linear[i][j])
-        m[i, 4] = float(a.trans[i])
-    e = expm(float(t) * m)
+    m[:4, :4] = a.linear
+    m[:4, 4] = a.trans
+    m2 = m @ m
+    e = np.eye(5) + c1 * m + c2 * m2 + (c3 * m + c4 * m2) @ m2
     return NumericIsometry(e[:4, :4].copy(), e[:4, 4].copy())
 
 
@@ -162,12 +168,9 @@ def exp_element(a: AlgebraElement, t):
     A float t always selects the numeric variant; exact scalars stay exact
     whenever the linear part is nilpotent and fall back to floats if not.
     """
-    if not isinstance(t, float):
-        try:
-            return exp_element_exact(a, t)
-        except ValueError:
-            pass
-    return exp_element_numeric(a, float(t))
+    if isinstance(t, float) or lorentz_invariants(a.linear) != (0, 0):
+        return exp_element_numeric(a, float(t))
+    return exp_element_exact(a, t)
 
 
 # ---------------------------------------------------------------------------

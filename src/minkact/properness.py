@@ -13,8 +13,10 @@ actually proved:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +28,7 @@ from .group import (
     act,
     cayley_so3,
     exp_element,
+    numeric_boost_34,
     rational_rotation_12,
     translation,
 )
@@ -72,6 +75,11 @@ def _integral(form):
     return [[int(x * d) for x in row] for row in form]
 
 
+def combination(coeffs, basis):
+    """sum_i c_i basis_i, for coefficients that are not all zero."""
+    return functools.reduce(operator.add, (b.scaled(c) for c, b in zip(coeffs, basis) if c))
+
+
 def fixed_point_nonproper_certificate(h: Subalgebra, combo_range: int = 2):
     """Search for a noncompact one-parameter subgroup with a fixed point.
 
@@ -81,10 +89,10 @@ def fixed_point_nonproper_certificate(h: Subalgebra, combo_range: int = 2):
     :func:`~minkact.subalgebra.type_from_invariants`, with tr(X^2) = c^T T c
     and 2 Pf(eta X) = c^T P c read off two forms built once on the basis's
     linear parts (scaled to integers, which keeps every sign): a nonzero
-    Pfaffian (mixed) or a negative trace (elliptic) is skipped without
-    building the element.  Only hyperbolic and parabolic candidates are
-    assembled and solved for a fixed point.  Returns the first certificate
-    found, or None.
+    Pfaffian (mixed), a negative trace (elliptic) or a zero linear part (a
+    third form, its squared norm, vanishes) is skipped without building the
+    element.  Only hyperbolic and parabolic candidates are assembled and
+    solved for a fixed point.  Returns the first certificate found, or None.
     """
     dim = h.dim
     singles = []
@@ -94,23 +102,20 @@ def fixed_point_nonproper_certificate(h: Subalgebra, combo_range: int = 2):
         singles.append(tuple(coeffs))
     combos = [c for c in itertools.product(range(-combo_range, combo_range + 1), repeat=dim)
               if any(c) and tuple(c) not in singles]
-    trace_form, pf_form = (_integral(form) for form in
-                           invariant_forms([b.linear for b in h.basis]))
+    linears = [b.linear for b in h.basis]
+    trace_form, pf_form = (_integral(form) for form in invariant_forms(linears))
+    # squared Frobenius norm of the linear part: zero exactly when it is zero
+    flat = [[x for row in m for x in row] for m in linears]
+    norm_form = _integral([[sum(x * y for x, y in zip(a, b)) for b in flat] for a in flat])
     for coeffs in singles + combos:
         pf = quadratic_form(pf_form, coeffs)
         if pf != 0:
             continue
         trace_sq = quadratic_form(trace_form, coeffs)
-        if trace_sq < 0:
+        if trace_sq < 0 or trace_sq == 0 and quadratic_form(norm_form, coeffs) == 0:
             continue
-        acc = None
-        for c, b in zip(coeffs, h.basis):
-            term = b.scaled(c)
-            acc = term if acc is None else acc + term
-        elt = acc
-        kind = type_from_invariants(trace_sq, pf, elt.linear)
-        if kind not in (OneParamType.HYPERBOLIC, OneParamType.PARABOLIC):
-            continue
+        elt = combination(coeffs, h.basis)
+        kind = type_from_invariants(trace_sq, pf, elt.linear)  # hyperbolic or parabolic
         # fixed point <=> the Killing field vanishes: X p = -x
         sol = solve_linear(elt.linear, tuple(-t for t in elt.trans))
         if sol.particular is not None:
@@ -396,14 +401,7 @@ def recover_boost_family(x, y, lam, tol=1e-9):
         raise RecoveryMismatchError(
             f"boost recovery residual {abs(y4 - yf[3]):.3g} exceeds {tol}"
         )
-    V = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, ch, sh],
-        [0.0, 0.0, sh, ch],
-    ])
-    v = np.array([lam * t, s, w, -w])
-    return t, s, w, (V, v)
+    return t, s, w, boost_family_element_numeric(t, s, w, lam)
 
 
 def recover_null_family(x, y, mu):
@@ -438,15 +436,7 @@ def null_family_element(t, s, w, mu):
 
 def boost_family_element_numeric(t, s, w, lam):
     t, s, w, lam = float(t), float(s), float(w), float(lam)
-    ch, sh = math.cosh(t), math.sinh(t)
-    V = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, ch, sh],
-        [0.0, 0.0, sh, ch],
-    ])
-    v = np.array([lam * t, s, w, -w])
-    return V, v
+    return numeric_boost_34(t).V, np.array([lam * t, s, w, -w])
 
 
 def parameter_recovery_check(kind, params, trials: int = 100, seed: int = 777) -> RecoveryReport:

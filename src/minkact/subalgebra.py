@@ -201,6 +201,11 @@ def _pfaffian_polar(x, y):
             + x[0][3] * y[1][2] + y[0][3] * x[1][2])
 
 
+def lorentz_invariants(x):
+    """(tr(X^2), Pf(eta X)) of a Lorentz-algebra matrix, exactly."""
+    return _trace_product(x, x), _pfaffian_polar(x, x) / 2
+
+
 def invariant_forms(linears):
     """Gram matrices of the two Lorentz invariants on a list of matrices.
 

@@ -1,10 +1,15 @@
 """End-to-end command line behavior, run in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import minkact
 from minkact.cli import format_element, main, parse_element, parse_generator_file
 
 
@@ -332,3 +337,12 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert captured.err.splitlines()[-1] == errors[0]
+
+
+def test_cli_import_leaves_scipy_out():
+    """numpy is the only numeric runtime dependency; scipy serves the tests."""
+    src = str(Path(minkact.__file__).resolve().parents[1])
+    code = "import sys, minkact.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"

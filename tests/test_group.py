@@ -6,8 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_subalgebra import small_coords
 
-from minkact.algebra import adjoint, standard_generator
+from minkact.algebra import AlgebraElement, adjoint, linear_from_coords, standard_generator
 from minkact.group import (
     Isometry,
     act,
@@ -25,6 +28,7 @@ from minkact.group import (
     to_numeric,
     translation,
 )
+from minkact.group import embed5
 from minkact.linalg import vec4
 
 
@@ -149,3 +153,19 @@ def test_mixed_generator_exponential_is_still_lorentz():
     g = exp_element_numeric(mix, 0.5)
     assert lorentz_ok_numeric(g.V, tol=1e-9)
     assert math.isfinite(float(np.abs(g.V).sum()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_coords, st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       st.floats(min_value=-3, max_value=3))
+@example([0, 0, 0, 1, 0, 0], [1, 0, 0, 0], 1.5)  # Ya + e1: beta = 0
+@example([1, 0, 0, 0, 0, 0], [0, 0, 1, 0], 1.5)  # Yk1 + e3: alpha = 0
+@example([2, 0, 0, 3, 0, 0], [0, 0, 0, 0], 1.5)  # 2 Yk1 + 3 Ya: mixed
+@example([0, 0, 0, 0, 1, 0], [0, 3, 0, 0], 1.5)  # Yn1 + 3 e2: nilpotent
+def test_numeric_exponential_matches_expm(coords, trans, t):
+    elt = AlgebraElement(linear_from_coords(coords), vec4(*trans))
+    ours = exp_element_numeric(elt, t)
+    theirs = scipy.linalg.expm(t * np.array(embed5(elt), dtype=float))
+    scale = max(1.0, float(np.abs(theirs).max()))
+    assert np.abs(ours.V - theirs[:4, :4]).max() <= 1e-10 * scale
+    assert np.abs(ours.v - theirs[:4, 4]).max() <= 1e-10 * scale

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from minkact.algebra import standard_generator
-from minkact.catalog import catalog, entry_by_id
+from minkact.catalog import catalog, entry_by_id, nonproperness_witness
 from minkact.linalg import (
     ETA,
     char_poly,
@@ -284,3 +284,28 @@ def test_parameter_recovery_families(kind, params):
 def test_parameter_recovery_unknown_kind():
     with pytest.raises(ValueError, match="unknown recovery kind"):
         parameter_recovery_check("spiral", {}, trials=1)
+
+
+# the explore benchmark's parameter values: nonzero, hence admissible for every
+# family, and away from the catalog defaults
+EXPLORE_PARAMS = tuple(Fraction(n, d) for n in (-5, -3, -1, 1, 3, 5) for d in (2, 3)) \
+    + (Fraction(2), Fraction(-3))
+
+
+@pytest.mark.parametrize("entry_id", [e.entry_id for e in catalog() if not e.proper])
+def test_witness_passes_at_explore_parameters(entry_id):
+    entry = entry_by_id(entry_id)
+    checked = 0
+    for values in itertools.product(EXPLORE_PARAMS, repeat=len(entry.params)):
+        params = dict(zip(entry.params, values))
+        if not entry.admissible(params):
+            continue
+        if entry.escape_witness is not None:
+            # the same witness nonproperness_witness returns, without the full
+            # fixed-point search it runs only to label the mechanism
+            witness = entry.escape_witness(params)
+        else:
+            witness, _ = nonproperness_witness(entry, params, require_closed(entry.build(params)))
+        check_witness(witness, steps=1024, tol=1e-6)
+        checked += 1
+    assert checked == len(EXPLORE_PARAMS) ** len(entry.params)
