@@ -65,7 +65,6 @@ from .subalgebra import (
     closure_check,
     invariants,
     normalize_translations,
-    require_closed,
 )
 
 YK1 = standard_generator("Yk1")
@@ -802,12 +801,9 @@ def _check_rank_identity(entry, params, h):
     return True, note
 
 
-def _check_cohomogeneity(entry, insts, seed, samples):
+def _check_cohomogeneity(entry, insts, surveys, samples):
     details = []
-    for params, h in insts:
-        witnesses = entry.strata_witnesses(params)
-        rep = cohomogeneity(h, seed=seed, samples=samples,
-                            extra_points=[pt for pt, _ in witnesses])
+    for (params, h), rep in zip(insts, surveys):
         if rep.cohomogeneity != entry.expected_cohomogeneity:
             return CheckResult(
                 "cohomogeneity", False,
@@ -820,26 +816,25 @@ def _check_cohomogeneity(entry, insts, seed, samples):
                 "cohomogeneity", False,
                 f"at {_fmt_params(params)}: strata {rep.observed_dims()} != "
                 f"expected {expected_dims}")
-        for pt, dim in witnesses:
-            got = orbit_dimension(h, pt)
+        # the declared witnesses were surveyed last, after the samples
+        for (pt, dim), got in zip(entry.strata_witnesses(params), rep.strata[samples:]):
             if got.dim != dim:
                 return CheckResult(
                     "cohomogeneity", False,
                     f"at {_fmt_params(params)}: declared stratum point {pt} has "
                     f"dim {got.dim}, expected {dim}")
         if entry.principal_causal is not None:
-            for pt, dim in rep.strata:
-                if dim != 3:
+            for orbit in rep.strata:
+                if orbit.dim != 3:
                     continue
                 expect = entry.principal_causal
-                if entry.degenerate_locus is not None and entry.degenerate_locus(pt):
+                if entry.degenerate_locus is not None and entry.degenerate_locus(orbit.point):
                     expect = CausalKind.DEGENERATE
-                got = orbit_dimension(h, pt).causal.kind
-                if got is not expect:
+                if orbit.causal.kind is not expect:
                     return CheckResult(
                         "cohomogeneity", False,
-                        f"at {_fmt_params(params)}: principal orbit at {pt} is "
-                        f"{got.value}, expected {expect.value}")
+                        f"at {_fmt_params(params)}: principal orbit at {orbit.point} is "
+                        f"{orbit.causal.kind.value}, expected {expect.value}")
         if entry.rank_identity is not None:
             ok, note = _check_rank_identity(entry, params, h)
             if not ok:
@@ -912,12 +907,12 @@ def _check_properness(entry, insts, seed, steps, tol, trials):
     return CheckResult("properness", True, f"{verdict}: " + "; ".join(sorted(set(notes))))
 
 
-def _check_orbit_space(entry, insts, seed, samples):
+def _check_orbit_space(entry, insts, surveys):
     kinds = []
-    for params, h in insts:
+    for (params, h), survey in zip(insts, surveys):
         spec = entry.orbit_space(params)
         try:
-            rep = orbit_space_report(h, spec, seed=seed, samples=samples)
+            rep = orbit_space_report(h, spec, survey)
         except (EvidenceFailedError, NotInvariantError) as err:
             return CheckResult("orbit_space", False,
                                f"at {_fmt_params(params)}: {err}")
@@ -942,7 +937,8 @@ def _check_roundtrip(entry, insts, seed, table):
         rng = random.Random(f"{seed}:{entry.entry_id}:{k}")
         q = _conjugation_vector(rng)
         g = translation(q)
-        conj = require_closed(tuple(adjoint(g, b) for b in h.basis))
+        # Ad g is an automorphism, so h's structure constants carry over
+        conj = Subalgebra(tuple(adjoint(g, b) for b in h.basis), h.structure)
         matches = match_catalog(conj, table)
         label = _fmt_params(params)
         if len(matches) != 1:
@@ -1085,10 +1081,13 @@ def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6,
     checks.append(closure)
     if closure.passed:
         checks.append(_check_invariants(entry, insts))
-        checks.append(_check_cohomogeneity(entry, insts, seed, samples))
+        surveys = [cohomogeneity(h, seed=seed, samples=samples,
+                                 extra_points=[pt for pt, _ in entry.strata_witnesses(params)])
+                   for params, h in insts]
+        checks.append(_check_cohomogeneity(entry, insts, surveys, samples))
         checks.append(_check_properness(entry, insts, seed, steps, tol, trials))
         if entry.orbit_space is not None:
-            checks.append(_check_orbit_space(entry, insts, seed, samples))
+            checks.append(_check_orbit_space(entry, insts, surveys))
         checks.append(_check_roundtrip(entry, insts, seed, table or catalog()))
         for slug in entry.errata:
             checks.append(_ERRATUM_CHECKS[slug](entry, insts))

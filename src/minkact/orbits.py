@@ -208,14 +208,10 @@ class ExpInvariant:
 
     def certify(self, h: Subalgebra):
         level = Poly.covector(self.level_cov)
+        exponent = Poly.covector(self.exp_cov)
         for idx, elt in enumerate(h.basis):
-            comps = field_polys(elt)
-            l_of_v = Poly()
-            e_of_v = Poly()
-            for k in range(4):
-                l_of_v = l_of_v + comps[k].scale(self.level_cov[k])
-                e_of_v = e_of_v + comps[k].scale(self.exp_cov[k])
-            deriv = l_of_v.scale(self.scale) - level * e_of_v
+            deriv = (lie_derivative(level, elt).scale(self.scale)
+                     - level * lie_derivative(exponent, elt))
             if not deriv.is_zero():
                 point = deriv.nonzero_point()
                 raise NotInvariantError(idx, deriv, point, deriv.eval(point))
@@ -275,23 +271,20 @@ def sample_points(seed: int, n: int):
 class CohomReport:
     max_orbit_dim: int
     cohomogeneity: int
-    strata: tuple  # ((point, dim), ...) over every evaluated point
+    strata: tuple  # one OrbitReport per evaluated point: samples, then extras
 
     def observed_dims(self):
-        return tuple(sorted({dim for _, dim in self.strata}, reverse=True))
+        return tuple(sorted({rep.dim for rep in self.strata}, reverse=True))
 
 
 def cohomogeneity(h: Subalgebra, seed: int = 42, samples: int = 32,
                   extra_points=()) -> CohomReport:
-    """Max orbit dimension over seeded samples plus declared special points."""
-    points = sample_points(seed, samples) + [tuple(frac(x) for x in p) for p in extra_points]
-    strata = []
-    best = 0
-    for p in points:
-        rep = orbit_dimension(h, p)
-        strata.append((p, rep.dim))
-        best = max(best, rep.dim)
-    return CohomReport(max_orbit_dim=best, cohomogeneity=4 - best, strata=tuple(strata))
+    """Max orbit dimension over seeded samples plus declared special points,
+    with every point's OrbitReport kept for the checks that reuse the survey."""
+    points = sample_points(seed, samples) + list(extra_points)
+    strata = tuple(orbit_dimension(h, p) for p in points)
+    best = max((rep.dim for rep in strata), default=0)
+    return CohomReport(max_orbit_dim=best, cohomogeneity=4 - best, strata=strata)
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +327,19 @@ def _invariant_value(spec: OrbitSpaceSpec, p):
     return spec.invariant.eval(p)
 
 
-def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec, seed: int = 42,
-                       samples: int = 32) -> OrbitSpaceReport:
+def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
+                       survey: CohomReport) -> OrbitSpaceReport:
     """Run the evidence obligations for a declared orbit-space type.
 
-    Line: certified invariant, all sampled orbits of dimension 3, invariant
-    separating the declared transversal.  Half-line: additionally one singular
-    orbit with the declared dimension and causal class sitting at the boundary
-    level of the invariant, with every off-boundary sample three-dimensional
-    and the invariant one-sided.  Raises EvidenceFailedError on any breach.
+    Line: certified invariant, all orbits of ``survey`` (the instantiation's
+    :func:`cohomogeneity` report) and of the transversal of dimension 3,
+    invariant separating the transversal.  Half-line: additionally one singular
+    orbit with the declared dimension and causal class at the boundary level
+    of the invariant, every off-boundary surveyed orbit three-dimensional and
+    the invariant one-sided.  Declared points the survey lacks are evaluated
+    here.  Raises EvidenceFailedError on any breach.
     """
+    surveyed = {rep.point: rep for rep in survey.strata}
     notes = []
     if isinstance(spec.invariant, ExpInvariant):
         spec.invariant.certify(h)
@@ -357,18 +353,19 @@ def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec, seed: int = 42,
         raise EvidenceFailedError("transversal does not separate orbit levels")
     notes.append(f"transversal hits {len(values)} distinct invariant levels")
 
-    sample = sample_points(seed, samples)
     if spec.kind is OrbitSpaceKind.LINE:
-        for p in list(sample) + list(spec.transversal):
-            rep = orbit_dimension(h, p)
+        probed = [*survey.strata, *(surveyed.get(p) or orbit_dimension(h, p)
+                                   for p in spec.transversal)]
+        for rep in probed:
             if rep.dim != 3:
-                raise EvidenceFailedError(f"expected a 3-dimensional orbit at {p}, got {rep.dim}")
-        notes.append(f"all {len(sample) + len(spec.transversal)} probed orbits are hypersurfaces")
+                raise EvidenceFailedError(f"expected a 3-dimensional orbit at {rep.point}, "
+                                          f"got {rep.dim}")
+        notes.append(f"all {len(probed)} probed orbits are hypersurfaces")
         return OrbitSpaceReport(OrbitSpaceKind.LINE, None, tuple(notes))
 
     sing_dim, sing_kind = spec.singular
     for w in spec.singular_witnesses:
-        rep = orbit_dimension(h, w)
+        rep = surveyed.get(w) or orbit_dimension(h, w)
         if rep.dim != sing_dim or rep.causal.kind is not sing_kind:
             raise EvidenceFailedError(
                 f"singular witness {w}: got dim {rep.dim} {rep.causal.kind.value}, "
@@ -378,15 +375,14 @@ def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec, seed: int = 42,
             raise EvidenceFailedError("singular witness is not at the boundary level")
     notes.append(f"singular orbit verified: dim {sing_dim}, {sing_kind.value}")
 
-    for p in sample:
-        value = _invariant_value(spec, p)
+    for rep in survey.strata:
+        value = _invariant_value(spec, rep.point)
         if value < spec.boundary_value:
             raise EvidenceFailedError("invariant is not one-sided")
-        rep = orbit_dimension(h, p)
         expected = sing_dim if value == spec.boundary_value else 3
         if rep.dim != expected:
             raise EvidenceFailedError(
-                f"orbit at {p} has dim {rep.dim}, expected {expected}"
+                f"orbit at {rep.point} has dim {rep.dim}, expected {expected}"
             )
     if any(v == spec.boundary_value for v in values):
         notes.append("transversal includes the boundary orbit")
@@ -394,5 +390,5 @@ def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec, seed: int = 42,
         raise EvidenceFailedError("transversal misses the boundary level")
     if any(v < spec.boundary_value for v in values):
         raise EvidenceFailedError("transversal crosses the boundary level")
-    notes.append(f"off-boundary samples are hypersurfaces ({len(sample)} checked)")
+    notes.append(f"off-boundary samples are hypersurfaces ({len(survey.strata)} checked)")
     return OrbitSpaceReport(OrbitSpaceKind.HALFLINE, spec.singular, tuple(notes))

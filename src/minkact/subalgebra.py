@@ -43,7 +43,10 @@ class Subalgebra:
     """A closed subalgebra: independent basis plus cached structure constants.
 
     ``structure[(i, j)]`` holds the coordinates of [basis_i, basis_j] in the
-    basis, for i < j.  Construct through :func:`closure_check` only.
+    basis, for i < j.  Construct through :func:`closure_check`, or as
+    ``Subalgebra(new_basis, h.structure)`` when ``new_basis`` is h's basis under
+    an automorphism such as Ad of an isometry: [Ad b_i, Ad b_j] =
+    sum_k c^k_ij Ad b_k, so the structure constants carry over unchanged.
     """
 
     basis: tuple
@@ -147,7 +150,7 @@ def normalize_translations(h: Subalgebra):
         AlgebraElement(elt.linear, vadd(elt.trans, matvec(elt.linear, p)))
         for elt in h.basis
     )
-    return p, require_closed(new_basis)
+    return p, Subalgebra(new_basis, h.structure)
 
 
 def type_from_invariants(trace_sq, pfaffian, x) -> OneParamType:

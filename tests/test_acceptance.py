@@ -245,7 +245,7 @@ def test_criterion_5_orbit_space_program():
         h = require_closed(entry.build(params))
         spec = entry.orbit_space(params)
         try:
-            rep = orbit_space_report(h, spec, seed=42, samples=32)
+            rep = orbit_space_report(h, spec, cohomogeneity(h, seed=42, samples=32))
         except Exception as err:
             problems.append(f"{entry_id}: evidence failed ({err})")
             continue

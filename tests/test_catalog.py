@@ -1,10 +1,12 @@
 """The classification catalog: shape, matching, and per-entry verification."""
 
+import importlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from minkact.algebra import adjoint
+from minkact.algebra import adjoint, coords10
 from minkact.catalog import (
     catalog,
     entry_by_id,
@@ -14,11 +16,14 @@ from minkact.catalog import (
     verify_entry,
 )
 from minkact.group import translation
-from minkact.linalg import vec4
+from minkact.linalg import frac, vec4
 from minkact.properness import check_witness
 from minkact.subalgebra import require_closed
 
 ALL = catalog()
+# the package exports a function named ``catalog``, which shadows the module
+CATALOG_MODULE = importlib.import_module("minkact.catalog")
+ORBITS_MODULE = importlib.import_module("minkact.orbits")
 SCALE_FAMILIES = {"T3:N-aK1bA-l", "T4:aK1bA-N"}
 
 
@@ -199,3 +204,23 @@ def test_verify_all_covers_every_entry_once(seed42_report):
     report = seed42_report
     assert [r.entry_id for r in report.reports] == [e.entry_id for e in ALL]
     assert report.to_dict()["pass"] is False
+
+
+@pytest.mark.parametrize("entry_id", ["T2:SO2xR11", "T3:SO3xRe4", "T3:K1A-l"])
+def test_verify_entry_surveys_each_point_once(entry_id, monkeypatch):
+    # one cohomogeneity survey per instantiation feeds the strata, declared
+    # loci, principal causal type and orbit-space checks
+    entry = entry_by_id(entry_id)
+    assert not entry.errata  # erratum checks probe fixed points of their own
+    calls = Counter()
+    real = ORBITS_MODULE.orbit_dimension
+
+    def counting(h, p):
+        calls[tuple(coords10(b) for b in h.basis), tuple(frac(x) for x in p)] += 1
+        return real(h, p)
+
+    monkeypatch.setattr(ORBITS_MODULE, "orbit_dimension", counting)
+    monkeypatch.setattr(CATALOG_MODULE, "orbit_dimension", counting)
+    assert verify_entry(entry).passed
+    repeated = {key: n for key, n in calls.items() if n > 1}
+    assert calls and not repeated

@@ -1,23 +1,30 @@
 """Golden regression for the full catalog replay.
 
-``verify --json --seed 42`` must reproduce the recorded report byte for byte
-once every ``elapsed_ms`` timing is removed.  The fixture records verdicts
-and detail strings as they are, failures included (the ``T3:N-aK1bA-l``
-record fails by design), so this test checks sameness, not success.  After
-an intended change of output, regenerate the fixture with
+``verify --json --seed N`` must reproduce the recorded report byte for byte
+once every ``elapsed_ms`` timing is removed.  The fixtures record verdicts
+and detail strings as they are, failures included, so this test checks
+sameness, not success.  The ``T3:N-aK1bA-l`` record fails by design at both
+seeds; at seed 866494 the samples also reach the stratum that ``T4:K1AN``
+does not declare, so that fixture pins the strata-mismatch path of the
+cohomogeneity check.  After an intended change of output, regenerate a
+fixture with
 
     export PYTHONPATH=src
     python -m minkact.cli verify --json --seed 42 \\
         | python tests/test_golden.py > tests/golden/verify_seed42.json
+
+and likewise with 866494 in place of 42 for ``verify_seed866494.json``.
 """
 
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from minkact.cli import main
 
-FIXTURE = Path(__file__).parent / "golden" / "verify_seed42.json"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def without_timings(obj):
@@ -32,9 +39,11 @@ def render(payload):
     return json.dumps(without_timings(json.loads(payload)), indent=2) + "\n"
 
 
-def test_verify_json_matches_golden_fixture(capsys):
-    main(["verify", "--json", "--seed", "42"])
-    assert render(capsys.readouterr().out) == FIXTURE.read_text()
+@pytest.mark.parametrize("seed", [42, 866494])
+def test_verify_json_matches_golden_fixture(seed, capsys):
+    main(["verify", "--json", "--seed", str(seed)])
+    fixture = GOLDEN / f"verify_seed{seed}.json"
+    assert render(capsys.readouterr().out) == fixture.read_text()
 
 
 if __name__ == "__main__":

@@ -172,6 +172,13 @@ def test_cohomogeneity_strata_record_every_point():
     assert rep.cohomogeneity == 2
 
 
+def test_empty_survey_reports_cohomogeneity_four():
+    rep = cohomogeneity(require_closed((E1, E2)), samples=0)
+    assert rep.strata == ()
+    assert rep.max_orbit_dim == 0
+    assert rep.cohomogeneity == 4
+
+
 # ---------------------------------------------------------------------------
 # orbit-space evidence
 # ---------------------------------------------------------------------------
@@ -184,7 +191,7 @@ def test_line_evidence_for_spacelike_translations():
         invariant=P4,
         transversal=(vec4(0, 0, 0, 0), vec4(0, 0, 0, 1), vec4(0, 0, 0, -3)),
     )
-    rep = orbit_space_report(h, spec)
+    rep = orbit_space_report(h, spec, cohomogeneity(h))
     assert rep.kind is OrbitSpaceKind.LINE
     assert rep.singular is None
     assert any("polynomial identity" in n for n in rep.notes)
@@ -199,7 +206,7 @@ def test_halfline_evidence_for_rotation_cylinder():
         singular=(2, CausalKind.LORENTZIAN),
         singular_witnesses=(vec4(0, 0, 0, 0), vec4(0, 0, 5, -1)),
     )
-    rep = orbit_space_report(h, spec)
+    rep = orbit_space_report(h, spec, cohomogeneity(h))
     assert rep.kind is OrbitSpaceKind.HALFLINE
     assert rep.singular == (2, CausalKind.LORENTZIAN)
     assert any("singular orbit verified" in n for n in rep.notes)
@@ -213,7 +220,7 @@ def test_duplicate_transversal_levels_fail():
         transversal=(vec4(0, 0, 0, 1), vec4(5, 5, 5, 1)),
     )
     with pytest.raises(EvidenceFailedError):
-        orbit_space_report(h, spec)
+        orbit_space_report(h, spec, cohomogeneity(h))
 
 
 def test_wrong_singular_class_fails():
@@ -226,7 +233,7 @@ def test_wrong_singular_class_fails():
         singular_witnesses=(vec4(0, 0, 0, 0),),
     )
     with pytest.raises(EvidenceFailedError):
-        orbit_space_report(h, spec)
+        orbit_space_report(h, spec, cohomogeneity(h))
 
 
 def test_transversal_missing_boundary_fails():
@@ -239,4 +246,4 @@ def test_transversal_missing_boundary_fails():
         singular_witnesses=(vec4(0, 0, 0, 0),),
     )
     with pytest.raises(EvidenceFailedError):
-        orbit_space_report(h, spec)
+        orbit_space_report(h, spec, cohomogeneity(h))

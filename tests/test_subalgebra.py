@@ -16,6 +16,7 @@ from minkact.algebra import (
     linear_from_coords,
     standard_generator,
 )
+from minkact.catalog import catalog
 from minkact.group import (
     cayley_so3,
     compose,
@@ -27,6 +28,7 @@ from minkact.linalg import CausalKind, DependentBasisError, mat_is_zero, vec4
 from minkact.subalgebra import (
     NotClosed,
     OneParamType,
+    Subalgebra,
     closure_check,
     invariants,
     normalize_translations,
@@ -213,6 +215,24 @@ def test_normalize_decorated_null_rotations():
     p, hn = normalize_translations(conj)
     assert p == vec4(q[0], q[1], q[2] + q[3], 0)
     assert hn.span_rows() == h.span_rows()
+
+
+DEFAULT_INSTANTIATIONS = [pytest.param(e, params, id=f"{e.entry_id}-{i}")
+                          for e in catalog() for i, params in enumerate(e.defaults)]
+
+
+@pytest.mark.parametrize("entry, params", DEFAULT_INSTANTIATIONS)
+def test_conjugates_carry_the_structure_constants(entry, params):
+    # translation and Lorentz conjugation are automorphisms, so the structure
+    # constants a conjugate carries over are the ones closure would compute
+    h = require_closed(entry.build(params))
+    _, hn = normalize_translations(h)
+    assert hn.structure == closure_check(hn.basis).structure
+    g = compose(compose(cayley_so3(Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)),
+                        rational_boost_34(Fraction(1, 3))),
+                translation(vec4(Fraction(7, 2), -4, Fraction(9, 5), 3)))
+    conj = Subalgebra(tuple(adjoint(g, b) for b in h.basis), h.structure)
+    assert conj.structure == closure_check(conj.basis).structure
 
 
 def test_normalization_residuals_are_conjugation_invariant():
