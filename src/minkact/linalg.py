@@ -8,6 +8,7 @@ form matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -167,6 +168,47 @@ def rref(rows, pivot_limit=None):
     return [tuple(row) for row in work], pivots
 
 
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else list(row)
+
+
+def integer_rref(rows):
+    """Fraction-free Gauss-Jordan on integer rows, pivoting as :func:`rref` does.
+
+    Returns ``(rows, pivot_columns)`` with only the nonzero rows, each at
+    content one (its entries' gcd is 1).  Row i is a nonzero multiple of row i
+    of ``rref(rows)``, so dividing it by its pivot entry gives that row.
+    """
+    work = [_primitive(row) for row in rows]
+    pivots = []
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        d, prow = work[r][c], work[r]
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                work[i] = _primitive([d * x - row[c] * y for x, y in zip(row, prow)])
+        pivots.append(c)
+        if len(pivots) == len(work):
+            break
+    return [tuple(row) for row in work[:len(pivots)]], pivots
+
+
+def integral(rows):
+    """``rows`` times the least common denominator d > 0 of their entries.
+
+    Returns ``(int_rows, d)``: the scaled rows as lists of ints, with the same
+    signs, zeros and row space, for exact work without Fraction arithmetic.
+    """
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
 def rank_of(rows) -> int:
     if not rows:
         return 0
@@ -320,9 +362,11 @@ class CausalClass:
 def sylvester_signature(gram):
     """Signature (n_plus, n_minus, n_zero) of a symmetric rational matrix.
 
-    Symmetric congruence reduction; stays in the rationals (never eigenvalues).
-    A zero diagonal with a nonzero off-diagonal entry is repaired by the usual
-    row+column addition before pivoting.
+    Symmetric congruence reduction without division: with pivot d = a_ii,
+    row_j <- d*row_j - a_ji*row_i and then the same on the columns, which keeps
+    integer input in integers (never eigenvalues).  A zero diagonal with a
+    nonzero off-diagonal entry is repaired by the usual row+column addition
+    before pivoting.
     """
     n = len(gram)
     work = [list(row) for row in gram]
@@ -345,11 +389,10 @@ def sylvester_signature(gram):
             continue
         for j in range(i + 1, n):
             if work[j][i] != 0:
-                f = work[j][i] / d
-                for c in range(n):
-                    work[j][c] -= f * work[i][c]
-                for r in range(n):
-                    work[r][j] -= f * work[r][i]
+                f = work[j][i]
+                work[j] = [d * x - f * y for x, y in zip(work[j], work[i])]
+                for row in work:
+                    row[j] = d * row[j] - f * row[i]
     n_plus = sum(1 for i in range(n) if work[i][i] > 0)
     n_minus = sum(1 for i in range(n) if work[i][i] < 0)
     return n_plus, n_minus, n - n_plus - n_minus

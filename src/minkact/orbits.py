@@ -2,10 +2,10 @@
 via seeded exact sampling, symbolic invariant-function certification, and
 orbit-space evidence (line vs half-line with singular-orbit data).
 
-Everything here is exact: sample points are rational, ranks come from
-Fraction row reduction (never a numerical threshold), and invariance of a
-function along the action is certified by polynomial identities, not by
-numerical quadrature.
+Everything here is exact: sample points are rational, ranks and causal types
+come from exact integer elimination (never a numerical threshold), and
+invariance of a function along the action is certified by polynomial
+identities, not by numerical quadrature.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .algebra import AlgebraElement, fundamental_field
-from .linalg import CausalClass, causal_type, echelon_basis, frac
+from .algebra import AlgebraElement
+from .linalg import (CausalClass, classify_signature, frac, integer_rref, integral,
+                     mink_inner, sylvester_signature)
 from .subalgebra import Subalgebra
 
 
@@ -237,15 +238,20 @@ class OrbitReport:
 
 
 def orbit_dimension(h: Subalgebra, p) -> OrbitReport:
-    """Exact rank and causal class of the tangent space of the orbit through p."""
+    """Exact rank and causal class of the tangent space of the orbit through p,
+    from integer elimination on the Killing fields at p, each scaled by a
+    positive integer: ``h.killing_rows`` dotted with the point (D*p, D)."""
     p = tuple(frac(x) for x in p)
-    fields = [fundamental_field(b, p) for b in h.basis]
-    tangent = echelon_basis(fields)
+    (point,), _ = integral([(*p, 1)])
+    fields = [[sum(a * b for a, b in zip(row, point)) for row in gen] for gen in h.killing_rows]
+    tangent, pivots = integer_rref(fields)
+    gram = [[mink_inner(u, v) for v in tangent] for u in tangent]
     return OrbitReport(
         point=p,
         dim=len(tangent),
-        tangent_basis=tuple(tangent),
-        causal=causal_type(tangent),
+        tangent_basis=tuple(tuple(Fraction(x, row[c]) for x in row)
+                            for row, c in zip(tangent, pivots)),
+        causal=classify_signature(*sylvester_signature(gram)),
     )
 
 

@@ -32,7 +32,7 @@ from .group import (
     rational_rotation_12,
     translation,
 )
-from .linalg import frac, matmul, quadratic_form, solve_linear, span_contains, vec4
+from .linalg import frac, integral, matmul, quadratic_form, solve_linear, span_contains, vec4
 from .subalgebra import (
     OneParamType,
     Subalgebra,
@@ -68,13 +68,6 @@ class FixedPointCert:
     point: tuple
 
 
-def _integral(form):
-    """``form`` times the common denominator of its entries: the same signs
-    and zeros, evaluated in int arithmetic."""
-    d = math.lcm(*(x.denominator for row in form for x in row))
-    return [[int(x * d) for x in row] for row in form]
-
-
 def combination(coeffs, basis):
     """sum_i c_i basis_i, for coefficients that are not all zero."""
     return functools.reduce(operator.add, (b.scaled(c) for c, b in zip(coeffs, basis) if c))
@@ -103,10 +96,10 @@ def fixed_point_nonproper_certificate(h: Subalgebra, combo_range: int = 2):
     combos = [c for c in itertools.product(range(-combo_range, combo_range + 1), repeat=dim)
               if any(c) and tuple(c) not in singles]
     linears = [b.linear for b in h.basis]
-    trace_form, pf_form = (_integral(form) for form in invariant_forms(linears))
+    trace_form, pf_form = (integral(form)[0] for form in invariant_forms(linears))
     # squared Frobenius norm of the linear part: zero exactly when it is zero
     flat = [[x for row in m for x in row] for m in linears]
-    norm_form = _integral([[sum(x * y for x, y in zip(a, b)) for b in flat] for a in flat])
+    norm_form = integral([[sum(x * y for x, y in zip(a, b)) for b in flat] for a in flat])[0]
     for coeffs in singles + combos:
         pf = quadratic_form(pf_form, coeffs)
         if pf != 0:

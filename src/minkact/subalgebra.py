@@ -5,6 +5,7 @@ the invariant profile used for catalog matching.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .linalg import (
     causal_type,
     char_poly,
     echelon_basis,
+    integral,
     mat_is_zero,
     matvec,
     rank_of,
@@ -55,6 +57,14 @@ class Subalgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def killing_rows(self):
+        """Per basis element, the rows (L*X | L*x) of its linear part X and
+        translation x, L > 0 their common denominator: row m dotted with the
+        integer point (D*p, D) is L*D times component m of the field at p."""
+        return tuple(integral([(*row, t) for row, t in zip(b.linear, b.trans)])[0]
+                     for b in self.basis)
 
     def span_rows(self):
         return echelon_basis([coords10(b) for b in self.basis])
@@ -205,8 +215,10 @@ def _pfaffian_polar(x, y):
 
 
 def lorentz_invariants(x):
-    """(tr(X^2), Pf(eta X)) of a Lorentz-algebra matrix, exactly."""
-    return _trace_product(x, x), _pfaffian_polar(x, x) / 2
+    """(tr(X^2), Pf(eta X)) of a Lorentz-algebra matrix, exactly: both are
+    quadratic, so they are read off the integer matrix d*X and divided by d^2."""
+    m, d = integral(x)
+    return Fraction(_trace_product(m, m), d * d), Fraction(_pfaffian_polar(m, m), 2 * d * d)
 
 
 def invariant_forms(linears):

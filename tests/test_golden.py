@@ -14,6 +14,11 @@ fixture with
         | python tests/test_golden.py > tests/golden/verify_seed42.json
 
 and likewise with 866494 in place of 42 for ``verify_seed866494.json``.
+
+``orbit_points.json`` pins ``orbit --json``, the only output that prints a
+tangent basis, at a few points: each case holds the arguments after
+``orbit --json`` and the report they printed.  Regenerate a case by running
+that command and pasting its output as the case's ``report``.
 """
 
 import json
@@ -44,6 +49,15 @@ def test_verify_json_matches_golden_fixture(seed, capsys):
     main(["verify", "--json", "--seed", str(seed)])
     fixture = GOLDEN / f"verify_seed{seed}.json"
     assert render(capsys.readouterr().out) == fixture.read_text()
+
+
+ORBIT_CASES = json.loads((GOLDEN / "orbit_points.json").read_text())
+
+
+@pytest.mark.parametrize("case", ORBIT_CASES, ids=lambda case: " ".join(case["argv"]))
+def test_orbit_json_matches_golden_fixture(case, capsys):
+    assert main(["orbit", "--json", *case["argv"]]) == 0
+    assert capsys.readouterr().out == json.dumps(case["report"], indent=2) + "\n"
 
 
 if __name__ == "__main__":

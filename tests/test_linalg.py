@@ -1,8 +1,12 @@
 """Exact linear algebra kernel: echelon forms, solving, causal classification."""
 
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minkact.linalg import (
     CausalClass,
@@ -12,6 +16,8 @@ from minkact.linalg import (
     classify_signature,
     echelon_basis,
     frac,
+    integer_rref,
+    integral,
     kernel_of,
     mat,
     mink_inner,
@@ -157,6 +163,73 @@ def test_sylvester_signature_congruence_invariance():
                                 [Fraction(1), Fraction(0)]]) == (1, 1, 0)
     assert classify_signature(1, 1, 0).kind is CausalKind.LORENTZIAN
     assert classify_signature(0, 0, 1).kind is CausalKind.LIGHTLIKE
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+
+
+@st.composite
+def rational_matrices(draw, entries=rationals):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    return [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_integral_clears_the_common_denominator(rows):
+    ints, d = integral(rows)
+    assert d == math.lcm(*(x.denominator for row in rows for x in row))
+    assert all(type(x) is int for row in ints for x in row)
+    assert [[Fraction(x, d) for x in row] for row in ints] == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(st.integers(-4, 4) | st.just(0)), st.integers(0, 2))
+@example([[0, 0, 0]], 0)
+@example([[2, 4, 6], [1, 2, 3]], 0)
+def test_integer_rref_gives_the_rref_rows_at_content_one(rows, repeats):
+    rows = rows + rows[:repeats]  # dependent rows
+    ints, pivots = integer_rref(rows)
+    reduced, rref_pivots = rref([[Fraction(x) for x in row] for row in rows])
+    assert pivots == rref_pivots
+    assert all(math.gcd(*row) == 1 for row in ints)
+    assert [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(ints, pivots)] \
+        == reduced[:len(pivots)]
+
+
+def _eigenvalue_signs(gram):
+    """sympy oracle: signs of the (real) eigenvalues of a symmetric matrix."""
+    lam = sympy.Symbol("lam")
+    roots = sympy.Poly(sympy.Matrix(gram).charpoly(lam).as_expr(), lam).real_roots()
+    n_plus = sum(1 for r in roots if r > 0)
+    n_minus = sum(1 for r in roots if r < 0)
+    return n_plus, n_minus, len(gram) - n_plus - n_minus
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 5))
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=7) | st.just(Fraction(0))
+    m = [[Fraction(0)] * n for _ in range(n)]
+    zero_diagonal = draw(st.booleans())
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = Fraction(0) if i == j and zero_diagonal else draw(entries)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+@example([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
+@example([[Fraction(0)] * 3] * 3)
+@example([[Fraction(0), Fraction(1), Fraction(1)],
+          [Fraction(1), Fraction(0), Fraction(1)],
+          [Fraction(1), Fraction(1), Fraction(0)]])
+def test_sylvester_signature_counts_eigenvalue_signs(gram):
+    assert sylvester_signature(gram) == _eigenvalue_signs(gram)
+    scale = math.lcm(*(x.denominator for row in gram for x in row))
+    assert sylvester_signature([[int(x * scale) for x in row] for row in gram]) \
+        == _eigenvalue_signs(gram)
 
 
 def test_causal_class_str():

@@ -3,14 +3,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from minkact.algebra import standard_generator
-from minkact.linalg import CausalKind, vec4
+from minkact.algebra import (
+    AlgebraElement,
+    adjoint,
+    fundamental_field,
+    linear_from_coords,
+    standard_generator,
+)
+from minkact.group import cayley_so3, compose, rational_boost_34, translation
+from minkact.linalg import CausalKind, causal_type, echelon_basis, integral, vec4
 from minkact.orbits import (
     EvidenceFailedError,
     ExpInvariant,
     NotInvariantError,
     OrbitSpaceKind,
+    OrbitReport,
     OrbitSpaceSpec,
     Poly,
     cohomogeneity,
@@ -20,7 +30,7 @@ from minkact.orbits import (
     orbit_space_report,
     sample_points,
 )
-from minkact.subalgebra import require_closed
+from minkact.subalgebra import Subalgebra, require_closed
 
 YK1 = standard_generator("Yk1")
 YA = standard_generator("Ya")
@@ -95,6 +105,65 @@ def test_translation_orbit_is_everywhere_three_dim_spacelike():
     rep = orbit_dimension(h, (7, -2, Fraction(1, 3), 9))
     assert rep.dim == 3
     assert rep.causal.kind is CausalKind.SPACELIKE
+
+
+def fraction_path_report(basis, p):
+    """The Fraction route: fields, then echelon_basis, then causal_type."""
+    p = tuple(Fraction(x) for x in p)
+    tangent = echelon_basis([fundamental_field(b, p) for b in basis])
+    return OrbitReport(point=p, dim=len(tangent), tangent_basis=tuple(tangent),
+                       causal=causal_type(tangent))
+
+
+big_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10**6)
+# many zeros: sparse generators, fixed points, rank drops
+entries = st.just(Fraction(0)) | st.integers(-3, 3).map(Fraction) | big_rationals
+
+
+@st.composite
+def killing_bases(draw):
+    """1-6 random elements of the isometry algebra, some of them dependent."""
+    basis = []
+    for _ in range(draw(st.integers(1, 6))):
+        if basis and draw(st.booleans()):
+            b1, b2 = draw(st.sampled_from(basis)), draw(st.sampled_from(basis))
+            basis.append(b1.scaled(draw(entries)) + b2.scaled(draw(entries)))
+        else:
+            coords = draw(st.lists(entries, min_size=6, max_size=6))
+            trans = draw(st.lists(entries, min_size=4, max_size=4))
+            basis.append(AlgebraElement(linear_from_coords(coords), vec4(*trans)))
+    return basis
+
+
+points = st.just((0, 0, 0, 0)) | st.lists(entries, min_size=4, max_size=4).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(killing_bases(), points)
+@example([YK1, YN1, YN2], (1, 2, 3, 5))
+@example([YK1, YA], (0, 0, 0, 0))
+@example([E3 - E4, E3.scaled(Fraction(1, 999999)) - E4.scaled(Fraction(1, 999999))],
+         (Fraction(1, 10**6), 0, 0, 0))
+def test_orbit_dimension_matches_the_fraction_path(basis, p):
+    # orbit_dimension reads only the basis, so a non-closed one serves here
+    rep = orbit_dimension(Subalgebra(tuple(basis), {}), p)
+    assert rep == fraction_path_report(basis, p)
+    assert all(type(x) is Fraction for row in rep.tangent_basis for x in row)
+
+
+def test_conjugates_build_their_own_killing_rows():
+    h = require_closed((YA + E1.scaled(Fraction(5, 2)), E2, ELL))
+    p = (Fraction(1, 3), 2, Fraction(-5, 7), 1)
+    assert orbit_dimension(h, p) == fraction_path_report(h.basis, p)
+    assert "killing_rows" in vars(h)
+    g = compose(translation(vec4(1, Fraction(-1, 2), 3, 0)),
+                compose(cayley_so3(1, Fraction(1, 2), 0), rational_boost_34(Fraction(1, 3))))
+    conj = Subalgebra(tuple(adjoint(g, b) for b in h.basis), h.structure)
+    assert "killing_rows" not in vars(conj)
+    assert conj.killing_rows != h.killing_rows
+    assert conj.killing_rows == tuple(
+        integral([(*row, t) for row, t in zip(b.linear, b.trans)])[0] for b in conj.basis)
+    assert orbit_dimension(conj, p) == fraction_path_report(conj.basis, p)
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,14 @@ from minkact.group import (
     rational_rotation_12,
     translation,
 )
-from minkact.linalg import CausalKind, DependentBasisError, mat_is_zero, vec4
+from minkact.linalg import ETA, CausalKind, DependentBasisError, mat_is_zero, matmul, vec4
 from minkact.subalgebra import (
     NotClosed,
     OneParamType,
     Subalgebra,
     closure_check,
     invariants,
+    lorentz_invariants,
     normalize_translations,
     one_param_type,
     require_closed,
@@ -160,6 +161,21 @@ def test_one_param_type_matches_the_spectrum_of_lorentz_conjugates(
     y = adjoint(g, x).linear
     assert one_param_type(y) is _spectral_type(y)
     assert one_param_type(y) is one_param_type(x.linear)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=10**6),
+                min_size=6, max_size=6))
+@example([0, 0, 0, 0, 0, 0])
+@example([Fraction(1, 999983), 0, 0, Fraction(-7, 1000000), 0, 0])
+def test_lorentz_invariants_are_the_trace_and_pfaffian(coords):
+    x = linear_from_coords(coords)
+    m = matmul(ETA, x)  # eta X is antisymmetric
+    trace_sq = sum(x[i][j] * x[j][i] for i in range(4) for j in range(4))
+    pfaffian = m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+    got = lorentz_invariants(x)
+    assert got == (trace_sq, pfaffian)
+    assert all(type(v) is Fraction for v in got)
 
 
 # ---------------------------------------------------------------------------
