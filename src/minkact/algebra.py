@@ -2,8 +2,8 @@
 
 Elements are pairs (X, x): an eta-skew 4x4 linear part plus a translation
 vector.  This module owns the six standard Lorentz generators, the bracket,
-the adjoint action of the isometry group, fundamental (Killing) vector fields,
-and the solver that lifts a linear subalgebra to decorated elements whose
+structure constants, the adjoint action of the isometry group, fundamental
+(Killing) vector fields, and the solver that lifts a linear subalgebra to decorated elements whose
 pairwise brackets stay inside the lifted span.
 """
 
@@ -21,7 +21,6 @@ from .linalg import (
     echelon_basis,
     frac,
     is_zero_vec,
-    kernel_of,
     mat,
     mat_add,
     mat_is_zero,
@@ -29,9 +28,9 @@ from .linalg import (
     mat_sub,
     matmul,
     matvec,
-    rank_of,
     reduce_mod,
-    span_contains,
+    rref,
+    solve_linear,
     transpose,
     vadd,
     vec4,
@@ -157,6 +156,30 @@ def cartan_involution(x):
     return mat_scale(-1, transpose(x))
 
 
+def structure_constants(basis) -> dict:
+    """Coordinates of each bracket [basis_i, basis_j], i < j, in ``basis``.
+
+    One reduction decides everything: the coordinates of the basis are the
+    coefficient columns (the only ones pivoted on) and every bracket is a
+    right-hand side.  The basis is independent when every coefficient column
+    takes a pivot; a bracket lies in the span when its column vanishes below
+    the pivot rows, which then hold its coefficients.  Raises
+    DependentBasisError for dependent input, and NotClosedError with the first
+    pair (i, j) outside the span and its bracket otherwise.
+    """
+    k = len(basis)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    brackets = [bracket(basis[i], basis[j]) for i, j in pairs]
+    columns = [coords10(b) for b in (*basis, *brackets)]
+    reduced, pivots = rref(list(zip(*columns)), pivot_limit=k)
+    if len(pivots) != k:
+        raise DependentBasisError("basis of a subalgebra must be independent")
+    for col, ((i, j), br) in enumerate(zip(pairs, brackets), k):
+        if any(row[col] for row in reduced[k:]):
+            raise NotClosedError(i, j, br)
+    return {pair: tuple(row[col] for row in reduced[:k]) for col, pair in enumerate(pairs, k)}
+
+
 def fundamental_field(a: AlgebraElement, p) -> tuple:
     """Value at p of the Killing field generated by a: linear.p + trans."""
     return vadd(matvec(a.linear, p), a.trans)
@@ -241,21 +264,7 @@ def lift_constraints(proj_basis, translation_span=()) -> LiftFamily:
     result is the exact kernel of that homogeneous system.
     """
     k = len(proj_basis)
-    if k == 0:
-        return LiftFamily(0, (), 0, tuple(translation_span))
-    coords = [linear_coords(x) for x in proj_basis]
-    if rank_of(coords) != k:
-        raise DependentBasisError("projected basis is linearly dependent")
-    structure = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            br = mat_sub(matmul(proj_basis[i], proj_basis[j]),
-                         matmul(proj_basis[j], proj_basis[i]))
-            coeffs = span_contains(coords, linear_coords(br))
-            if coeffs is None:
-                raise NotClosedError(i, j, br)
-            structure[(i, j)] = coeffs
-
+    structure = structure_constants([AlgebraElement(x, ZERO4) for x in proj_basis])
     reduce_mat = reduction_matrix(translation_span)
     rows = []
     nunk = 4 * k
@@ -274,14 +283,9 @@ def lift_constraints(proj_basis, translation_span=()) -> LiftFamily:
         # impose reduce_mat . block = 0 (membership in the translation span)
         rows.extend(row for row in matmul(reduce_mat, block)
                     if any(x != 0 for x in row))
-    if not rows:
-        basis_flat = [tuple(Fraction(1) if t == s else Fraction(0) for t in range(nunk))
-                      for s in range(nunk)]
-        rank = 0
-    else:
-        basis_flat = list(kernel_of(rows))
-        rank = rank_of(rows)
+    rows = rows or [[Fraction(0)] * nunk]  # unconstrained: the kernel is everything
+    sol = solve_linear(rows, [0] * len(rows))
     assignments = tuple(
-        tuple(tuple(v[4 * i + m] for m in range(4)) for i in range(k)) for v in basis_flat
+        tuple(tuple(v[4 * i + m] for m in range(4)) for i in range(k)) for v in sol.kernel
     )
-    return LiftFamily(k, assignments, rank, tuple(translation_span))
+    return LiftFamily(k, assignments, sol.rank, tuple(translation_span))

@@ -205,6 +205,23 @@ def cmd_classify(args):
     return 0
 
 
+def _flag(name):
+    return "--lambda" if name == "lam" else f"--{name}"
+
+
+def _fits_float(params, point=()):
+    """Whether the parameters and the point fit the float range that the
+    numeric witness and export work in; prints a usage error if not."""
+    named = [(_flag(k), params[k]) for k in sorted(params)] + [("--point", c) for c in point]
+    for flag, value in named:
+        try:
+            float(value)
+        except OverflowError:
+            print(f"error: {flag} is too large for floating point", file=sys.stderr)
+            return False
+    return True
+
+
 def _resolve_entry(args):
     """Entry + parameter dict from --entry/--lambda/--mu/--a/--b, or None on error."""
     try:
@@ -218,8 +235,7 @@ def _resolve_entry(args):
         if value is None:
             continue
         if name not in entry.params:
-            flag = "lambda" if name == "lam" else name
-            print(f"error: {entry.entry_id} takes no parameter --{flag}",
+            print(f"error: {entry.entry_id} takes no parameter {_flag(name)}",
                   file=sys.stderr)
             return None
         params[name] = value
@@ -260,6 +276,8 @@ def cmd_witness(args):
     if resolved is None:
         return 2
     entry, params = resolved
+    if not _fits_float(params):
+        return 2
     if entry.proper:
         print(f"error: {entry.entry_id} acts properly; no escape witness applies",
               file=sys.stderr)
@@ -299,9 +317,11 @@ def cmd_export(args):
     if resolved is None:
         return 2
     entry, params = resolved
+    base = args.point if args.point is not None else (1, 2, 3, 5)
+    if not _fits_float(params, base):
+        return 2
     h = require_closed(entry.build(params))
     basis = h.basis[:3]
-    base = args.point if args.point is not None else (1, 2, 3, 5)
     base_f = [float(c) for c in base]
 
     if args.grid is not None:

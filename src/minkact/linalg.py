@@ -1,9 +1,11 @@
 """Exact rational linear algebra over Minkowski 4-space.
 
-Scalars are ``fractions.Fraction`` throughout; nothing in this module touches
-floating point.  Vectors are 4-tuples of Fractions, matrices are tuples of row
-tuples.  The signature convention is (+, +, +, -) with ``eta`` the diagonal
-form matrix.
+Nothing in this module touches floating point.  Vectors are 4-tuples of
+``fractions.Fraction``, matrices are tuples of row tuples.  Elimination and
+signatures run on Python ints: :func:`integral` clears the denominators and
+:func:`integer_rref` is the one Gauss-Jordan kernel, under :func:`rref` and
+every solve built on it.  The signature convention is (+, +, +, -) with
+``eta`` the diagonal form matrix.
 """
 
 from __future__ import annotations
@@ -133,39 +135,24 @@ def mink_inner(u, v) -> Fraction:
 def rref(rows, pivot_limit=None):
     """Reduced row echelon form with leftmost-column-first pivoting.
 
-    Returns ``(reduced_rows, pivot_columns)``.  Input is not mutated.  The
-    leftmost-pivot rule keeps kernel bases reproducible across runs.  With
-    ``pivot_limit`` set, pivots are sought only in the columns before it; the
-    columns from there on (an augmented right-hand side) are carried along by
-    the row operations but never pivoted on.
+    Returns ``(reduced_rows, pivot_columns)``, as many rows as the input, which
+    is not mutated.  The leftmost-pivot rule keeps kernel bases reproducible
+    across runs.  The denominators are cleared and :func:`integer_rref` does
+    the elimination; each pivot row is then divided by its pivot, so the pivot
+    rows are the unique reduced echelon form.  The remaining rows are zero.
+
+    With ``pivot_limit`` set, pivots are sought only in the columns before it;
+    the columns from there on (an augmented right-hand side) are carried along
+    by the row operations but never pivoted on.  A row without a pivot is then
+    zero before the limit and fixed only up to a nonzero factor after it.
     """
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    if pivot_limit is not None:
-        ncols = min(ncols, pivot_limit)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [tuple(row) for row in work], pivots
+    rows = list(rows)
+    width = len(rows[0]) if rows else 0
+    ints, pivots = integer_rref(integral(rows)[0], pivot_limit)
+    reduced = [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(ints, pivots)]
+    reduced += [tuple(map(Fraction, row)) for row in ints[len(pivots):]]
+    reduced += [(Fraction(0),) * width] * (len(rows) - len(reduced))
+    return reduced, pivots
 
 
 def _primitive(row):
@@ -174,16 +161,18 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else list(row)
 
 
-def integer_rref(rows):
+def integer_rref(rows, pivot_limit=None):
     """Fraction-free Gauss-Jordan on integer rows, pivoting as :func:`rref` does.
 
     Returns ``(rows, pivot_columns)`` with only the nonzero rows, each at
-    content one (its entries' gcd is 1).  Row i is a nonzero multiple of row i
-    of ``rref(rows)``, so dividing it by its pivot entry gives that row.
+    content one (its entries' gcd is 1), the pivot rows first.  Pivot row i is
+    a nonzero multiple of row i of ``rref(rows)``, so dividing it by its pivot
+    entry gives that row.  ``pivot_limit`` is as in :func:`rref`.
     """
     work = [_primitive(row) for row in rows]
+    width = len(work[0]) if work else 0
     pivots = []
-    for c in range(len(work[0]) if work else 0):
+    for c in range(width if pivot_limit is None else min(width, pivot_limit)):
         r = len(pivots)
         pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot_row is None:
@@ -196,7 +185,7 @@ def integer_rref(rows):
         pivots.append(c)
         if len(pivots) == len(work):
             break
-    return [tuple(row) for row in work[:len(pivots)]], pivots
+    return [tuple(row) for row in work if any(row)], pivots
 
 
 def integral(rows):
@@ -210,18 +199,13 @@ def integral(rows):
 
 
 def rank_of(rows) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    return len(rref(rows)[1])
 
 
 def echelon_basis(vectors):
     """Deterministic echelonized basis of the span of ``vectors``."""
-    if not vectors:
-        return []
     reduced, pivots = rref(vectors)
-    return [reduced[i] for i in range(len(pivots))]
+    return reduced[:len(pivots)]
 
 
 def reduce_mod(echelon_rows, v):
@@ -245,18 +229,11 @@ def span_contains(vectors, v):
     """Coefficients expressing ``v`` in ``vectors``, or None if outside the span."""
     if not vectors:
         return None if not is_zero_vec(v) else ()
-    cols = [list(w) for w in vectors]
-    a = [tuple(col[i] for col in cols) for i in range(len(v))]
-    sol = solve_linear(a, v)
-    return sol.particular
+    return solve_linear(list(zip(*vectors)), v).particular
 
 
 def spans_equal(vs, ws) -> bool:
-    if not vs and not ws:
-        return True
-    ra = echelon_basis(list(vs)) if vs else []
-    rb = echelon_basis(list(ws)) if ws else []
-    return ra == rb
+    return echelon_basis(list(vs)) == echelon_basis(list(ws))
 
 
 @dataclass(frozen=True)
@@ -273,47 +250,34 @@ class LinearSolution:
 
 
 def solve_linear(a, b) -> LinearSolution:
-    """Solve A x = b exactly; also used as the kernel/rank workhorse."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if len(b) != nrows:
-        raise DimensionMismatchError(f"A has {nrows} rows but b has {len(b)} entries")
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    if not aug:
-        return LinearSolution(particular=(), kernel=(), rank=0)
-    reduced, pivots = rref(aug)
-    inconsistent = ncols in pivots
-    pivots = [p for p in pivots if p < ncols]
-    rank = len(pivots)
-    kernel = _kernel_from_rref(reduced, pivots, ncols)
-    if inconsistent:
-        return LinearSolution(particular=None, kernel=kernel, rank=rank)
-    particular = [Fraction(0)] * ncols
-    for row_idx, p in enumerate(pivots):
-        particular[p] = reduced[row_idx][ncols]
-    return LinearSolution(particular=tuple(particular), kernel=kernel, rank=rank)
+    """Solve A x = b exactly; also used as the kernel/rank workhorse.
 
-
-def _kernel_from_rref(reduced, pivots, ncols):
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
+    One reduction of [A | b] with pivots only in A: the system is consistent
+    when b vanishes on every row without a pivot, and the free columns give
+    the kernel in their left-to-right order.
+    """
+    ncols = len(a[0]) if a else 0
+    if len(b) != len(a):
+        raise DimensionMismatchError(f"A has {len(a)} rows but b has {len(b)} entries")
+    reduced, pivots = rref([[*row, bv] for row, bv in zip(a, b)], pivot_limit=ncols)
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            v[p] = -reduced[row_idx][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        kernel.append(tuple(v))
+    if any(row[ncols] for row in reduced[len(pivots):]):
+        return LinearSolution(particular=None, kernel=tuple(kernel), rank=len(pivots))
+    particular = [Fraction(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        particular[p] = row[ncols]
+    return LinearSolution(particular=tuple(particular), kernel=tuple(kernel), rank=len(pivots))
 
 
 def kernel_of(a):
     """Basis of the null space of A (deterministic free-variable order)."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if nrows == 0:
-        return tuple()
-    reduced, pivots = rref(a)
-    return _kernel_from_rref(reduced, pivots, ncols)
+    return solve_linear(a, [0] * len(a)).kernel
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +379,19 @@ def classify_signature(n_plus, n_minus, n_zero) -> CausalClass:
     return CausalClass(kind, n_plus, n_minus, n_zero)
 
 
-def causal_type(basis: Sequence) -> CausalClass:
-    """Causal class of the subspace spanned by an independent basis."""
-    basis = list(basis)
-    if not basis:
-        return CausalClass(CausalKind.SPACELIKE, 0, 0, 0)
-    if rank_of(basis) != len(basis):
-        raise DependentBasisError("causal_type requires an independent basis")
-    gram = [[mink_inner(u, v) for v in basis] for u in basis]
+def causal_class(int_rows) -> CausalClass:
+    """Causal class of the span of independent integer rows, from their Gram."""
+    gram = [[mink_inner(u, v) for v in int_rows] for u in int_rows]
     return classify_signature(*sylvester_signature(gram))
+
+
+def causal_type(basis: Sequence) -> CausalClass:
+    """Causal class of the subspace spanned by an independent basis.
+
+    The basis is scaled to integers by a positive factor first, which scales
+    the Gram by its square and so keeps the signature.
+    """
+    rows, _ = integral(list(basis))
+    if len(integer_rref(rows)[1]) != len(rows):
+        raise DependentBasisError("causal_type requires an independent basis")
+    return causal_class(rows)

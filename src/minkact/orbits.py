@@ -16,8 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .algebra import AlgebraElement
-from .linalg import (CausalClass, classify_signature, frac, integer_rref, integral,
-                     mink_inner, sylvester_signature)
+from .linalg import CausalClass, causal_class, frac, integer_rref, integral
 from .subalgebra import Subalgebra
 
 
@@ -245,13 +244,12 @@ def orbit_dimension(h: Subalgebra, p) -> OrbitReport:
     (point,), _ = integral([(*p, 1)])
     fields = [[sum(a * b for a, b in zip(row, point)) for row in gen] for gen in h.killing_rows]
     tangent, pivots = integer_rref(fields)
-    gram = [[mink_inner(u, v) for v in tangent] for u in tangent]
     return OrbitReport(
         point=p,
         dim=len(tangent),
         tangent_basis=tuple(tuple(Fraction(x, row[c]) for x in row)
                             for row, c in zip(tangent, pivots)),
-        causal=classify_signature(*sylvester_signature(gram)),
+        causal=causal_class(tangent),
     )
 
 

@@ -12,20 +12,19 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraElement,
-    bracket,
+    NotClosedError,
     coords10,
     linear_from_coords,
+    structure_constants,
 )
 from .linalg import (
     CausalClass,
-    DependentBasisError,
     causal_type,
     char_poly,
     echelon_basis,
     integral,
     mat_is_zero,
     matvec,
-    rank_of,
     rref,
     span_contains,
     vadd,
@@ -89,22 +88,15 @@ def closure_check(basis):
     """Decide closure of the span of ``basis``; exact, witness on failure.
 
     Returns a :class:`Subalgebra` (with structure constants cached) or a
-    :class:`NotClosed` verdict.  Raises DependentBasisError for dependent
-    input, since structure constants would be ill-defined.
+    :class:`NotClosed` verdict, both from one :func:`structure_constants`
+    solve.  Raises DependentBasisError for dependent input, since structure
+    constants would be ill-defined.
     """
     basis = tuple(basis)
-    coords = [coords10(b) for b in basis]
-    if coords and rank_of(coords) != len(basis):
-        raise DependentBasisError("basis of a subalgebra must be independent")
-    structure = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = bracket(basis[i], basis[j])
-            coeffs = span_contains(coords, coords10(br))
-            if coeffs is None:
-                return NotClosed(i=i, j=j, witness=br)
-            structure[(i, j)] = coeffs
-    return Subalgebra(basis=basis, structure=structure)
+    try:
+        return Subalgebra(basis=basis, structure=structure_constants(basis))
+    except NotClosedError as err:
+        return NotClosed(i=err.i, j=err.j, witness=err.residual)
 
 
 def require_closed(basis) -> Subalgebra:

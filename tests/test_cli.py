@@ -223,6 +223,15 @@ def test_orbit_rejects_inadmissible_parameter(capsys):
     assert "outside the admissible range" in capsys.readouterr().err
 
 
+def test_orbit_is_exact_past_the_float_range(capsys):
+    # orbit never leaves the rationals, so only witness and export reject this
+    assert main(["orbit", "--entry", "T3:nilpotent-pair", "--lambda", "1e400",
+                 "--point", "1e400,0,0,0", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["params"]["lam"] == str(10**400)
+    assert data["point"][0] == str(10**400)
+
+
 def test_orbit_rejects_malformed_point():
     with pytest.raises(SystemExit) as exc:
         main(["orbit", "--entry", "T1:R3", "--point", "1,2,3"])
@@ -318,11 +327,15 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     ["witness", "--entry", "T4:AN", "--tol", "-1"],
     ["witness", "--entry", "T4:AN", "--tol", "nan"],
     ["verify", "--entry", "T2:Ya-W2", "--tol", "inf"],
+    ["export", "--entry", "T2:SO11xR2", "--point", "1e400,0,0,0", "--grid", "2", "--out", "-"],
+    ["witness", "--entry", "T3:nilpotent-pair", "--lambda", "1e400"],
+    ["export", "--entry", "T3:nilpotent-pair", "--lambda", "1e400", "--grid", "2", "--out", "-"],
 ], ids=[
     "classify-zero-denominator", "witness-mu", "orbit-lambda", "export-a",
     "witness-b", "orbit-point", "export-missing-dir", "verify-samples-0",
     "classify-samples-negative", "verify-steps-7", "witness-steps-4",
     "verify-tol-0", "witness-tol-negative", "witness-tol-nan", "verify-tol-inf",
+    "export-point-past-float", "witness-lambda-past-float", "export-lambda-past-float",
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "zero.txt").write_text("Ya + 1/0*e1\n")

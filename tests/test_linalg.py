@@ -197,6 +197,55 @@ def test_integer_rref_gives_the_rref_rows_at_content_one(rows, repeats):
         == reduced[:len(pivots)]
 
 
+@st.composite
+def matrices_with_dependent_rows(draw):
+    """1-6 rows of 1-8 rational columns: some drawn freely, the rest zero rows
+    or rational combinations of those, in a random order."""
+    cols = draw(st.integers(1, 8))
+    free = [draw(st.lists(rationals | st.just(Fraction(0)), min_size=cols, max_size=cols))
+            for _ in range(draw(st.integers(1, 4)))]
+    extra = []
+    for _ in range(draw(st.integers(0, 2))):
+        weights = draw(st.lists(rationals | st.just(Fraction(0)),
+                                min_size=len(free), max_size=len(free)))
+        extra.append([sum((w * row[c] for w, row in zip(weights, free)), Fraction(0))
+                      for c in range(cols)])
+    return draw(st.permutations(free + extra))
+
+
+def _sympy_rref(rows):
+    """sympy oracle: the reduced rows as Fractions and the pivot columns."""
+    reduced, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                    for row in rows]).rref()
+    return ([tuple(Fraction(int(x.p), int(x.q)) for x in reduced.row(i))
+             for i in range(reduced.rows)], list(pivots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_dependent_rows(), st.integers(0, 8))
+@example([[Fraction(1), Fraction(1), Fraction(1)], [Fraction(2), Fraction(2), Fraction(3)]], 2)
+@example([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(5, 3)]], 1)
+def test_rref_matches_sympy(rows, limit):
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == _sympy_rref(rows)
+    # every output row, with a pivot limit too, stays in the row space
+    limited, limited_pivots = rref(rows, pivot_limit=limit)
+    assert sympy.Matrix(rows + limited).rank() == len(pivots)
+    # with the limit, the left block is the reduced form of the left block
+    left, left_pivots = _sympy_rref([row[:limit] for row in rows]) if limit else ([], [])
+    assert limited_pivots == left_pivots
+    assert [row[:limit] for row in limited] == (left or [()] * len(rows))
+    # the last column as a right-hand side: A x = b whenever a solution comes back
+    if len(rows[0]) > 1:
+        a, b = [row[:-1] for row in rows], [row[-1] for row in rows]
+        sol = solve_linear(a, b)
+        assert (sol.particular is None) == (pivots[-1:] == [len(rows[0]) - 1])
+        if sol.particular is not None:
+            assert [sum(x * y for x, y in zip(row, sol.particular)) for row in a] == b
+        for v in sol.kernel:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+
+
 def _eigenvalue_signs(gram):
     """sympy oracle: signs of the (real) eigenvalues of a symmetric matrix."""
     lam = sympy.Symbol("lam")

@@ -12,7 +12,9 @@ from minkact.algebra import (
     GENERATOR_ORDER,
     AlgebraElement,
     adjoint,
+    bracket,
     coords10,
+    element,
     linear_from_coords,
     standard_generator,
 )
@@ -24,7 +26,16 @@ from minkact.group import (
     rational_rotation_12,
     translation,
 )
-from minkact.linalg import ETA, CausalKind, DependentBasisError, mat_is_zero, matmul, vec4
+from minkact.linalg import (
+    ETA,
+    CausalKind,
+    DependentBasisError,
+    mat_is_zero,
+    matmul,
+    rank_of,
+    span_contains,
+    vec4,
+)
 from minkact.subalgebra import (
     NotClosed,
     OneParamType,
@@ -68,6 +79,69 @@ def test_rotation_with_both_null_rotations_closes():
 def test_closure_check_rejects_dependent_basis():
     with pytest.raises(DependentBasisError):
         closure_check((YK1, YK1.scaled(2)))
+
+
+def _closure_by_pairs(basis):
+    """Reference closure decision: a rank check, then one bracket and one
+    span solve per pair, stopping at the first bracket outside the span."""
+    coords = [coords10(b) for b in basis]
+    if coords and rank_of(coords) != len(basis):
+        raise DependentBasisError("basis of a subalgebra must be independent")
+    structure = {}
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            br = bracket(basis[i], basis[j])
+            coeffs = span_contains(coords, coords10(br))
+            if coeffs is None:
+                return NotClosed(i=i, j=j, witness=br)
+            structure[(i, j)] = coeffs
+    return structure
+
+
+ALL_GENERATORS = [standard_generator(g) for g in (*GENERATOR_ORDER, "e1", "e2", "e3", "e4")]
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def conjugated_recombinations(draw):
+    """Integer recombinations of a random subset of the ten generators, with
+    the recombination matrix drawn freely (so sometimes singular), moved by
+    cayley_so3 o rational_boost_34 o translation."""
+    picks = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True))
+    mix = [draw(st.lists(st.integers(-2, 2), min_size=len(picks), max_size=len(picks)))
+           for _ in picks]
+    rotation = draw(st.tuples(small_rationals, small_rationals, small_rationals))
+    tau = draw(st.fractions(min_value=Fraction(-4, 5), max_value=Fraction(4, 5),
+                            max_denominator=7))
+    shift = draw(st.tuples(*[small_rationals] * 4))
+    return picks, mix, rotation, tau, shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(conjugated_recombinations())
+@example(([0, 4], [[1, 0], [0, 1]], (0, 0, 0), 0, (0, 0, 0, 0)))  # [Yk1, Yn1] = -Yn2
+@example(([3, 4, 5], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          (Fraction(1, 2), -1, 2), Fraction(1, 3), (1, 2, 3, 5)))  # closed
+@example(([0, 6], [[1, 2], [2, 4]], (1, 0, 0), 0, (0, 0, 0, 0)))  # dependent
+def test_closure_check_agrees_with_the_per_pair_loop(case):
+    picks, mix, rotation, tau, shift = case
+    g = compose(compose(cayley_so3(*rotation), rational_boost_34(tau)), translation(shift))
+    basis = tuple(adjoint(g, sum((ALL_GENERATORS[i].scaled(w) for w, i in zip(weights, picks)),
+                                 element()))
+                  for weights in mix)
+    try:
+        expected = _closure_by_pairs(basis)
+    except DependentBasisError as err:
+        with pytest.raises(DependentBasisError) as raised:
+            closure_check(basis)
+        assert str(raised.value) == str(err)
+        return
+    verdict = closure_check(basis)
+    if isinstance(expected, NotClosed):
+        assert isinstance(verdict, NotClosed)
+        assert (verdict.i, verdict.j, verdict.witness) == (expected.i, expected.j, expected.witness)
+    else:
+        assert verdict.structure == expected
 
 
 def test_structure_constants_cached_for_closed_spans():

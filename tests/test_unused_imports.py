@@ -1,7 +1,9 @@
-"""Every name a ``minkact`` module imports is used in that module.
+"""Every name a ``minkact`` module imports is used in that module, and every
+module-level private name is used somewhere in the package.
 
-A stdlib ``ast`` check standing in for a linter's unused-import rule.
-``__init__`` modules are skipped: their imports are the package's exports.
+Stdlib ``ast`` checks standing in for a linter's unused-import and dead-code
+rules.  ``__init__`` modules are skipped by the import check: their imports are
+the package's exports.
 """
 
 import ast
@@ -35,3 +37,41 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree):
+    """Module-level ``_name`` functions, classes and constants (no dunders)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def dead_private_names(sources):
+    """Private module-level names that no source loads, reads as an attribute
+    or imports."""
+    trees = [ast.parse(source) for source in sources]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(set().union(*map(private_definitions, trees)) - used)
+
+
+def test_the_check_sees_a_dead_private_name():
+    source = "_LIMIT = 3\n\ndef _helper():\n    return _LIMIT\n\nclass _Spare:\n    pass\n"
+    assert dead_private_names([source]) == ["_Spare", "_helper"]
+    assert dead_private_names([source, "from .m import _helper, _Spare\n"]) == []
+
+
+def test_every_private_name_is_used_in_the_package():
+    assert dead_private_names([p.read_text() for p in sorted(SRC.glob("*.py"))]) == []
