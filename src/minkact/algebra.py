@@ -20,6 +20,8 @@ from .linalg import (
     DependentBasisError,
     echelon_basis,
     frac,
+    integer_rref,
+    integral,
     is_zero_vec,
     mat,
     mat_add,
@@ -29,11 +31,9 @@ from .linalg import (
     matmul,
     matvec,
     reduce_mod,
-    rref,
     solve_linear,
     transpose,
     vadd,
-    vec4,
     vscale,
     vsub,
 )
@@ -50,13 +50,11 @@ class NotClosedError(ValueError):
 
 
 def _eij(i, j):
-    rows = [[0] * 4 for _ in range(4)]
-    rows[i - 1][j - 1] = 1
-    return mat(rows)
+    return tuple(tuple(int((r, c) == (i, j)) for c in range(1, 5)) for r in range(1, 5))
 
 
 # The six standard generators of the Lorentz algebra in the Iwasawa order:
-# three rotations, one boost, two null rotations.
+# three rotations, one boost, two null rotations, with integer entries.
 YK1 = mat_sub(_eij(1, 2), _eij(2, 1))
 YK2 = mat_sub(_eij(1, 3), _eij(3, 1))
 YK3 = mat_sub(_eij(2, 3), _eij(3, 2))
@@ -65,20 +63,8 @@ YN1 = mat_add(mat_sub(mat_add(_eij(1, 3), _eij(1, 4)), _eij(3, 1)), _eij(4, 1))
 YN2 = mat_add(mat_sub(mat_add(_eij(2, 3), _eij(2, 4)), _eij(3, 2)), _eij(4, 2))
 
 GENERATOR_ORDER = ("Yk1", "Yk2", "Yk3", "Ya", "Yn1", "Yn2")
-GENERATOR_MATRICES = {
-    "Yk1": YK1,
-    "Yk2": YK2,
-    "Yk3": YK3,
-    "Ya": YA,
-    "Yn1": YN1,
-    "Yn2": YN2,
-}
-TRANSLATION_VECTORS = {
-    "e1": vec4(1, 0, 0, 0),
-    "e2": vec4(0, 1, 0, 0),
-    "e3": vec4(0, 0, 1, 0),
-    "e4": vec4(0, 0, 0, 1),
-}
+GENERATOR_MATRICES = dict(zip(GENERATOR_ORDER, map(mat, (YK1, YK2, YK3, YA, YN1, YN2))))
+TRANSLATION_VECTORS = {f"e{m}": e for m, e in enumerate(IDENTITY4, 1)}
 
 
 @dataclass(frozen=True)
@@ -159,25 +145,27 @@ def cartan_involution(x):
 def structure_constants(basis) -> dict:
     """Coordinates of each bracket [basis_i, basis_j], i < j, in ``basis``.
 
-    One reduction decides everything: the coordinates of the basis are the
-    coefficient columns (the only ones pivoted on) and every bracket is a
-    right-hand side.  The basis is independent when every coefficient column
-    takes a pivot; a bracket lies in the span when its column vanishes below
-    the pivot rows, which then hold its coefficients.  Raises
+    One fraction-free reduction decides everything: the coordinates of the
+    basis, times their common denominator d, are the coefficient columns (the
+    only ones pivoted on) and their brackets, d^2 times :func:`bracket10`, are
+    the right-hand sides.  The basis is independent when every coefficient
+    column takes a pivot; a bracket lies in the span when its column vanishes
+    below the pivot rows, which then hold d times its coefficients.  Raises
     DependentBasisError for dependent input, and NotClosedError with the first
     pair (i, j) outside the span and its bracket otherwise.
     """
     k = len(basis)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    brackets = [bracket(basis[i], basis[j]) for i, j in pairs]
-    columns = [coords10(b) for b in (*basis, *brackets)]
-    reduced, pivots = rref(list(zip(*columns)), pivot_limit=k)
+    rows, d = integral([coords10(b) for b in basis])
+    columns = rows + [bracket10(rows[i], rows[j]) for i, j in pairs]
+    reduced, pivots = integer_rref(list(zip(*columns)), pivot_limit=k)
     if len(pivots) != k:
         raise DependentBasisError("basis of a subalgebra must be independent")
-    for col, ((i, j), br) in enumerate(zip(pairs, brackets), k):
+    for col, (i, j) in enumerate(pairs, k):
         if any(row[col] for row in reduced[k:]):
-            raise NotClosedError(i, j, br)
-    return {pair: tuple(row[col] for row in reduced[:k]) for col, pair in enumerate(pairs, k)}
+            raise NotClosedError(i, j, bracket(basis[i], basis[j]))
+    return {pair: tuple(Fraction(row[col], row[p] * d) for row, p in zip(reduced, pivots))
+            for col, pair in enumerate(pairs, k)}
 
 
 def fundamental_field(a: AlgebraElement, p) -> tuple:
@@ -205,11 +193,11 @@ def linear_coords(x) -> tuple:
 
 
 def linear_from_coords(c):
-    out = ZERO_MAT4
-    for coeff, g in zip(c, GENERATOR_ORDER):
-        if coeff != 0:
-            out = mat_add(out, mat_scale(coeff, GENERATOR_MATRICES[g]))
-    return out
+    """The eta-skew matrix with generator coefficients ``c``, written entry by
+    entry as the inverse of :func:`linear_coords`."""
+    k1, k2, k3, a, n1, n2 = map(frac, c)
+    r, s, z = k2 + n1, k3 + n2, Fraction(0)
+    return ((z, k1, r, n1), (-k1, z, s, n2), (-r, -s, z, a), (n1, n2, a, z))
 
 
 def coords10(a: AlgebraElement) -> tuple:
@@ -219,6 +207,34 @@ def coords10(a: AlgebraElement) -> tuple:
 
 def from_coords10(c) -> AlgebraElement:
     return AlgebraElement(linear_from_coords(c[:6]), tuple(frac(x) for x in c[6:]))
+
+
+def _structure_table():
+    """Per pair a < b of the ten standard generators (coords10 order) with a
+    nonzero bracket, (a, b, ((m, c), ...)): [g_a, g_b] = sum of c g_m.  Read
+    off the integer matrices: [X, Y] = XY - YX and [X, e_m] = column m of X."""
+    lin = (YK1, YK2, YK3, YA, YN1, YN2)
+    brackets = [(a, b, linear_coords(mat_sub(matmul(x, y), matmul(y, x))) + (0,) * 4)
+                for a, x in enumerate(lin) for b, y in enumerate(lin) if a < b]
+    brackets += [(a, 6 + m, (0,) * 6 + tuple(row[m] for row in x))
+                 for a, x in enumerate(lin) for m in range(4)]
+    return tuple((a, b, tuple((m, c) for m, c in enumerate(br) if c))
+                 for a, b, br in brackets if any(br))
+
+
+STRUCTURE_TABLE = _structure_table()
+
+
+def bracket10(u, v):
+    """coords10 of [A, B] from coords10 ``u`` of A and ``v`` of B, through the
+    structure table alone: ints stay ints, so no Fraction arithmetic runs."""
+    out = [0] * 10
+    for a, b, terms in STRUCTURE_TABLE:
+        w = u[a] * v[b] - u[b] * v[a]
+        if w:
+            for m, c in terms:
+                out[m] += c * w
+    return out
 
 
 # ---------------------------------------------------------------------------

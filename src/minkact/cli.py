@@ -15,14 +15,16 @@ usage errors (unknown entry, malformed input file, out-of-range parameters).
 
 import argparse
 import csv
+import functools
 import json
 import math
 import random
 import sys
 from fractions import Fraction
 
-from .algebra import GENERATOR_ORDER, coords10
-from .algebra import standard_generator
+import numpy as np
+
+from .algebra import GENERATOR_ORDER, coords10, from_coords10
 from .catalog import (
     CatalogReport,
     catalog,
@@ -66,28 +68,21 @@ def parse_element(text):
     src = text.replace("-", "+-").replace(" ", "").replace("\t", "")
     if src.startswith("+"):
         src = src[1:]
-    total = None
+    total = [Fraction(0)] * len(_TOKENS)
     for raw in src.split("+"):
         if not raw:
             raise ValueError(f"empty term in {text!r}")
-        term = raw
-        coeff = Fraction(1)
-        if term.startswith("-"):
-            coeff = -coeff
-            term = term[1:]
+        coeff, term = (Fraction(-1), raw[1:]) if raw.startswith("-") else (Fraction(1), raw)
         if "*" in term:
             num, term = term.split("*", 1)
             try:
-                coeff = coeff * Fraction(num)
+                coeff *= Fraction(num)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {text!r}") from None
         if term not in _TOKENS:
             raise ValueError(f"unknown generator {term!r} in {text!r}")
-        piece = standard_generator(term).scaled(coeff)
-        total = piece if total is None else total + piece
-    if total is None:
-        raise ValueError(f"no terms in {text!r}")
-    return total
+        total[_TOKENS.index(term)] += coeff
+    return from_coords10(total)
 
 
 def parse_generator_file(path):
@@ -209,17 +204,20 @@ def _flag(name):
     return "--lambda" if name == "lam" else f"--{name}"
 
 
-def _fits_float(params, point=()):
-    """Whether the parameters and the point fit the float range that the
-    numeric witness and export work in; prints a usage error if not."""
-    named = [(_flag(k), params[k]) for k in sorted(params)] + [("--point", c) for c in point]
-    for flag, value in named:
+def _in_float_range(cmd):
+    """Run a subcommand that computes in floats with numpy overflow raising:
+    parameters, a point or group elements past the float range are a usage
+    error, never a check FAIL or rows of inf and nan."""
+    @functools.wraps(cmd)
+    def run(args):
         try:
-            float(value)
-        except OverflowError:
-            print(f"error: {flag} is too large for floating point", file=sys.stderr)
-            return False
-    return True
+            with np.errstate(over="raise", invalid="raise"):
+                return cmd(args)
+        except (FloatingPointError, OverflowError):
+            print(f"error: {args.entry} leaves the floating-point range at these "
+                  "parameters", file=sys.stderr)
+            return 2
+    return run
 
 
 def _resolve_entry(args):
@@ -271,13 +269,12 @@ def cmd_orbit(args):
     return 0
 
 
+@_in_float_range
 def cmd_witness(args):
     resolved = _resolve_entry(args)
     if resolved is None:
         return 2
     entry, params = resolved
-    if not _fits_float(params):
-        return 2
     if entry.proper:
         print(f"error: {entry.entry_id} acts properly; no escape witness applies",
               file=sys.stderr)
@@ -312,14 +309,13 @@ def cmd_witness(args):
     return 0
 
 
+@_in_float_range
 def cmd_export(args):
     resolved = _resolve_entry(args)
     if resolved is None:
         return 2
     entry, params = resolved
     base = args.point if args.point is not None else (1, 2, 3, 5)
-    if not _fits_float(params, base):
-        return 2
     h = require_closed(entry.build(params))
     basis = h.basis[:3]
     base_f = [float(c) for c in base]
@@ -419,6 +415,7 @@ def _param_flags(p):
     p.add_argument("--b", type=_rational, help="mixture coefficient b (rational)")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="minkact",

@@ -286,16 +286,18 @@ def kernel_of(a):
 
 
 def char_poly(m):
-    """Coefficients (1, c1, c2, c3, c4) of det(lambda*I - M) for a 4x4 M."""
-    n = len(m)
+    """Coefficients (1, c1, ..., cn) of det(lambda*I - M) for a square M, by
+    Faddeev-LeVerrier on the integer matrix d*M, whose coefficients d^k c_k
+    are integers: every step stays integral and each division is exact."""
+    a, d = integral(m)
     coeffs = [Fraction(1)]
-    mk = m
-    ident = mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-    for k in range(1, n + 1):
-        ck = -trace(mk) / k
-        coeffs.append(ck)
-        if k < n:
-            mk = matmul(m, mat_add(mk, mat_scale(ck, ident)))
+    ak = a
+    for k in range(1, len(a) + 1):
+        ck = -trace(ak) // k
+        coeffs.append(Fraction(ck, d ** k))
+        if k < len(a):
+            ak = matmul(a, [[x + ck * (i == j) for j, x in enumerate(row)]
+                            for i, row in enumerate(ak)])
     return tuple(coeffs)
 
 

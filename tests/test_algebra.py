@@ -9,6 +9,8 @@ with zero tolerance.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkact.algebra import (
     GENERATOR_MATRICES,
@@ -17,6 +19,7 @@ from minkact.algebra import (
     NotClosedError,
     adjoint,
     bracket,
+    bracket10,
     cartan_involution,
     coords10,
     element,
@@ -217,3 +220,14 @@ def test_lift_rejects_non_subalgebra():
     mats = [GENERATOR_MATRICES[n] for n in ("Yk1", "Yn1")]
     with pytest.raises(NotClosedError):
         lift_constraints(mats)
+
+
+coords = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+                  min_size=10, max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coords, coords)
+def test_structure_table_bracket_matches_the_matrix_bracket(u, v):
+    a, b = from_coords10(u), from_coords10(v)
+    assert tuple(bracket10(coords10(a), coords10(b))) == coords10(bracket(a, b))

@@ -8,8 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minkact
+from minkact.algebra import GENERATOR_ORDER, standard_generator
 from minkact.cli import format_element, main, parse_element, parse_generator_file
 
 
@@ -34,6 +37,30 @@ def test_parse_format_roundtrip():
 
 def test_parse_element_merges_repeated_terms():
     assert format_element(parse_element("e1 + e1 - 2*e1")) == "0"
+
+
+def summed_generators(terms):
+    """Oracle for parse_element: the token-by-token sum of scaled generators."""
+    total = standard_generator("e1").scaled(0)
+    for token, coeff in terms:
+        total = total + standard_generator(token).scaled(coeff)
+    return total
+
+
+generator_terms = st.lists(
+    st.tuples(st.sampled_from(GENERATOR_ORDER + ("e1", "e2", "e3", "e4")),
+              st.fractions(min_value=-50, max_value=50, max_denominator=10**6)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_terms)
+def test_parse_element_equals_the_scaled_generator_sum(terms):
+    text = ""
+    for token, coeff in terms:
+        sign = "-" if coeff < 0 else "+"
+        text += f" {sign} {abs(coeff)}*{token}" if text else f"{sign}{abs(coeff)}*{token}"
+    assert parse_element(text) == summed_generators(terms)
 
 
 def test_parse_element_rejects_unknown_tokens():
@@ -330,12 +357,18 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     ["export", "--entry", "T2:SO11xR2", "--point", "1e400,0,0,0", "--grid", "2", "--out", "-"],
     ["witness", "--entry", "T3:nilpotent-pair", "--lambda", "1e400"],
     ["export", "--entry", "T3:nilpotent-pair", "--lambda", "1e400", "--grid", "2", "--out", "-"],
+    ["witness", "--entry", "T3:nilpotent-pair", "--lambda", "1e100"],
+    ["export", "--entry", "T3:nilpotent-pair", "--lambda", "1.7e308", "--grid", "2", "--out", "-"],
+    ["export", "--entry", "T4:aK1bA-N", "--a", "1e154", "--grid", "2", "--out", "-"],
+    ["export", "--entry", "T4:aK1bA-N", "--b", "1e30", "--grid", "2", "--out", "-"],
 ], ids=[
     "classify-zero-denominator", "witness-mu", "orbit-lambda", "export-a",
     "witness-b", "orbit-point", "export-missing-dir", "verify-samples-0",
     "classify-samples-negative", "verify-steps-7", "witness-steps-4",
     "verify-tol-0", "witness-tol-negative", "witness-tol-nan", "verify-tol-inf",
     "export-point-past-float", "witness-lambda-past-float", "export-lambda-past-float",
+    "witness-lambda-overflows", "export-lambda-overflows", "export-a-overflows",
+    "export-b-overflows",
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "zero.txt").write_text("Ya + 1/0*e1\n")

@@ -19,6 +19,13 @@ and likewise with 866494 in place of 42 for ``verify_seed866494.json``.
 tangent basis, at a few points: each case holds the arguments after
 ``orbit --json`` and the report they printed.  Regenerate a case by running
 that command and pasting its output as the case's ``report``.
+
+``classify_cases.json`` pins ``classify --json`` on fixed generator files:
+translation conjugates, Lorentz conjugates and non-closed pairs drawn as the
+benchmark's classify workload draws them, and one dependent basis.  Each case
+holds the file's lines, the exit code and either the printed report or the
+error line.  Regenerate a case by writing its lines to a file and running
+``classify FILE --json`` on it.
 """
 
 import json
@@ -58,6 +65,22 @@ ORBIT_CASES = json.loads((GOLDEN / "orbit_points.json").read_text())
 def test_orbit_json_matches_golden_fixture(case, capsys):
     assert main(["orbit", "--json", *case["argv"]]) == 0
     assert capsys.readouterr().out == json.dumps(case["report"], indent=2) + "\n"
+
+
+CLASSIFY_CASES = json.loads((GOLDEN / "classify_cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLASSIFY_CASES,
+                         ids=[f"{n:02d}-{case['kind']}" for n, case in enumerate(CLASSIFY_CASES)])
+def test_classify_json_matches_golden_fixture(case, tmp_path, capsys):
+    path = tmp_path / "generators.txt"
+    path.write_text("".join(line + "\n" for line in case["generators"]))
+    assert main(["classify", str(path), "--json"]) == case["exit"]
+    captured = capsys.readouterr()
+    if case["exit"] == 0:
+        assert captured.out == json.dumps(case["report"], indent=2) + "\n"
+    else:
+        assert captured.err == case["error"]
 
 
 if __name__ == "__main__":

@@ -174,6 +174,16 @@ def rational_matrices(draw, entries=rationals):
     return [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(-1, 5), Fraction(0)]])
+def test_char_poly_matches_sympy(rows):
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+    expected = tuple(Fraction(int(c.p), int(c.q)) for c in m.charpoly().all_coeffs())
+    assert char_poly(rows) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(rational_matrices())
 def test_integral_clears_the_common_denominator(rows):
