@@ -7,8 +7,9 @@ explicit witness points for every non-generic stratum, the properness verdict
 together with its certificate mechanism, and — for the proper families — the
 orbit-space evidence (global invariant function, transversal, singular-orbit
 data).  `verify_entry` replays all of it; `match_catalog` re-identifies an
-arbitrary closed subalgebra against the table after translation
-normalization.
+arbitrary closed subalgebra against the table: after translation
+normalization, one exact linear solve fits a record's parameters, which every
+record's generators depend on affinely.
 
 Six `Excluded:*` records document the near-miss groups whose orbit
 stratification disqualifies them (wrong maximal dimension, or homogeneous
@@ -31,9 +32,16 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import adjoint, coords10, fundamental_field, standard_generator
-from .group import translation
-from .linalg import CausalClass, CausalKind, echelon_basis, mink_inner, reduce_mod, vec4
+from .algebra import coords10, fundamental_field, standard_generator
+from .linalg import (
+    CausalClass,
+    CausalKind,
+    echelon_basis,
+    mink_inner,
+    reduce_mod,
+    solve_linear,
+    vec4,
+)
 from .orbits import (
     EvidenceFailedError,
     ExpInvariant,
@@ -63,8 +71,8 @@ from .subalgebra import (
     Subalgebra,
     SubalgebraInvariants,
     closure_check,
-    invariants,
     normalize_translations,
+    recenter,
 )
 
 YK1 = standard_generator("Yk1")
@@ -128,13 +136,11 @@ class CatalogEntry:
     orbit_space: object | None = None  # params -> OrbitSpaceSpec
     principal_causal: CausalKind | None = None
     degenerate_locus: object | None = None  # point -> bool
-    param_fit: object | None = None  # {pivot: row10} -> params | None
     rank_identity: object | None = None  # params -> (coeff polys, note)
     errata: tuple = ()
     # params -> WitnessSequence: one fixed-point-free escaping sequence for the
     # whole family, used even where a rational fixed point happens to exist
     escape_witness: object | None = None
-    params_up_to_scale: bool = False  # only the ratios of the params matter
 
     @property
     def in_table(self) -> bool:
@@ -143,30 +149,6 @@ class CatalogEntry:
 
 def _no_params(_):
     return True
-
-
-def _fit_reader(*readers):
-    """Read decoration parameters off the reduced span: each reader is
-    (name, pivot column, value column) against the unique row with that pivot."""
-
-    def fit(rows_by_pivot):
-        out = {}
-        for name, pivot, col in readers:
-            row = rows_by_pivot.get(pivot)
-            if row is None:
-                return None
-            out[name] = row[col]
-        return out
-
-    return fit
-
-
-def _fit_scale(rows_by_pivot):
-    # the rotation/boost mixture is only determined up to scale; normalize a=1
-    row = rows_by_pivot.get(0)
-    if row is None:
-        return None
-    return {"a": Fraction(1), "b": row[3]}
 
 
 _POLY_F_SO2 = Poly.var(0) * Poly.var(0) + Poly.var(1) * Poly.var(1)
@@ -350,7 +332,6 @@ def builtin_catalog():
             [(0, 0, s, s) for s in (-2, -1, 0, 1, 2)]),
         principal_causal=CausalKind.LORENTZIAN,
         degenerate_locus=lambda pt: pt[2] + pt[3] == 0,
-        param_fit=_fit_reader(("lam", 3, 6)),
         errata=("erratum:degenerate-locus",),
     ))
     add(_entry(
@@ -381,7 +362,6 @@ def builtin_catalog():
             Poly.var(0).scale(2 * p["mu"]) - _SIGMA * _SIGMA,
             [(s, 0, 0, 0) for s in (-2, -1, 0, 1, 2)]),
         principal_causal=CausalKind.LORENTZIAN,
-        param_fit=_fit_reader(("mu", 4, 9)),
         errata=("erratum:deg-regime-lorentzian",),
     ))
     add(_entry(
@@ -460,7 +440,6 @@ def builtin_catalog():
         expected_strata=_const_strata(3, 2),
         strata_witnesses=_const_witnesses(((1, 0, 1, -1), 2)),
         proper=False,
-        param_fit=_fit_reader(("lam", 3, 7)),
     ))
     add(_entry(
         entry_id="T3:nilpotent-pair",
@@ -479,7 +458,6 @@ def builtin_catalog():
         expected_strata=_screw_strata,
         strata_witnesses=_screw_witnesses,
         proper=False,
-        param_fit=_fit_reader(("lam", 4, 7), ("mu", 5, 7)),
         escape_witness=lambda p: nilpotent_pair_witness(p["lam"], p["mu"]),
     ))
     add(_entry(
@@ -508,8 +486,6 @@ def builtin_catalog():
         strata_witnesses=_const_witnesses(
             ((1, 2, 3, 5), 4), ((1, 2, 1, -1), 2), ((0, 0, 0, 0), 1)),
         proper=False,
-        param_fit=_fit_scale,
-        params_up_to_scale=True,
         errata=("erratum:printed-lambda-not-closed", "erratum:dim4-off-W3"),
     ))
 
@@ -550,8 +526,6 @@ def builtin_catalog():
         expected_strata=_const_strata(3, 2, 0),
         strata_witnesses=_const_witnesses(((1, 2, 1, -1), 2), ((0, 0, 0, 0), 0)),
         proper=False,
-        param_fit=_fit_scale,
-        params_up_to_scale=True,
     ))
     add(_entry(
         entry_id="T4:AN",
@@ -666,41 +640,61 @@ class MatchResult:
     normalization: tuple  # translation vector that canonicalized the input
 
 
-def _canon(h: Subalgebra):
-    return tuple(tuple(row) for row in h.span_rows())
+def _canon(basis):
+    return tuple(echelon_basis([coords10(b) for b in basis]))
+
+
+def _fit_parameters(entry, target):
+    """The parameters at which ``entry.build`` spans exactly the echelon rows
+    ``target``, or None.
+
+    Every record's generators are affine in its parameters, so their
+    remainders modulo ``target`` are too: they are read off at zero and at
+    each unit parameter, and one exact solve makes them all vanish.  A unique
+    solution is the fit.  A line of solutions through zero is a homogeneous
+    family, fixed only up to scale (the rotation/boost mixtures); it is
+    normalized to first parameter 1.  Anything else fits nothing.
+    """
+    n = len(entry.params)
+
+    def remainders(values):
+        basis = entry.build(dict(zip(entry.params, values)))
+        return [x for b in basis for x in reduce_mod(target, coords10(b))]
+
+    base = remainders([Fraction(0)] * n)
+    units = [remainders([Fraction(i == j) for j in range(n)]) for i in range(n)]
+    sol = solve_linear([[u[r] - z for u in units] for r, z in enumerate(base)],
+                       [-z for z in base])
+    if sol.particular is None or len(sol.kernel) > 1:
+        return None
+    values = sol.particular
+    if sol.kernel:
+        line = sol.kernel[0]
+        if any(values) or line[0] == 0:
+            return None
+        values = tuple(x / line[0] for x in line)
+    params = dict(zip(entry.params, values))
+    return params if _canon(entry.build(params)) == target else None
 
 
 def match_catalog(h: Subalgebra, table=None):
     """Identify a closed subalgebra against the catalog.
 
-    Invariant profile prefilter, then translation normalization, then exact
-    parameter fitting from the reduced span, then span equality against the
-    fitted instantiation.  Returns all matches (the catalog is designed so
-    that admissible inputs match exactly one record).
+    Invariant profile prefilter, translation normalization, one exact
+    parameter fit per candidate record (every build is already in normal
+    form, so its span compares directly with the input's and needs no
+    closure check), then admissibility.  Returns all matches (the catalog is
+    designed so that admissible inputs match exactly one record).
     """
     table = table or catalog()
-    inv = invariants(h)
     p, hn = normalize_translations(h)
-    target = _canon(hn)
-    rows_by_pivot = {}
-    for row in target:
-        piv = next(i for i, c in enumerate(row) if c != 0)
-        rows_by_pivot[piv] = row
+    target = _canon(hn.basis)
     out = []
     for entry in table:
-        if entry.expected_invariants != inv:
+        if entry.expected_invariants != h.profile:
             continue
-        if entry.param_fit is not None:
-            fitted = entry.param_fit(rows_by_pivot)
-            if fitted is None or not entry.admissible(fitted):
-                continue
-        else:
-            fitted = {}
-        candidate = closure_check(entry.build(fitted))
-        if isinstance(candidate, NotClosed):
-            continue
-        _, cn = normalize_translations(candidate)
-        if _canon(cn) == target:
+        fitted = _fit_parameters(entry, target)
+        if fitted is not None and entry.admissible(fitted):
             out.append(MatchResult(entry.entry_id, fitted, p))
     return out
 
@@ -756,12 +750,7 @@ class CatalogReport:
 
 
 def _instantiations(entry):
-    out = []
-    for params in entry.defaults:
-        basis = entry.build(params)
-        verdict = closure_check(basis)
-        out.append((params, verdict))
-    return out
+    return [(params, closure_check(entry.build(params))) for params in entry.defaults]
 
 
 def _fmt_params(params):
@@ -781,7 +770,7 @@ def _check_closure(entry, insts):
 
 def _check_invariants(entry, insts):
     for params, h in insts:
-        got = invariants(h)
+        got = h.profile
         if got != entry.expected_invariants:
             return CheckResult("invariants", False,
                                f"at {_fmt_params(params)}: got [{got.describe()}], "
@@ -854,11 +843,11 @@ def nonproperness_witness(entry, params, h):
     if entry.proper:
         raise ValueError(f"{entry.entry_id} is proper; no witness applies")
     if entry.escape_witness is not None:
-        # uniform mechanism for the whole family (for the screw family a
-        # rational fixed point exists only when mu^2+4lam^2 is a perfect square)
+        # uniform mechanism for the whole family; a declared low stratum (for
+        # the screw family: mu^2+4lam^2 a rational square) is a fixed point
         witness = entry.escape_witness(params)
         mechanism = "fixed-point-free escaping sequence"
-        if fixed_point_nonproper_certificate(h) is not None:
+        if entry.strata_witnesses(params):
             mechanism += " (incidental fixed point exists at these parameters)"
         return witness, mechanism
     cert = fixed_point_nonproper_certificate(h)
@@ -870,7 +859,7 @@ def nonproperness_witness(entry, params, h):
     return witness, mechanism
 
 
-def _check_properness(entry, insts, seed, steps, tol, trials):
+def _check_properness(entry, insts, seed, steps, tol):
     notes = []
     for params, h in insts:
         label = _fmt_params(params)
@@ -886,11 +875,10 @@ def _check_properness(entry, insts, seed, steps, tol, trials):
             if entry.recovery is not None:
                 kind, kwargs_fn = entry.recovery
                 try:
-                    parameter_recovery_check(kind, kwargs_fn(params, h.basis),
-                                             trials=trials, seed=seed)
+                    recovered = parameter_recovery_check(kind, kwargs_fn(params, h.basis), seed=seed)
                 except RecoveryMismatchError as err:
                     return CheckResult("properness", False, f"at {label}: {err}")
-                notes.append(f"{kind} recovery over {trials} trials")
+                notes.append(f"{kind} recovery over {recovered.trials} trials")
             continue
         try:
             witness, mechanism = nonproperness_witness(entry, params, h)
@@ -928,40 +916,21 @@ def _check_orbit_space(entry, insts, surveys):
     return CheckResult("orbit_space", True, detail)
 
 
-def _conjugation_vector(rng):
-    return tuple(Fraction(rng.randint(-10 * d, 10 * d), d) for d in (3, 4, 5, 7))
-
-
 def _check_roundtrip(entry, insts, seed, table):
     for k, (params, h) in enumerate(insts):
         rng = random.Random(f"{seed}:{entry.entry_id}:{k}")
-        q = _conjugation_vector(rng)
-        g = translation(q)
-        # Ad g is an automorphism, so h's structure constants carry over
-        conj = Subalgebra(tuple(adjoint(g, b) for b in h.basis), h.structure)
-        matches = match_catalog(conj, table)
+        q = tuple(Fraction(rng.randint(-10 * d, 10 * d), d) for d in (3, 4, 5, 7))
+        matches = match_catalog(recenter(h, q), table)  # a translation conjugate
         label = _fmt_params(params)
-        if len(matches) != 1:
-            ids = [m.entry_id for m in matches]
+        ids = [m.entry_id for m in matches]
+        if ids != [entry.entry_id]:
+            return CheckResult("matching-roundtrip", False,
+                               f"at {label}: conjugate matched {ids or 'nothing'}")
+        m, = matches
+        if _canon(entry.build(m.params)) != _canon(h.basis):
             return CheckResult(
                 "matching-roundtrip", False,
-                f"at {label}: conjugate matched {ids or 'nothing'}")
-        m = matches[0]
-        if m.entry_id != entry.entry_id:
-            return CheckResult(
-                "matching-roundtrip", False,
-                f"at {label}: conjugate matched {m.entry_id}")
-        if entry.params_up_to_scale:
-            a, b = entry.params
-            if m.params[b] / m.params[a] != params[b] / params[a]:
-                return CheckResult(
-                    "matching-roundtrip", False,
-                    f"at {label}: fitted mixture ratio {m.params} drifted")
-        elif entry.params:
-            if m.params != params:
-                return CheckResult(
-                    "matching-roundtrip", False,
-                    f"at {label}: fitted {_fmt_params(m.params)} != {label}")
+                f"at {label}: fitted {_fmt_params(m.params)} spans another algebra")
     return CheckResult(
         "matching-roundtrip", True,
         f"unique re-identification after translation conjugation "
@@ -1073,7 +1042,7 @@ _ERRATUM_CHECKS = {
 
 
 def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6,
-                 trials=100, table=None) -> VerificationReport:
+                 table=None) -> VerificationReport:
     start = time.perf_counter()
     checks = []
     insts = _instantiations(entry)
@@ -1085,7 +1054,7 @@ def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6,
                                  extra_points=[pt for pt, _ in entry.strata_witnesses(params)])
                    for params, h in insts]
         checks.append(_check_cohomogeneity(entry, insts, surveys, samples))
-        checks.append(_check_properness(entry, insts, seed, steps, tol, trials))
+        checks.append(_check_properness(entry, insts, seed, steps, tol))
         if entry.orbit_space is not None:
             checks.append(_check_orbit_space(entry, insts, surveys))
         checks.append(_check_roundtrip(entry, insts, seed, table or catalog()))
@@ -1100,10 +1069,9 @@ def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6,
                               seed=seed, elapsed_ms=elapsed_ms)
 
 
-def verify_all(table=None, seed=42, samples=32, steps=1024, tol=1e-6,
-               trials=100) -> CatalogReport:
+def verify_all(table=None, seed=42, samples=32, steps=1024, tol=1e-6) -> CatalogReport:
     table = table or catalog()
     reports = [verify_entry(e, seed=seed, samples=samples, steps=steps,
-                            tol=tol, trials=trials, table=table)
+                            tol=tol, table=table)
                for e in table]
     return CatalogReport(seed=seed, reports=tuple(reports))

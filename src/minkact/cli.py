@@ -38,7 +38,7 @@ from .group import exp_element
 from .linalg import DependentBasisError
 from .orbits import cohomogeneity, orbit_dimension
 from .properness import WitnessFailedError, check_witness
-from .subalgebra import NotClosed, closure_check, invariants, require_closed
+from .subalgebra import NotClosed, closure_check, require_closed
 
 _TOKENS = GENERATOR_ORDER + ("e1", "e2", "e3", "e4")
 
@@ -166,7 +166,7 @@ def cmd_classify(args):
         return 0
 
     h = verdict
-    inv = invariants(h)
+    inv = h.profile
     rep = cohomogeneity(h, seed=args.seed, samples=args.samples)
     matches = match_catalog(h)
     if args.json:

@@ -73,11 +73,14 @@ def combination(coeffs, basis):
     return functools.reduce(operator.add, (b.scaled(c) for c, b in zip(coeffs, basis) if c))
 
 
-def fixed_point_nonproper_certificate(h: Subalgebra, combo_range: int = 2):
+COMBO_RANGE = 2  # largest |coefficient| in the combination search
+
+
+def fixed_point_nonproper_certificate(h: Subalgebra):
     """Search for a noncompact one-parameter subgroup with a fixed point.
 
     Basis elements are tried first, then small integer combinations of them
-    (coefficients in [-combo_range, combo_range]), deterministically.  Each
+    (coefficients in [-COMBO_RANGE, COMBO_RANGE]), deterministically.  Each
     combination c is typed by the invariant rule of
     :func:`~minkact.subalgebra.type_from_invariants`, with tr(X^2) = c^T T c
     and 2 Pf(eta X) = c^T P c read off two forms built once on the basis's
@@ -93,7 +96,7 @@ def fixed_point_nonproper_certificate(h: Subalgebra, combo_range: int = 2):
         coeffs = [0] * dim
         coeffs[i] = 1
         singles.append(tuple(coeffs))
-    combos = [c for c in itertools.product(range(-combo_range, combo_range + 1), repeat=dim)
+    combos = [c for c in itertools.product(range(-COMBO_RANGE, COMBO_RANGE + 1), repeat=dim)
               if any(c) and tuple(c) not in singles]
     linears = [b.linear for b in h.basis]
     trace_form, pf_form = (integral(form)[0] for form in invariant_forms(linears))

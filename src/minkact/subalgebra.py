@@ -65,6 +65,11 @@ class Subalgebra:
         return tuple(integral([(*row, t) for row, t in zip(b.linear, b.trans)])[0]
                      for b in self.basis)
 
+    @functools.cached_property
+    def profile(self):
+        """The :func:`invariants` profile, computed once per subalgebra."""
+        return invariants(self)
+
     def span_rows(self):
         return echelon_basis([coords10(b) for b in self.basis])
 
@@ -147,12 +152,14 @@ def normalize_translations(h: Subalgebra):
     reduced, pivots = rref(rows, pivot_limit=4)
     for row, col in zip(reduced, pivots):
         p[col] = row[4]
-    p = tuple(p)
-    new_basis = tuple(
-        AlgebraElement(elt.linear, vadd(elt.trans, matvec(elt.linear, p)))
-        for elt in h.basis
-    )
-    return p, Subalgebra(new_basis, h.structure)
+    return tuple(p), recenter(h, p)
+
+
+def recenter(h: Subalgebra, p) -> Subalgebra:
+    """h with the origin moved to p: Ad of the translation by -p, in closed
+    form (X, x) -> (X, x + Xp), each Killing field written from p."""
+    return Subalgebra(tuple(AlgebraElement(b.linear, vadd(b.trans, matvec(b.linear, p)))
+                            for b in h.basis), h.structure)
 
 
 def type_from_invariants(trace_sq, pfaffian, x) -> OneParamType:

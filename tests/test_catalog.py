@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from minkact.algebra import adjoint, coords10
 from minkact.catalog import (
@@ -17,14 +19,24 @@ from minkact.catalog import (
 )
 from minkact.group import translation
 from minkact.linalg import frac, vec4
-from minkact.properness import check_witness
-from minkact.subalgebra import require_closed
+from minkact.orbits import orbit_dimension
+from minkact.properness import check_witness, fixed_point_nonproper_certificate
+from minkact.subalgebra import normalize_translations, require_closed
 
 ALL = catalog()
 # the package exports a function named ``catalog``, which shadows the module
 CATALOG_MODULE = importlib.import_module("minkact.catalog")
 ORBITS_MODULE = importlib.import_module("minkact.orbits")
 SCALE_FAMILIES = {"T3:N-aK1bA-l", "T4:aK1bA-N"}
+PARAMETRISED = [e for e in ALL if e.params]
+
+
+def expected_fit(entry, params):
+    """The parameters matching reports: the mixture direction is projective,
+    so only b/a is recoverable and a is normalized to 1."""
+    if entry.entry_id in SCALE_FAMILIES:
+        return {"a": Fraction(1), "b": params["b"] / params["a"]}
+    return params
 
 
 def test_catalog_shape():
@@ -66,13 +78,37 @@ def test_default_instantiations_match_their_own_entry(entry):
         h = require_closed(entry.build(params))
         matches = match_catalog(h)
         assert [m.entry_id for m in matches] == [entry.entry_id]
-        got = matches[0].params
-        if entry.entry_id in SCALE_FAMILIES:
-            # the mixture direction is projective: only b/a is recoverable
-            assert got["b"] / got["a"] == params["b"] / params["a"]
-        else:
-            assert got == params
+        assert matches[0].params == expected_fit(entry, params)
+        # matching fits parameters against the normalized input, so every
+        # record's own build must already be in translation normal form
         assert matches[0].normalization == vec4(0, 0, 0, 0)
+        assert normalize_translations(h)[1].basis == h.basis
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PARAMETRISED),
+       st.lists(small_rationals, min_size=2, max_size=2),
+       st.lists(small_rationals, min_size=4, max_size=4))
+def test_parametrised_records_refit_after_translation_conjugation(entry, values, q):
+    params = dict(zip(entry.params, values))
+    assume(entry.admissible(params))
+    h = require_closed(entry.build(params))
+    conj = require_closed(tuple(adjoint(translation(tuple(q)), b) for b in h.basis))
+    matches = match_catalog(conj)
+    assert [m.entry_id for m in matches] == [entry.entry_id]
+    assert matches[0].params == expected_fit(entry, params)
+
+
+def test_drift_zero_is_a_fit_not_a_scale():
+    # at lam=0 the fit system is homogeneous yet has one solution; a fit that
+    # read every homogeneous system as "up to scale" would reject it
+    entry = entry_by_id("T3:Ya+le2-N1-l")
+    h = require_closed(entry.build({"lam": Fraction(0)}))
+    matches = match_catalog(h)
+    assert [(m.entry_id, m.params) for m in matches] == [("T3:Ya+le2-N1-l", {"lam": 0})]
 
 
 def test_matching_survives_translation_conjugation():
@@ -169,6 +205,20 @@ def test_screw_family_notes_incidental_fixed_points():
     entry = entry_by_id("T3:nilpotent-pair")
     params = {"lam": Fraction(1), "mu": Fraction(0)}
     h = require_closed(entry.build(params))
+    _, mechanism = nonproperness_witness(entry, params, h)
+    assert "incidental fixed point" in mechanism
+
+
+@pytest.mark.parametrize("lam, mu", [("3", "8"), ("2", "5/3"), ("-2", "5/3")])
+def test_screw_family_notes_fixed_points_off_the_search_box(lam, mu):
+    # the fixed point (0,0,s,0) has a two-dimensional orbit; it is rational,
+    # but no small integer combination of the basis fixes it
+    entry = entry_by_id("T3:nilpotent-pair")
+    params = {"lam": Fraction(lam), "mu": Fraction(mu)}
+    h = require_closed(entry.build(params))
+    (point, dim), = entry.strata_witnesses(params)
+    assert orbit_dimension(h, point).dim == dim == 2
+    assert fixed_point_nonproper_certificate(h) is None
     _, mechanism = nonproperness_witness(entry, params, h)
     assert "incidental fixed point" in mechanism
 

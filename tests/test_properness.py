@@ -300,12 +300,7 @@ def test_witness_passes_at_explore_parameters(entry_id):
         params = dict(zip(entry.params, values))
         if not entry.admissible(params):
             continue
-        if entry.escape_witness is not None:
-            # the same witness nonproperness_witness returns, without the full
-            # fixed-point search it runs only to label the mechanism
-            witness = entry.escape_witness(params)
-        else:
-            witness, _ = nonproperness_witness(entry, params, require_closed(entry.build(params)))
+        witness, _ = nonproperness_witness(entry, params, require_closed(entry.build(params)))
         check_witness(witness, steps=1024, tol=1e-6)
         checked += 1
     assert checked == len(EXPLORE_PARAMS) ** len(entry.params)

@@ -1,5 +1,6 @@
-"""Every name a ``minkact`` module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a ``minkact`` module imports is used in that module, every
+module-level private name is used somewhere in the package, and every
+``CatalogEntry`` field is read somewhere in the package.
 
 Stdlib ``ast`` checks standing in for a linter's unused-import and dead-code
 rules.  ``__init__`` modules are skipped by the import check: their imports are
@@ -75,3 +76,32 @@ def test_the_check_sees_a_dead_private_name():
 
 def test_every_private_name_is_used_in_the_package():
     assert dead_private_names([p.read_text() for p in sorted(SRC.glob("*.py"))]) == []
+
+
+def dataclass_fields(tree, class_name):
+    """Annotated field names declared in the body of class ``class_name``."""
+    cls = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == class_name)
+    return {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+
+
+def unread_fields(fields, sources):
+    """Fields that no source reads as an attribute."""
+    read = {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(set(fields) - read)
+
+
+def test_the_check_sees_an_unread_field():
+    source = ("@dataclass\nclass Entry:\n    name: str\n    spare: int = 0\n\n"
+              "def show(e):\n    e.spare = 1\n    return e.name\n")
+    fields = dataclass_fields(ast.parse(source), "Entry")
+    assert fields == {"name", "spare"}
+    assert unread_fields(fields, [source]) == ["spare"]
+
+
+def test_every_catalog_entry_field_is_read_in_the_package():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    fields = dataclass_fields(ast.parse((SRC / "catalog.py").read_text()), "CatalogEntry")
+    assert "build" in fields
+    assert unread_fields(fields, sources) == []
