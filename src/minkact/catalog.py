@@ -2,14 +2,17 @@
 Minkowski 4-space, with machine-checkable evidence per entry.
 
 Each record carries the generators (possibly decorated by parameters), the
-expected conjugation invariants, the expected orbit stratification with
-explicit witness points for every non-generic stratum, the properness verdict
-together with its certificate mechanism, and — for the proper families — the
-orbit-space evidence (global invariant function, transversal, singular-orbit
-data).  `verify_entry` replays all of it; `match_catalog` re-identifies an
-arbitrary closed subalgebra against the table: after translation
-normalization, one exact linear solve fits a record's parameters, which every
-record's generators depend on affinely.
+expected conjugation invariants, explicit witness points for every
+non-generic orbit stratum, the properness verdict together with its
+certificate mechanism, and — for the proper families — the orbit-space
+evidence (global invariant function, transversal, singular-orbit data).
+Each fact is stated once: the family is the id's prefix, the parameter names
+are the defaults' keys, the cohomogeneity is 1 unless a record says
+otherwise, and the expected strata are the generic dimension plus those of
+the witness points.  `verify_entry` replays all of it; `match_catalog`
+re-identifies an arbitrary closed subalgebra against the table: on the
+span's translation normal form, one exact linear solve fits a record's
+parameters, which every record's generators depend on affinely.
 
 Six `Excluded:*` records document the near-miss groups whose orbit
 stratification disqualifies them (wrong maximal dimension, or homogeneous
@@ -26,6 +29,7 @@ corrected analysis is confirmed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -71,7 +75,6 @@ from .subalgebra import (
     Subalgebra,
     SubalgebraInvariants,
     closure_check,
-    normalize_translations,
     recenter,
 )
 
@@ -120,16 +123,13 @@ def _inv(dim, tdim, tcausal, pdim, profile):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    entry_id: str
-    family: str  # "T1".."T4" for classified groups, "Excluded" for near misses
+    entry_id: str  # "<family>:<name>"
     summary: str
-    params: tuple
     build: object  # params dict -> basis tuple
     admissible: object  # params dict -> bool
     defaults: tuple  # instantiations the verifier exercises
     expected_invariants: SubalgebraInvariants
     expected_cohomogeneity: int
-    expected_strata: object  # params -> orbit-dimension set, descending
     strata_witnesses: object  # params -> ((point, dim), ...)
     proper: bool
     recovery: tuple | None = None  # (kind, (params, basis) -> kwargs)
@@ -143,8 +143,25 @@ class CatalogEntry:
     escape_witness: object | None = None
 
     @property
+    def family(self) -> str:
+        """The id's prefix: T1..T4 for classified groups, Excluded for near misses."""
+        return self.entry_id.split(":", 1)[0]
+
+    @property
     def in_table(self) -> bool:
         return self.family != "Excluded"
+
+    @property
+    def params(self) -> tuple:
+        """Parameter names, in the order every default lists them."""
+        return tuple(self.defaults[0])
+
+    def expected_strata(self, params):
+        """Orbit dimensions, descending: the generic 4 - cohomogeneity and the
+        dimension of every declared witness point."""
+        dims = {4 - self.expected_cohomogeneity}
+        dims.update(dim for _, dim in self.strata_witnesses(params))
+        return tuple(sorted(dims, reverse=True))
 
 
 def _no_params(_):
@@ -171,7 +188,6 @@ def _halfline_spec(invariant, transversal, singular, witnesses):
         transversal=tuple(tuple(map(Fraction, p)) for p in transversal),
         singular=singular,
         singular_witnesses=tuple(tuple(map(Fraction, p)) for p in witnesses),
-        boundary_value=Fraction(0),
     )
 
 
@@ -202,10 +218,6 @@ def _screw_witnesses(params):
     return (((0, 0, s, 0), 2),)
 
 
-def _screw_strata(params):
-    return (3, 2) if _screw_witnesses(params) else (3,)
-
-
 def _k1n_identity(_params):
     # order matches basis (Yk1, Yn1, Yn2)
     coeffs = (_SIGMA.scale(-1), Poly.var(1), Poly.var(0).scale(-1))
@@ -219,15 +231,11 @@ def _so21_identity(_params):
 
 
 def _entry(**kw):
-    kw.setdefault("params", ())
     kw.setdefault("admissible", _no_params)
     kw.setdefault("defaults", ({},))
+    kw.setdefault("expected_cohomogeneity", 1)
     kw.setdefault("strata_witnesses", lambda _p: ())
     return CatalogEntry(**kw)
-
-
-def _const_strata(*dims):
-    return lambda _p: tuple(dims)
 
 
 def _const_witnesses(*pairs):
@@ -244,12 +252,9 @@ def builtin_catalog():
     # ----- three translation groups -------------------------------------
     add(_entry(
         entry_id="T1:R3",
-        family="T1",
         summary="translations of a spacelike 3-plane",
         build=lambda p: (T1, T2, T3),
         expected_invariants=_inv(3, 3, _sp(3), 0, ()),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3),
         proper=True,
         recovery=("translation", _translation_span),
         orbit_space=lambda p: _line_spec(
@@ -258,12 +263,9 @@ def builtin_catalog():
     ))
     add(_entry(
         entry_id="T1:R21",
-        family="T1",
         summary="translations of a timelike 3-plane",
         build=lambda p: (T2, T3, T4),
         expected_invariants=_inv(3, 3, _lor(3), 0, ()),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3),
         proper=True,
         recovery=("translation", _translation_span),
         orbit_space=lambda p: _line_spec(
@@ -272,12 +274,9 @@ def builtin_catalog():
     ))
     add(_entry(
         entry_id="T1:W3",
-        family="T1",
         summary="translations of the degenerate 3-plane x3+x4=0",
         build=lambda p: (T1, T2, TL),
         expected_invariants=_inv(3, 3, _deg(3), 0, ()),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3),
         proper=True,
         recovery=("translation", _translation_span),
         orbit_space=lambda p: _line_spec(
@@ -288,23 +287,17 @@ def builtin_catalog():
     # ----- one linear generator plus a translation plane -----------------
     add(_entry(
         entry_id="T2:SO11xR2",
-        family="T2",
         summary="boost of the (e3,e4) plane times spacelike translations",
         build=lambda p: (YA, T1, T2),
         expected_invariants=_inv(3, 2, _sp(2), 1, (_H,)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 2),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 2)),
         proper=False,
     ))
     add(_entry(
         entry_id="T2:SO2xR11",
-        family="T2",
         summary="rotation of the (e1,e2) plane times timelike-plane translations",
         build=lambda p: (YK1, T3, T4),
         expected_invariants=_inv(3, 2, _lor(2), 1, (_E,)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 2),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 2), ((0, 0, 3, 5), 2)),
         proper=True,
         recovery=("so2", lambda p, basis: {}),
@@ -315,15 +308,11 @@ def builtin_catalog():
     ))
     add(_entry(
         entry_id="T2:Ya+le1-W2",
-        family="T2",
         summary="boost with spacelike drift, extended by the degenerate plane W2",
-        params=("lam",),
         build=lambda p: (YA + T1.scaled(p["lam"]), T2, TL),
         admissible=lambda p: p["lam"] != 0,
         defaults=({"lam": Fraction(1)}, {"lam": Fraction(-2)}),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_H,)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3),
         proper=True,
         recovery=("boost", lambda p, basis: {"lam": p["lam"]}),
         orbit_space=lambda p: _line_spec(
@@ -336,26 +325,19 @@ def builtin_catalog():
     ))
     add(_entry(
         entry_id="T2:Ya-W2",
-        family="T2",
         summary="pure boost extended by the degenerate plane W2 (drift 0)",
         build=lambda p: (YA, T2, TL),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_H,)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 2),
         strata_witnesses=_const_witnesses(((0, 0, 1, -1), 2), ((0, 0, 0, 0), 2)),
         proper=False,
     ))
     add(_entry(
         entry_id="T2:Yn1+me4-W2",
-        family="T2",
         summary="null rotation with timelike drift, extended by W2",
-        params=("mu",),
         build=lambda p: (YN1 + T4.scaled(p["mu"]), T2, TL),
         admissible=lambda p: p["mu"] != 0,
         defaults=({"mu": Fraction(3)},),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_P,)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3),
         proper=True,
         recovery=("null", lambda p, basis: {"mu": p["mu"]}),
         orbit_space=lambda p: _line_spec(
@@ -366,12 +348,9 @@ def builtin_catalog():
     ))
     add(_entry(
         entry_id="T2:Yn1-W2",
-        family="T2",
         summary="pure null rotation extended by W2 (drift 0)",
         build=lambda p: (YN1, T2, TL),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_P,)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 2),
         strata_witnesses=_const_witnesses(((1, 0, 0, 0), 2), ((0, 0, 0, 0), 2)),
         proper=False,
     ))
@@ -379,34 +358,25 @@ def builtin_catalog():
     # ----- larger linear parts -------------------------------------------
     add(_entry(
         entry_id="T3:SO21xRe1",
-        family="T3",
         summary="Lorentz group of the (e2,e3,e4) summand times the e1 line",
         build=lambda p: (YK3, YA, YN2, T1),
         expected_invariants=_inv(4, 1, _sp(1), 3, (_E, _H, _P)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 1),
         strata_witnesses=_const_witnesses(((1, 0, 0, 0), 1)),
         proper=False,
     ))
     add(_entry(
         entry_id="T3:AN2xRe1",
-        family="T3",
         summary="solvable boost+null-rotation plane group times the e1 line",
         build=lambda p: (YA, YN2, T1),
         expected_invariants=_inv(3, 1, _sp(1), 2, (_H, _P)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 2, 1),
         strata_witnesses=_const_witnesses(((0, 1, 1, -1), 2), ((5, 0, 0, 0), 1)),
         proper=False,
     ))
     add(_entry(
         entry_id="T3:SO3xRe4",
-        family="T3",
         summary="spatial rotations times time translations",
         build=lambda p: (YK1, YK2, YK3, T4),
         expected_invariants=_inv(4, 1, _TIME1, 3, (_E, _E, _E)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 1),
         strata_witnesses=_const_witnesses(((0, 0, 0, 3), 1)),
         proper=True,
         recovery=("so3", lambda p, basis: {}),
@@ -417,35 +387,25 @@ def builtin_catalog():
     ))
     add(_entry(
         entry_id="T3:K1A-l",
-        family="T3",
         summary="rotation+boost pair extended by the null line",
         build=lambda p: (YK1, YA, TL),
         expected_invariants=_inv(3, 1, _LIGHT1, 2, (_E, _H)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 2, 1),
         strata_witnesses=_const_witnesses(
             ((0, 0, 1, 0), 2), ((1, 1, 1, -1), 2), ((0, 0, 1, -1), 1)),
         proper=False,
     ))
     add(_entry(
         entry_id="T3:Ya+le2-N1-l",
-        family="T3",
         summary="boost with spacelike drift plus a null rotation, over the null line",
-        params=("lam",),
         build=lambda p: (YA + T2.scaled(p["lam"]), YN1, TL),
-        admissible=_no_params,
         defaults=({"lam": Fraction(1)}, {"lam": Fraction(-2)}),
         expected_invariants=_inv(3, 1, _LIGHT1, 2, (_H, _P)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 2),
         strata_witnesses=_const_witnesses(((1, 0, 1, -1), 2)),
         proper=False,
     ))
     add(_entry(
         entry_id="T3:nilpotent-pair",
-        family="T3",
         summary="two decorated null rotations over the null line (screw family)",
-        params=("lam", "mu"),
         build=lambda p: (YN1 + T2.scaled(p["lam"]),
                          YN2 + T1.scaled(p["lam"]) + T2.scaled(p["mu"]), TL),
         admissible=lambda p: p["lam"] != 0,
@@ -454,35 +414,27 @@ def builtin_catalog():
                   {"lam": Fraction(-2), "mu": Fraction(0)},
                   {"lam": Fraction(-2), "mu": Fraction(3)}),
         expected_invariants=_inv(3, 1, _LIGHT1, 2, (_P, _P)),
-        expected_cohomogeneity=1,
-        expected_strata=_screw_strata,
         strata_witnesses=_screw_witnesses,
         proper=False,
         escape_witness=lambda p: nilpotent_pair_witness(p["lam"], p["mu"]),
     ))
     add(_entry(
         entry_id="T3:K1N-l",
-        family="T3",
         summary="rotation plus both null rotations, over the null line",
         build=lambda p: (YK1, YN1, YN2, TL),
         expected_invariants=_inv(4, 1, _LIGHT1, 3, (_E, _P, _P)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 2, 1),
         strata_witnesses=_const_witnesses(((1, 2, 1, -1), 2), ((0, 0, 1, -1), 1)),
         proper=False,
     ))
     add(_entry(
         entry_id="T3:N-aK1bA-l",
-        family="T3",
         summary="both null rotations plus a rotation/boost mixture, over the null line",
-        params=("a", "b"),
         build=lambda p: (YN1, YN2, YK1.scaled(p["a"]) + YA.scaled(p["b"]), TL),
         admissible=lambda p: p["a"] != 0 and p["b"] != 0,
         defaults=({"a": Fraction(1), "b": Fraction(1)},
                   {"a": Fraction(2), "b": Fraction(-1)}),
         expected_invariants=_inv(4, 1, _LIGHT1, 3, (_M, _P, _P)),
         expected_cohomogeneity=1,  # the table's claim; the verifier computes 0
-        expected_strata=_const_strata(4, 2, 1),
         strata_witnesses=_const_witnesses(
             ((1, 2, 3, 5), 4), ((1, 2, 1, -1), 2), ((0, 0, 0, 0), 1)),
         proper=False,
@@ -492,49 +444,36 @@ def builtin_catalog():
     # ----- full point-stabilizer subgroups --------------------------------
     add(_entry(
         entry_id="T4:SO31",
-        family="T4",
         summary="the full connected Lorentz group (origin fixed)",
         build=lambda p: (YK1, YK2, YK3, YA, YN1, YN2),
         expected_invariants=_inv(6, 0, _sp(0), 6, (_E, _E, _E, _H, _P, _P)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 0),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 0)),
         proper=False,
     ))
     add(_entry(
         entry_id="T4:K1AN",
-        family="T4",
         summary="rotation, boost, and both null rotations (origin fixed)",
         build=lambda p: (YK1, YA, YN1, YN2),
         expected_invariants=_inv(4, 0, _sp(0), 4, (_E, _H, _P, _P)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 1, 0),
         strata_witnesses=_const_witnesses(((0, 0, 1, -1), 1), ((0, 0, 0, 0), 0)),
         proper=False,
     ))
     add(_entry(
         entry_id="T4:aK1bA-N",
-        family="T4",
         summary="a rotation/boost mixture with both null rotations (origin fixed)",
-        params=("a", "b"),
         build=lambda p: (YK1.scaled(p["a"]) + YA.scaled(p["b"]), YN1, YN2),
         admissible=lambda p: p["a"] != 0 and p["b"] != 0,
         defaults=({"a": Fraction(1), "b": Fraction(1)},
                   {"a": Fraction(2), "b": Fraction(-1)}),
         expected_invariants=_inv(3, 0, _sp(0), 3, (_M, _P, _P)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 2, 0),
         strata_witnesses=_const_witnesses(((1, 2, 1, -1), 2), ((0, 0, 0, 0), 0)),
         proper=False,
     ))
     add(_entry(
         entry_id="T4:AN",
-        family="T4",
         summary="boost and both null rotations (origin fixed)",
         build=lambda p: (YA, YN1, YN2),
         expected_invariants=_inv(3, 0, _sp(0), 3, (_H, _P, _P)),
-        expected_cohomogeneity=1,
-        expected_strata=_const_strata(3, 1, 0),
         strata_witnesses=_const_witnesses(((1, 2, 1, -1), 1), ((0, 0, 0, 0), 0)),
         proper=False,
     ))
@@ -542,71 +481,59 @@ def builtin_catalog():
     # ----- excluded near misses -------------------------------------------
     add(_entry(
         entry_id="Excluded:SO21",
-        family="Excluded",
         summary="Lorentz group of a 3-summand alone: orbits never exceed dim 2",
         build=lambda p: (YK3, YA, YN2),
         expected_invariants=_inv(3, 0, _sp(0), 3, (_E, _H, _P)),
         expected_cohomogeneity=2,
-        expected_strata=_const_strata(2, 0),
         strata_witnesses=_const_witnesses(((5, 0, 0, 0), 0), ((0, 0, 0, 0), 0)),
         proper=False,
         rank_identity=_so21_identity,
     ))
     add(_entry(
         entry_id="Excluded:SO3",
-        family="Excluded",
         summary="spatial rotations alone: orbits are spheres (max dim 2)",
         build=lambda p: (YK1, YK2, YK3),
         expected_invariants=_inv(3, 0, _sp(0), 3, (_E, _E, _E)),
         expected_cohomogeneity=2,
-        expected_strata=_const_strata(2, 0),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 0)),
         proper=True,
         recovery=("rotation-only", lambda p, basis: {}),
     ))
     add(_entry(
         entry_id="Excluded:K1N",
-        family="Excluded",
         summary="rotation plus both null rotations without translations: max dim 2",
         build=lambda p: (YK1, YN1, YN2),
         expected_invariants=_inv(3, 0, _sp(0), 3, (_E, _P, _P)),
         expected_cohomogeneity=2,
-        expected_strata=_const_strata(2, 0),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 0), ((0, 0, 1, -1), 0)),
         proper=False,
         rank_identity=_k1n_identity,
     ))
     add(_entry(
         entry_id="Excluded:K1AN-l",
-        family="Excluded",
         summary="point stabilizer extended by the null line: dim-4 orbits appear",
         build=lambda p: (YK1, YA, YN1, YN2, TL),
         expected_invariants=_inv(5, 1, _LIGHT1, 4, (_E, _H, _P, _P)),
         expected_cohomogeneity=0,
-        expected_strata=_const_strata(4, 2, 1),
         strata_witnesses=_const_witnesses(
             ((1, 2, 3, 5), 4), ((1, 2, 3, -3), 2), ((0, 0, 0, 0), 1)),
         proper=False,
     ))
     add(_entry(
         entry_id="Excluded:AN-l",
-        family="Excluded",
         summary="boost and null rotations over the null line: dim-4 orbits appear",
         build=lambda p: (YA, YN1, YN2, TL),
         expected_invariants=_inv(4, 1, _LIGHT1, 3, (_H, _P, _P)),
         expected_cohomogeneity=0,
-        expected_strata=_const_strata(4, 1),
         strata_witnesses=_const_witnesses(((1, 2, 3, -3), 1), ((0, 0, 0, 0), 1)),
         proper=False,
     ))
     add(_entry(
         entry_id="Excluded:AN1-W2",
-        family="Excluded",
         summary="boost and one null rotation over W2: dim-4 orbits appear",
         build=lambda p: (YA, YN1, T2, TL),
         expected_invariants=_inv(4, 2, _deg(2), 2, (_H, _P)),
         expected_cohomogeneity=0,
-        expected_strata=_const_strata(4, 2),
         strata_witnesses=_const_witnesses(((1, 2, 3, -3), 2)),
         proper=False,
     ))
@@ -614,18 +541,13 @@ def builtin_catalog():
     return tuple(entries)
 
 
-_CATALOG_CACHE = None
-
-
+@functools.cache
 def catalog():
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is None:
-        _CATALOG_CACHE = builtin_catalog()
-    return _CATALOG_CACHE
+    return builtin_catalog()
 
 
-def entry_by_id(entry_id, table=None):
-    return {e.entry_id: e for e in (table or catalog())}[entry_id]
+def entry_by_id(entry_id):
+    return {e.entry_id: e for e in catalog()}[entry_id]
 
 
 # ---------------------------------------------------------------------------
@@ -677,20 +599,18 @@ def _fit_parameters(entry, target):
     return params if _canon(entry.build(params)) == target else None
 
 
-def match_catalog(h: Subalgebra, table=None):
+def match_catalog(h: Subalgebra):
     """Identify a closed subalgebra against the catalog.
 
-    Invariant profile prefilter, translation normalization, one exact
-    parameter fit per candidate record (every build is already in normal
-    form, so its span compares directly with the input's and needs no
+    Invariant profile prefilter, the span's translation normal form, one
+    exact parameter fit per candidate record (every build is already in
+    normal form, so its span compares directly with the input's and needs no
     closure check), then admissibility.  Returns all matches (the catalog is
     designed so that admissible inputs match exactly one record).
     """
-    table = table or catalog()
-    p, hn = normalize_translations(h)
-    target = _canon(hn.basis)
+    p, target = h.normal_form
     out = []
-    for entry in table:
+    for entry in catalog():
         if entry.expected_invariants != h.profile:
             continue
         fitted = _fit_parameters(entry, target)
@@ -916,11 +836,11 @@ def _check_orbit_space(entry, insts, surveys):
     return CheckResult("orbit_space", True, detail)
 
 
-def _check_roundtrip(entry, insts, seed, table):
+def _check_roundtrip(entry, insts, seed):
     for k, (params, h) in enumerate(insts):
         rng = random.Random(f"{seed}:{entry.entry_id}:{k}")
         q = tuple(Fraction(rng.randint(-10 * d, 10 * d), d) for d in (3, 4, 5, 7))
-        matches = match_catalog(recenter(h, q), table)  # a translation conjugate
+        matches = match_catalog(recenter(h, q))  # a translation conjugate
         label = _fmt_params(params)
         ids = [m.entry_id for m in matches]
         if ids != [entry.entry_id]:
@@ -1041,8 +961,7 @@ _ERRATUM_CHECKS = {
 # ---------------------------------------------------------------------------
 
 
-def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6,
-                 table=None) -> VerificationReport:
+def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6) -> VerificationReport:
     start = time.perf_counter()
     checks = []
     insts = _instantiations(entry)
@@ -1057,7 +976,7 @@ def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6,
         checks.append(_check_properness(entry, insts, seed, steps, tol))
         if entry.orbit_space is not None:
             checks.append(_check_orbit_space(entry, insts, surveys))
-        checks.append(_check_roundtrip(entry, insts, seed, table or catalog()))
+        checks.append(_check_roundtrip(entry, insts, seed))
         for slug in entry.errata:
             checks.append(_ERRATUM_CHECKS[slug](entry, insts))
     else:
@@ -1069,9 +988,7 @@ def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6,
                               seed=seed, elapsed_ms=elapsed_ms)
 
 
-def verify_all(table=None, seed=42, samples=32, steps=1024, tol=1e-6) -> CatalogReport:
-    table = table or catalog()
-    reports = [verify_entry(e, seed=seed, samples=samples, steps=steps,
-                            tol=tol, table=table)
-               for e in table]
+def verify_all(seed=42, samples=32, steps=1024, tol=1e-6) -> CatalogReport:
+    reports = [verify_entry(e, seed=seed, samples=samples, steps=steps, tol=tol)
+               for e in catalog()]
     return CatalogReport(seed=seed, reports=tuple(reports))

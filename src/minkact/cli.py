@@ -27,7 +27,6 @@ import numpy as np
 from .algebra import GENERATOR_ORDER, coords10, from_coords10
 from .catalog import (
     CatalogReport,
-    catalog,
     entry_by_id,
     match_catalog,
     nonproperness_witness,
@@ -115,18 +114,17 @@ def _fmt_point(p):
 
 
 def cmd_verify(args):
-    table = catalog()
     if args.entry is not None:
         try:
-            entry = entry_by_id(args.entry, table)
+            entry = entry_by_id(args.entry)
         except KeyError:
             print(f"error: unknown catalog entry {args.entry!r}", file=sys.stderr)
             return 2
         rep = verify_entry(entry, seed=args.seed, samples=args.samples,
-                           steps=args.steps, tol=args.tol, table=table)
+                           steps=args.steps, tol=args.tol)
         report = CatalogReport(seed=args.seed, reports=(rep,))
     else:
-        report = verify_all(table, seed=args.seed, samples=args.samples,
+        report = verify_all(seed=args.seed, samples=args.samples,
                             steps=args.steps, tol=args.tol)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -424,9 +422,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, sampling=True, witnessing=False):
-        p.add_argument("--seed", type=int, default=42,
-                       help="seed for rational sampling (default 42)")
         if sampling:
+            p.add_argument("--seed", type=int, default=42,
+                           help="seed for rational sampling (default 42)")
             p.add_argument("--samples", type=_int_at_least(1), default=32,
                            help="number of sample points (default 32)")
         if witnessing:
@@ -435,8 +433,6 @@ def build_parser():
                            help="escape-sequence ladder length (default 1024)")
             p.add_argument("--tol", type=_positive_float, default=1e-6,
                            help="convergence tolerance (default 1e-6)")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
 
     pv = sub.add_parser("verify",
                         help="replay the evidence behind every catalog entry")
@@ -478,6 +474,9 @@ def build_parser():
                     help="export an n^3 parameter lattice instead of random samples")
     pe.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     pe.set_defaults(func=cmd_export)
+
+    for p in (pv, pc, po, pw):  # export writes CSV only
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 

@@ -315,7 +315,6 @@ class OrbitSpaceSpec:
     transversal: tuple
     singular: tuple | None = None  # (dim, CausalKind)
     singular_witnesses: tuple = ()
-    boundary_value: Fraction = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -339,8 +338,8 @@ def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
     :func:`cohomogeneity` report) and of the transversal of dimension 3,
     invariant separating the transversal.  Half-line: additionally one singular
     orbit with the declared dimension and causal class at the boundary level
-    of the invariant, every off-boundary surveyed orbit three-dimensional and
-    the invariant one-sided.  Declared points the survey lacks are evaluated
+    0 of the invariant, every off-boundary surveyed orbit three-dimensional and
+    the invariant nonnegative.  Declared points the survey lacks are evaluated
     here.  Raises EvidenceFailedError on any breach.
     """
     surveyed = {rep.point: rep for rep in survey.strata}
@@ -375,24 +374,24 @@ def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
                 f"singular witness {w}: got dim {rep.dim} {rep.causal.kind.value}, "
                 f"expected dim {sing_dim} {sing_kind.value}"
             )
-        if _invariant_value(spec, w) != spec.boundary_value:
+        if _invariant_value(spec, w) != 0:
             raise EvidenceFailedError("singular witness is not at the boundary level")
     notes.append(f"singular orbit verified: dim {sing_dim}, {sing_kind.value}")
 
     for rep in survey.strata:
         value = _invariant_value(spec, rep.point)
-        if value < spec.boundary_value:
+        if value < 0:
             raise EvidenceFailedError("invariant is not one-sided")
-        expected = sing_dim if value == spec.boundary_value else 3
+        expected = sing_dim if value == 0 else 3
         if rep.dim != expected:
             raise EvidenceFailedError(
                 f"orbit at {rep.point} has dim {rep.dim}, expected {expected}"
             )
-    if any(v == spec.boundary_value for v in values):
+    if any(v == 0 for v in values):
         notes.append("transversal includes the boundary orbit")
     else:
         raise EvidenceFailedError("transversal misses the boundary level")
-    if any(v < spec.boundary_value for v in values):
+    if any(v < 0 for v in values):
         raise EvidenceFailedError("transversal crosses the boundary level")
     notes.append(f"off-boundary samples are hypersurfaces ({len(survey.strata)} checked)")
     return OrbitSpaceReport(OrbitSpaceKind.HALFLINE, spec.singular, tuple(notes))

@@ -1,6 +1,7 @@
 """Subalgebra bookkeeping: closure, translation/linear splitting, the
-translation-conjugation normal form, one-parameter type classification, and
-the invariant profile used for catalog matching.
+translation-conjugation normal form of a span (read off its echelon rows, so
+independent of the basis given), one-parameter type classification, and the
+invariant profile used for catalog matching.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .linalg import (
     integral,
     mat_is_zero,
     matvec,
-    rref,
+    reduce_mod,
+    solve_linear,
     span_contains,
     vadd,
 )
@@ -69,6 +71,12 @@ class Subalgebra:
     def profile(self):
         """The :func:`invariants` profile, computed once per subalgebra."""
         return invariants(self)
+
+    @functools.cached_property
+    def normal_form(self):
+        """(p, rows): the translation normal form of the span, computed once
+        per subalgebra; see :func:`normalize_translations`."""
+        return _translation_normal_form(self)
 
     def span_rows(self):
         return echelon_basis([coords10(b) for b in self.basis])
@@ -122,37 +130,44 @@ def split_parts(h: Subalgebra):
     return translations, projection
 
 
-def normalize_translations(h: Subalgebra):
-    """Solve the translation-conjugation normal form.
+def _translation_normal_form(h: Subalgebra):
+    """(p, echelon rows of the span recentred at p), read off the span alone.
 
-    Finds the vector p such that conjugating by the translation -p (i.e.
-    applying Ad of (I, -p), which sends (X, x) to (X, x + Xp)) annihilates the
-    translation decoration of every basis element with a nonzero linear part.
-    When full annihilation is impossible, the consistent part of the
-    echelonized system is solved with free variables at zero, which leaves
-    deterministic residual decorations — exactly the surviving parameters of
-    the decorated catalog families.
-
-    Pivots are restricted to the coefficient columns: a row that reduces to
-    (0 0 0 0 | c) is an inconsistent direction and is simply left out, so it
-    can never eliminate into — and wipe out — the solved part.  The pivot
-    choice depends only on the coefficient rows, which translation
-    conjugation does not touch, so the surviving residuals are canonical.
-
-    Returns (p, normalized subalgebra).
+    The echelon rows of h are linear rows (X_i, x_i), then the translation
+    ideal's rows (0, t).  Recentring at p makes the decorations x_i, stacked
+    and reduced modulo the ideal, D + M p: column j of M is X_i e_j reduced
+    modulo the ideal, stacked over i.  Their canonical value is the remainder
+    r of D modulo the column span of M, and p solves M p = r - D.
     """
-    rows = []
-    for elt in h.basis:
-        if mat_is_zero(elt.linear):
-            continue  # a pure translation is its own decoration; nothing to solve
-        for m in range(4):
-            if any(x != 0 for x in elt.linear[m]) or elt.trans[m] != 0:
-                rows.append((*elt.linear[m], -elt.trans[m]))
-    p = [Fraction(0)] * 4
-    reduced, pivots = rref(rows, pivot_limit=4)
-    for row, col in zip(reduced, pivots):
-        p[col] = row[4]
-    return tuple(p), recenter(h, p)
+    rows = h.span_rows()
+    linear = [row for row in rows if any(row[:6])]  # echelon order: these come first
+    ideal_rows = tuple(rows[len(linear):])
+    if not linear:
+        return (Fraction(0),) * 4, ideal_rows
+    ideal = [row[6:] for row in ideal_rows]
+    mats = [linear_from_coords(row[:6]) for row in linear]
+    moves = [[x for m in mats for x in reduce_mod(ideal, [r[j] for r in m])]
+             for j in range(4)]
+    decorations = [x for row in linear for x in row[6:]]
+    residual = reduce_mod(echelon_basis(moves), decorations)
+    p = solve_linear(list(zip(*moves)),
+                     [r - d for r, d in zip(residual, decorations)]).particular
+    normal = tuple((*row[:6], *residual[4 * i:4 * i + 4]) for i, row in enumerate(linear))
+    return p, normal + ideal_rows
+
+
+def normalize_translations(h: Subalgebra):
+    """Solve the translation-conjugation normal form of the span of h.
+
+    Finds the vector p such that conjugating by the translation -p (Ad of
+    (I, -p), which sends (X, x) to (X, x + Xp)) leaves only the decorations
+    no translation can remove, modulo the translation ideal: exactly the
+    parameters of the decorated catalog families.  p and the normalized span
+    depend on the span of h alone, not on its basis, and translation
+    conjugates share the normalized span.  Returns (p, normalized subalgebra).
+    """
+    p, _ = h.normal_form
+    return p, recenter(h, p)
 
 
 def recenter(h: Subalgebra, p) -> Subalgebra:

@@ -168,7 +168,24 @@ def test_classify_identifies_conjugated_family(tmp_path, capsys):
     assert "cohomogeneity 1" in out
     assert "match: T2:Ya+le1-W2:" in out
     assert "[lam=1/2]" in out
-    assert "normalizing translation: (0,0,-2,3)" in out
+    # modulo the null line e3 - e4 only -2 + 3 of the shift is visible
+    assert "normalizing translation: (0,0,1,0)" in out
+
+
+@pytest.mark.parametrize("lines, match", [
+    # T3:nilpotent-pair at lam=1, mu=3 with its decorated generators swapped
+    (["Yn2 + e1 + 3*e2", "Yn1 + e2", "e3 - e4"],
+     "match: T3:nilpotent-pair: two decorated null rotations over the null line "
+     "(screw family) [lam=1, mu=3]"),
+    # T3:K1N-l in a basis that mixes the null line into the linear generators
+    (["-Yn1 - 2*Yn2 + e3 - e4", "Yn1 - Yn2", "Yk1 + 2*Yn1 + 4*Yn2 - 2*e3 + 2*e4", "Yn2"],
+     "match: T3:K1N-l: rotation plus both null rotations, over the null line"),
+], ids=["nilpotent-pair-swapped", "K1N-l-mixed"])
+def test_classify_identifies_a_record_in_any_basis(lines, match, tmp_path, capsys):
+    path = write_generators(tmp_path, "basis.txt", lines)
+    assert main(["classify", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [match, "  normalizing translation: (0,0,0,0)"]
 
 
 def test_classify_json_schema(tmp_path, capsys):
@@ -361,6 +378,9 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     ["export", "--entry", "T3:nilpotent-pair", "--lambda", "1.7e308", "--grid", "2", "--out", "-"],
     ["export", "--entry", "T4:aK1bA-N", "--a", "1e154", "--grid", "2", "--out", "-"],
     ["export", "--entry", "T4:aK1bA-N", "--b", "1e30", "--grid", "2", "--out", "-"],
+    ["orbit", "--entry", "T1:R3", "--seed", "7"],
+    ["witness", "--entry", "T4:AN", "--seed", "7"],
+    ["export", "--entry", "T1:R3", "--grid", "2", "--out", "-", "--json"],
 ], ids=[
     "classify-zero-denominator", "witness-mu", "orbit-lambda", "export-a",
     "witness-b", "orbit-point", "export-missing-dir", "verify-samples-0",
@@ -368,7 +388,7 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     "verify-tol-0", "witness-tol-negative", "witness-tol-nan", "verify-tol-inf",
     "export-point-past-float", "witness-lambda-past-float", "export-lambda-past-float",
     "witness-lambda-overflows", "export-lambda-overflows", "export-a-overflows",
-    "export-b-overflows",
+    "export-b-overflows", "orbit-seed", "witness-seed", "export-json",
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "zero.txt").write_text("Ya + 1/0*e1\n")

@@ -45,6 +45,7 @@ from minkact.subalgebra import (
     lorentz_invariants,
     normalize_translations,
     one_param_type,
+    recenter,
     require_closed,
     split_parts,
 )
@@ -290,9 +291,12 @@ def test_normalize_undoes_translation_conjugation():
     q = vec4(-10, Fraction(39, 4), 5, Fraction(-60, 7))
     conj = require_closed(tuple(adjoint(translation(q), b) for b in h.basis))
     p, hn = normalize_translations(conj)
-    # only the boost plane of q is visible to this family
-    assert p == vec4(0, 0, q[2], q[3])
-    assert hn.basis[0].trans == vec4(lam, 0, 0, 0)
+    # only the boost plane of q is visible to this family, and modulo the
+    # null line e3 - e4 only q3 + q4 is: the canonical p carries it alone
+    assert p == vec4(0, 0, q[2] + q[3], 0)
+    # the boost keeps its drift; the rest of q sits on the null line e3 - e4,
+    # which the algebra contains
+    assert hn.basis[0].trans == vec4(lam, 0, -q[3], q[3])
     assert hn.span_rows() == h.span_rows()
 
 
@@ -303,8 +307,24 @@ def test_normalize_decorated_null_rotations():
     q = vec4(2, -3, 1, 4)
     conj = require_closed(tuple(adjoint(translation(q), b) for b in h.basis))
     p, hn = normalize_translations(conj)
-    assert p == vec4(q[0], q[1], q[2] + q[3], 0)
+    # translating along e1 or e2 moves the decorations along the null line,
+    # which the algebra contains, so the conjugate spans the same algebra
+    assert p == vec4(0, 0, q[2] + q[3], 0)
     assert hn.span_rows() == h.span_rows()
+
+
+def test_normal_form_depends_on_the_span_not_the_basis():
+    lam, mu = Fraction(1), Fraction(3)
+    a, b = YN1 + E2.scaled(lam), YN2 + E1.scaled(lam) + E2.scaled(mu)
+    q = vec4(Fraction(1, 2), -3, Fraction(7, 3), 4)
+    conj = [adjoint(translation(q), x) for x in (a, b, ELL)]
+    bases = (conj, [conj[1] + conj[0].scaled(2), conj[2] + conj[1], conj[0]])
+    forms = [require_closed(basis).normal_form for basis in bases]
+    assert forms[0] == forms[1]
+    p, rows = forms[0]
+    assert p == vec4(0, 0, q[2] + q[3], 0)
+    assert list(rows) == recenter(require_closed(conj), p).span_rows()
+    assert list(rows) == require_closed((a, b, ELL)).span_rows()
 
 
 DEFAULT_INSTANTIATIONS = [pytest.param(e, params, id=f"{e.entry_id}-{i}")
