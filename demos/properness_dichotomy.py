@@ -1,9 +1,12 @@
 """Proper or not? Both sides of the dichotomy, made concrete.
 
-A proper action comes with a constructive inverse: from a point and its
-image alone, rebuild the unique group element connecting them.  A
-non-proper action comes with an escape: group elements of exploding size
-whose effect on some base point stays bounded.
+A proper action comes with clocks: linear functions that every group
+element shifts by a constant, so that a point and its image pin down the
+group element up to a kernel that acts properly on its own.  The same data
+give a constructive inverse: from a point and its image alone, rebuild the
+unique group element connecting them.  A non-proper action comes with an
+escape: group elements of exploding size whose effect on some base point
+stays bounded.
 
 Run:  python3 demos/properness_dichotomy.py
 """
@@ -14,6 +17,7 @@ from minkact.catalog import entry_by_id, nonproperness_witness
 from minkact.group import act
 from minkact.properness import (
     check_witness,
+    clock_certificate,
     fixed_point_nonproper_certificate,
     null_family_element,
     recover_null_family,
@@ -34,6 +38,9 @@ def proper_side():
     g2 = null_family_element(t, s, w, mu)
     print(f"  rebuilt element reproduces y exactly: {act(g2, x) == y}")
     h = require_closed(entry.build({"mu": mu}))
+    print(f"  clock certificate: {clock_certificate(h).describe()}")
+    print("  (the clock p3+p4 advances by mu along the null rotation: it reads t off")
+    print("   exactly as the recovery map does, and the kernel e3-e4 acts freely)")
     print(f"  noncompact stabilizer anywhere? "
           f"{fixed_point_nonproper_certificate(h) is not None}")
     print()
@@ -72,8 +79,10 @@ def boundary():
         plain = require_closed(entry_by_id(boundary_id).build({}))
         a = fixed_point_nonproper_certificate(decorated)
         b = fixed_point_nonproper_certificate(plain)
-        print(f"  {eid} ({pname}={val}): stabilizer certificate? {a is not None}")
-        print(f"  {boundary_id} ({pname}=0):  stabilizer certificate? {b is not None}")
+        print(f"  {eid} ({pname}={val}): stabilizer certificate? {a is not None}, "
+              f"clock certificate? {clock_certificate(decorated) is not None}")
+        print(f"  {boundary_id} ({pname}=0):  stabilizer certificate? {b is not None}, "
+              f"clock certificate? {clock_certificate(plain) is not None}")
 
 
 def main():

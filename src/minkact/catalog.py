@@ -59,15 +59,13 @@ from .orbits import (
     orbit_space_report,
 )
 from .properness import (
-    RecoveryMismatchError,
     WitnessFailedError,
     check_witness,
+    clock_certificate,
     combination,
-    compact_rotation_certificate,
     fixed_point_nonproper_certificate,
     fixed_point_witness,
     nilpotent_pair_witness,
-    parameter_recovery_check,
 )
 from .subalgebra import (
     NotClosed,
@@ -779,26 +777,19 @@ def nonproperness_witness(entry, params, h):
     return witness, mechanism
 
 
-def _check_properness(entry, insts, seed, steps, tol):
+def _check_properness(entry, insts, steps, tol):
     notes = []
     for params, h in insts:
         label = _fmt_params(params)
         if entry.proper:
-            cert = fixed_point_nonproper_certificate(h)
-            if cert is not None:
-                return CheckResult(
-                    "properness", False,
-                    f"at {label}: unexpected noncompact stabilizer "
-                    f"{cert.coefficients} fixing {cert.point}")
-            if compact_rotation_certificate(h):
-                notes.append("purely rotational: compact, hence proper")
-            if entry.recovery is not None:
-                kind, kwargs_fn = entry.recovery
-                try:
-                    recovered = parameter_recovery_check(kind, kwargs_fn(params, h.basis), seed=seed)
-                except RecoveryMismatchError as err:
-                    return CheckResult("properness", False, f"at {label}: {err}")
-                notes.append(f"{kind} recovery over {recovered.trials} trials")
+            cert = clock_certificate(h)
+            if cert is None:
+                stab = fixed_point_nonproper_certificate(h)
+                why = ("no clock certificate" if stab is None else
+                       f"unexpected noncompact stabilizer {stab.coefficients} "
+                       f"fixing {stab.point}")
+                return CheckResult("properness", False, f"at {label}: {why}")
+            notes.append(f"at {label}: {cert.describe()}" if params else cert.describe())
             continue
         try:
             witness, mechanism = nonproperness_witness(entry, params, h)
@@ -811,8 +802,11 @@ def _check_properness(entry, insts, seed, steps, tol):
         notes.append(
             f"{mechanism}; norms {rep.group_norms[0]:.3g} -> "
             f"{rep.group_norms[-1]:.3g} over {len(rep.steps)} dyadic steps")
-    verdict = "proper" if entry.proper else "not proper"
-    return CheckResult("properness", True, f"{verdict}: " + "; ".join(sorted(set(notes))))
+    if entry.proper:
+        recovery, _ = entry.recovery
+        return CheckResult("properness", True,
+                           f"proper: {recovery} recovery map; " + "; ".join(notes))
+    return CheckResult("properness", True, "not proper: " + "; ".join(sorted(set(notes))))
 
 
 def _check_orbit_space(entry, insts, surveys):
@@ -973,7 +967,7 @@ def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6) -> Verificati
                                  extra_points=[pt for pt, _ in entry.strata_witnesses(params)])
                    for params, h in insts]
         checks.append(_check_cohomogeneity(entry, insts, surveys, samples))
-        checks.append(_check_properness(entry, insts, seed, steps, tol))
+        checks.append(_check_properness(entry, insts, steps, tol))
         if entry.orbit_space is not None:
             checks.append(_check_orbit_space(entry, insts, surveys))
         checks.append(_check_roundtrip(entry, insts, seed))

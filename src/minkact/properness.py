@@ -1,14 +1,17 @@
 """Properness analysis for closed isometry groups of Minkowski space.
 
-Two one-sided certificates are produced, matching how the dichotomy is
-actually proved:
+Both sides of the dichotomy carry an exact certificate:
 
-* non-proper: a noncompact one-parameter subgroup fixing a point (exact), or
-  an explicit escaping sequence g_n with bounded x_n and g_n . x_n checked
+* non-proper: a noncompact one-parameter subgroup fixing a point, or an
+  explicit escaping sequence g_n with bounded x_n and g_n . x_n checked
   numerically to diverge in norm while the images stay Cauchy;
-* proper: an exact parameter-recovery map that reconstructs a group element
-  carrying X to Y from the pair (X, Y) alone, exercised over randomized
-  trials, plus a compactness certificate for purely rotational groups.
+* proper: clock homomorphisms (:func:`clock_certificate`), linear functions
+  that every group element shifts by a constant, whose common kernel is a
+  translation group or a compact group with a fixed point.  No sampling.
+
+The constructive parameter-recovery maps (``recover_*``) rebuild a group
+element from a point and its image for each proper family;
+:func:`parameter_recovery_check` exercises them over seeded random trials.
 """
 
 from __future__ import annotations
@@ -32,14 +35,9 @@ from .group import (
     rational_rotation_12,
     translation,
 )
-from .linalg import frac, integral, matmul, quadratic_form, solve_linear, span_contains, vec4
-from .subalgebra import (
-    OneParamType,
-    Subalgebra,
-    invariant_forms,
-    one_param_type,
-    type_from_invariants,
-)
+from .linalg import (frac, integral, kernel_of, mat_is_zero, matmul, quadratic_form, solve_linear,
+                     span_contains, sylvester_signature, transpose, vec4)
+from .subalgebra import OneParamType, Subalgebra, invariant_forms, type_from_invariants
 
 
 class WitnessFailedError(AssertionError):
@@ -91,11 +89,7 @@ def fixed_point_nonproper_certificate(h: Subalgebra):
     solved for a fixed point.  Returns the first certificate found, or None.
     """
     dim = h.dim
-    singles = []
-    for i in range(dim):
-        coeffs = [0] * dim
-        coeffs[i] = 1
-        singles.append(tuple(coeffs))
+    singles = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     combos = [c for c in itertools.product(range(-COMBO_RANGE, COMBO_RANGE + 1), repeat=dim)
               if any(c) and tuple(c) not in singles]
     linears = [b.linear for b in h.basis]
@@ -121,15 +115,77 @@ def fixed_point_nonproper_certificate(h: Subalgebra):
 
 
 def compact_rotation_certificate(h: Subalgebra) -> bool:
-    """True when every basis element is a pure rotation (elliptic, no
-    translation part), so the closed group generated is compact and the
-    action automatically proper."""
-    for b in h.basis:
-        if any(t != 0 for t in b.trans):
-            return False
-        if one_param_type(b.linear) is not OneParamType.ELLIPTIC:
-            return False
-    return True
+    """True when the clock certificate's kernel is all of h and compact: the
+    group fixes a point, is conjugate to rotations, and acts properly."""
+    cert = clock_certificate(h)
+    return cert is not None and cert.kind == "compact" and len(cert.kernel) == h.dim
+
+
+# ---------------------------------------------------------------------------
+# Clock certificates (properness, exact)
+# ---------------------------------------------------------------------------
+
+
+def _linear_form(cov):
+    """The covector cov as a linear form in p1..p4, e.g. 'p3+p4' or '2*p1-p2'."""
+    terms = (("+" if c > 0 else "-") + ("" if abs(c) == 1 else f"{abs(c)}*") + f"p{k + 1}"
+             for k, c in enumerate(cov) if c)
+    return "".join(terms).lstrip("+")
+
+
+@dataclass(frozen=True)
+class ClockCertificate:
+    """Clocks (covector, rates) with rates[b] = c . x_b, the basis of their
+    kernel ideal, its kind ('translations' or 'compact') and, when compact,
+    a point the kernel fixes."""
+
+    clocks: tuple
+    kernel: tuple
+    kind: str
+    point: tuple | None
+
+    def describe(self) -> str:
+        clocks = ", ".join(f"clock {_linear_form(c)} rates ({','.join(map(str, r))})"
+                           for c, r in self.clocks) or "no clock"
+        fixing = f", fixing ({','.join(map(str, self.point))})" if self.point is not None else ""
+        return f"{clocks}, kernel of dim {len(self.kernel)}: {self.kind}{fixing}"
+
+
+def clock_certificate(h: Subalgebra):
+    """Prove that H = exp(h) acts properly, or return None.
+
+    A clock is a covector c with c X_b = 0 for every basis element
+    b = (X_b, x_b), found by one kernel of the stacked transposed linear
+    parts; along b, l(p) = c . p has the constant Lie derivative c . x_b, its
+    rate.  The kernel ideal k is the null space of the rate matrix (all of h
+    without clocks).  The certificate holds when k is pure translations, or
+    compact (negative-definite trace form, zero Pfaffian form on its linear
+    parts) with a common fixed point, X p = -x stacked over k.
+
+    Proof.  c V = c for each linear part V in H, so l(g.x) - l(x) = c . v for
+    g = (V, v), whatever x: the clocks give a homomorphism phi: H -> R^r.
+    H/K is its image, a subspace R^s, so K = ker phi is connected, with Lie
+    algebra k, and acts properly (translations, or compact).  If x_n -> x
+    and g_n . x_n -> y, phi(g_n) = l(g_n . x_n) - l(x_n) is bounded; on a
+    subsequence it tends to a.  A continuous section s of phi (products of
+    exp(t_j Z_j)) gives k_n = s(phi(g_n))^-1 g_n in K with
+    k_n . x_n -> s(a)^-1 . y, so (k_n), hence (g_n), subconverges.
+    """
+    covectors = kernel_of([col for b in h.basis for col in transpose(b.linear)])
+    rates = [tuple(sum(c * t for c, t in zip(cov, b.trans)) for b in h.basis)
+             for cov in covectors]
+    # a zero row keeps the whole algebra when there is no clock
+    kernel = tuple(combination(a, h.basis) for a in kernel_of(rates or [[0] * h.dim]))
+    clocks = tuple(zip(covectors, rates))
+    linears = [z.linear for z in kernel]
+    if all(mat_is_zero(x) for x in linears):
+        return ClockCertificate(clocks, kernel, "translations", None)
+    trace_form, pf_form = invariant_forms(linears)
+    if sylvester_signature(trace_form)[1] != len(kernel) or any(map(any, pf_form)):
+        return None
+    point = solve_linear([row for x in linears for row in x],
+                         [-t for z in kernel for t in z.trans]).particular
+    return None if point is None else ClockCertificate(clocks, kernel, "compact", point)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +347,8 @@ def _sample_point(rng):
 def _reflection3(u):
     """3x3 Householder reflection across the plane orthogonal to u (exact)."""
     uu = sum(c * c for c in u)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            val = (Fraction(1) if i == j else Fraction(0)) - 2 * u[i] * u[j] / uu
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(Fraction(i == j) - 2 * u[i] * u[j] / uu for j in range(3))
+                 for i in range(3))
 
 
 def rotation_between(x3, y3):
@@ -311,8 +361,7 @@ def rotation_between(x3, y3):
     y3 = tuple(frac(c) for c in y3)
     if sum(c * c for c in x3) != sum(c * c for c in y3):
         raise ValueError("spatial norms differ; no rotation exists")
-    identity = tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(3))
-                     for i in range(3))
+    identity = tuple(tuple(Fraction(i == j) for j in range(3)) for i in range(3))
     if x3 == y3:
         return identity
     u = tuple(a - b for a, b in zip(x3, y3))
@@ -324,16 +373,9 @@ def rotation_between(x3, y3):
 
 
 def _embed3(v3):
-    rows = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            if i < 3 and j < 3:
-                row.append(v3[i][j])
-            else:
-                row.append(Fraction(1) if i == j else Fraction(0))
-        rows.append(tuple(row))
-    return tuple(rows)
+    """The 4x4 isometry acting as v3 on space and fixing time."""
+    zero = Fraction(0)
+    return tuple((*row, zero) for row in v3) + ((zero, zero, zero, Fraction(1)),)
 
 
 def recover_translation(x, y, span):
@@ -353,8 +395,7 @@ def recover_rotation_translation(x, y):
     if r2 != y1 * y1 + y2 * y2:
         raise RecoveryMismatchError("rotation radius mismatch")
     if r2 == 0:
-        g = translation((Fraction(0), Fraction(0), y[2] - x[2], y[3] - x[3]))
-        return g
+        return translation((Fraction(0), Fraction(0), y[2] - x[2], y[3] - x[3]))
     denom = r2 + x1 * y1 + x2 * y2
     if denom == 0:
         raise RecoveryMismatchError("half-turn is outside the rational chart")

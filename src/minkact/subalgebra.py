@@ -78,8 +78,13 @@ class Subalgebra:
         per subalgebra; see :func:`normalize_translations`."""
         return _translation_normal_form(self)
 
+    @functools.cached_property
+    def echelon_rows(self):
+        """Echelon rows of the span (linear rows first), computed once."""
+        return tuple(echelon_basis([coords10(b) for b in self.basis]))
+
     def span_rows(self):
-        return echelon_basis([coords10(b) for b in self.basis])
+        return list(self.echelon_rows)
 
     def contains(self, elt: AlgebraElement) -> bool:
         return span_contains([coords10(b) for b in self.basis], coords10(elt)) is not None
@@ -123,7 +128,7 @@ def split_parts(h: Subalgebra):
     """(translation basis, projection basis): h's intersection with the
     translations and the image of its linear-part projection, both echelonized.
     """
-    rows = h.span_rows()
+    rows = h.echelon_rows
     translations = [row[6:] for row in rows if all(c == 0 for c in row[:6])]
     projection = [linear_from_coords(row[:6]) for row in rows
                   if any(c != 0 for c in row[:6])]
@@ -139,9 +144,9 @@ def _translation_normal_form(h: Subalgebra):
     modulo the ideal, stacked over i.  Their canonical value is the remainder
     r of D modulo the column span of M, and p solves M p = r - D.
     """
-    rows = h.span_rows()
+    rows = h.echelon_rows
     linear = [row for row in rows if any(row[:6])]  # echelon order: these come first
-    ideal_rows = tuple(rows[len(linear):])
+    ideal_rows = rows[len(linear):]
     if not linear:
         return (Fraction(0),) * 4, ideal_rows
     ideal = [row[6:] for row in ideal_rows]

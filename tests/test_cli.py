@@ -133,6 +133,17 @@ def test_full_verify_json_reports_honest_failure_and_is_deterministic(capsys):
     assert data == _masked(second)
 
 
+def test_properness_rows_do_not_read_the_seed(capsys):
+    rows = []
+    for seed in ("42", "866494"):
+        main(["verify", "--json", "--seed", seed])
+        data = json.loads(capsys.readouterr().out)
+        rows.append([(e["entry"], c) for e in data["entries"]
+                     for c in e["checks"] if c["name"] == "properness"])
+    assert len(rows[0]) == 27
+    assert rows[0] == rows[1]
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Properness certificates: fixed points, escaping sequences, recovery maps."""
+"""Properness certificates: fixed points, escaping sequences, clocks, recovery maps."""
 
 import itertools
 import math
@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkact.algebra import standard_generator
 from minkact.catalog import catalog, entry_by_id, nonproperness_witness
@@ -24,6 +26,7 @@ from minkact.properness import (
     WitnessFailedError,
     WitnessSequence,
     check_witness,
+    clock_certificate,
     compact_rotation_certificate,
     fixed_point_nonproper_certificate,
     fixed_point_witness,
@@ -37,6 +40,7 @@ from minkact.properness import (
     rotation_between,
 )
 from minkact.group import act
+from minkact.orbits import Poly, lie_derivative
 from minkact.subalgebra import (
     OneParamType,
     invariant_forms,
@@ -158,6 +162,86 @@ def test_invariant_forms_evaluate_to_trace_and_pfaffian(entry_id, params):
         pf = a[0][1] * a[2][3] - a[0][2] * a[1][3] + a[0][3] * a[1][2]
         assert quadratic_form(pf_form, coeffs) == 2 * pf
         assert pf * pf == -char_poly(x)[4]  # Pf(eta X)^2 = det(eta X)
+
+
+# ---------------------------------------------------------------------------
+# clock certificates
+# ---------------------------------------------------------------------------
+
+KERNEL_KIND = {
+    "T1:R3": "translations", "T1:R21": "translations", "T1:W3": "translations",
+    "T2:Ya+le1-W2": "translations", "T2:Yn1+me4-W2": "translations",
+    "T2:SO2xR11": "compact", "T3:SO3xRe4": "compact", "Excluded:SO3": "compact",
+}
+
+
+def instantiations(proper):
+    return [pytest.param(e, p, id=e.entry_id + "".join(f"-{k}={v}" for k, v in p.items()))
+            for e in catalog() if e.proper is proper for p in e.defaults]
+
+
+@pytest.mark.parametrize("entry,params", instantiations(True))
+def test_clock_certificate_holds_on_proper_instantiations(entry, params):
+    h = require_closed(entry.build(params))
+    cert = clock_certificate(h)
+    assert cert is not None
+    assert cert.kind == KERNEL_KIND[entry.entry_id]
+    # each clock's Lie derivative along each basis element is its constant rate
+    for cov, rates in cert.clocks:
+        for b, rate in zip(h.basis, rates):
+            assert lie_derivative(Poly.covector(cov), b) == Poly.const(rate)
+        for z in cert.kernel:  # the kernel stops every clock
+            assert lie_derivative(Poly.covector(cov), z).is_zero()
+
+
+def test_proper_and_nonproper_instantiations_are_counted():
+    assert (len(instantiations(True)), len(instantiations(False))) == (9, 25)
+
+
+@pytest.mark.parametrize("entry,params", instantiations(False))
+def test_no_clock_certificate_on_nonproper_instantiations(entry, params):
+    assert clock_certificate(require_closed(entry.build(params))) is None
+
+
+@pytest.mark.parametrize("entry_id,name,zero,live", [
+    ("T2:Ya+le1-W2", "lam", Fraction(0), Fraction(1, 2)),
+    ("T2:Yn1+me4-W2", "mu", Fraction(0), Fraction(3)),
+])
+def test_clock_certificate_flips_at_zero_drift(entry_id, name, zero, live):
+    entry = entry_by_id(entry_id)
+    assert clock_certificate(require_closed(entry.build({name: zero}))) is None
+    assert clock_certificate(require_closed(entry.build({name: live}))) is not None
+
+
+def test_compact_kernel_names_its_fixed_point():
+    cert = clock_certificate(require_closed((YK1, E3, E4)))
+    assert cert.kind == "compact" and cert.point == (0, 0, 0, 0)
+    assert [c for c, _ in cert.clocks] == [(0, 0, 1, 0), (0, 0, 0, 1)]
+    assert cert.describe() == ("clock p3 rates (0,1,0), clock p4 rates (0,0,1), "
+                               "kernel of dim 1: compact, fixing (0,0,0,0)")
+
+
+def test_noncompact_kernels_have_no_certificate():
+    # a boost spans a noncompact kernel, with or without a clock beside it
+    assert clock_certificate(require_closed((YA,))) is None
+    assert clock_certificate(require_closed((YA, E1))) is None
+    # a loxodromic element has tr(X^2) < 0 but a nonzero Pfaffian
+    assert clock_certificate(require_closed((YK1.scaled(2) + YA,))) is None
+
+
+nonzero_rationals = st.fractions(min_value=-20, max_value=20,
+                                 max_denominator=12).filter(lambda x: x != 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("T2:Ya+le1-W2", "lam"), ("T2:Yn1+me4-W2", "mu")]),
+       nonzero_rationals)
+def test_clock_certificate_holds_across_the_drift_families(family, value):
+    entry_id, name = family
+    cert = clock_certificate(require_closed(entry_by_id(entry_id).build({name: value})))
+    assert cert is not None and cert.kind == "translations"
+    assert cert.kernel == (E3 - E4,)
+    assert value in {rate for _, rates in cert.clocks for rate in rates}
 
 
 # ---------------------------------------------------------------------------
