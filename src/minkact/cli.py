@@ -86,15 +86,15 @@ def parse_element(text):
 
 def parse_generator_file(path):
     elements = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            try:
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
+    for lineno, line in enumerate(lines, 1):
+        try:  # decoded per line, so that a byte that is not UTF-8 has a line number
+            body = line.decode("utf-8").split("#", 1)[0].strip()
+            if body:
                 elements.append(parse_element(body))
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
     if not elements:
         raise ValueError(f"{path}: no generators found")
     return tuple(elements)

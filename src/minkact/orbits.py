@@ -6,6 +6,10 @@ Everything here is exact: sample points are rational, ranks and causal types
 come from exact integer elimination (never a numerical threshold), and
 invariance of a function along the action is certified by polynomial
 identities, not by numerical quadrature.
+
+The cohomogeneity survey computes ranks only: one integer elimination per
+shared, pre-scaled sample point.  A point's tangent basis and causal class are
+derived from that elimination when first read, which few checks do.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from operator import mul
 
 from .algebra import AlgebraElement
 from .linalg import CausalClass, causal_class, frac, integer_rref, integral
@@ -228,47 +234,76 @@ class ExpInvariant:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class OrbitReport:
-    point: tuple
-    dim: int
-    tangent_basis: tuple
-    causal: CausalClass
+    """The orbit through ``point``: its ``dim``, reduced echelon (Fraction)
+    ``tangent_basis`` and ``causal`` class, equal when all four are.  Unless
+    given, the last two are derived on first read from ``echelon``, the
+    :func:`integer_rref` of the Killing fields at the point.
+    """
+
+    def __init__(self, point, dim, tangent_basis=None, causal=None, *, echelon=((), ())):
+        self.point, self.dim, self._echelon = point, dim, echelon
+        if tangent_basis is not None:
+            self.tangent_basis = tangent_basis
+        if causal is not None:
+            self.causal = causal
+
+    @cached_property
+    def tangent_basis(self):
+        rows, pivots = self._echelon
+        return tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(rows, pivots))
+
+    @cached_property
+    def causal(self) -> CausalClass:
+        return causal_class(self._echelon[0])
+
+    def _fields(self):
+        return self.point, self.dim, self.tangent_basis, self.causal
+
+    def __eq__(self, other):
+        return isinstance(other, OrbitReport) and self._fields() == other._fields()
+
+    def __repr__(self):
+        return "OrbitReport(point={!r}, dim={!r}, tangent_basis={!r}, causal={!r})".format(
+            *self._fields())
+
+
+def _orbit_report(h: Subalgebra, p, scaled) -> OrbitReport:
+    """Rank at p from ``h.killing_rows`` dotted with ``scaled`` = (D*p, D): the
+    Killing fields at p, each scaled by a positive integer."""
+    fields = [[sum(map(mul, row, scaled)) for row in gen] for gen in h.killing_rows]
+    echelon = integer_rref(fields)
+    return OrbitReport(p, len(echelon[0]), echelon=echelon)
 
 
 def orbit_dimension(h: Subalgebra, p) -> OrbitReport:
-    """Exact rank and causal class of the tangent space of the orbit through p,
-    from integer elimination on the Killing fields at p, each scaled by a
-    positive integer: ``h.killing_rows`` dotted with the point (D*p, D)."""
+    """Exact rank of the orbit through p, from integer elimination on the
+    Killing fields at p; its tangent basis and causal class follow on first
+    read (see :class:`OrbitReport`)."""
     p = tuple(frac(x) for x in p)
-    (point,), _ = integral([(*p, 1)])
-    fields = [[sum(a * b for a, b in zip(row, point)) for row in gen] for gen in h.killing_rows]
-    tangent, pivots = integer_rref(fields)
-    return OrbitReport(
-        point=p,
-        dim=len(tangent),
-        tangent_basis=tuple(tuple(Fraction(x, row[c]) for x in row)
-                            for row, c in zip(tangent, pivots)),
-        causal=causal_class(tangent),
-    )
+    return _orbit_report(h, p, integral([(*p, 1)])[0][0])
 
 
 _DENOMINATORS = (3, 4, 5, 7)
+
+
+@lru_cache(maxsize=8)
+def _samples(seed: int, n: int):
+    rng = random.Random(seed)
+    points = tuple(tuple(Fraction(rng.randint(-10 * d, 10 * d), d) for d in _DENOMINATORS)
+                   for _ in range(n))
+    return points, tuple(integral([(*p, 1)])[0][0] for p in points)
 
 
 def sample_points(seed: int, n: int):
     """n pseudo-random rational points in [-10, 10]^4, reproducible from seed.
 
     Per-coordinate denominators are distinct small primes-ish so that the
-    samples rarely strike thin degenerate loci by accident.
+    samples rarely strike thin degenerate loci by accident.  Drawn once per
+    (seed, n) with their integer forms (D*p, D) into a small bounded cache, so
+    every caller shares one tuple of tuples.
     """
-    rng = random.Random(seed)
-    points = []
-    for _ in range(n):
-        points.append(tuple(
-            Fraction(rng.randint(-10 * d, 10 * d), d) for d in _DENOMINATORS
-        ))
-    return points
+    return _samples(seed, n)[0]
 
 
 @dataclass(frozen=True)
@@ -284,9 +319,11 @@ class CohomReport:
 def cohomogeneity(h: Subalgebra, seed: int = 42, samples: int = 32,
                   extra_points=()) -> CohomReport:
     """Max orbit dimension over seeded samples plus declared special points,
-    with every point's OrbitReport kept for the checks that reuse the survey."""
-    points = sample_points(seed, samples) + list(extra_points)
-    strata = tuple(orbit_dimension(h, p) for p in points)
+    with every point's OrbitReport kept for the checks that reuse the survey.
+    Only ranks are computed; a report derives the rest if a check reads it."""
+    points, scaled = _samples(seed, samples)
+    strata = (*(_orbit_report(h, p, s) for p, s in zip(points, scaled)),
+              *(orbit_dimension(h, p) for p in extra_points))
     best = max((rep.dim for rep in strata), default=0)
     return CohomReport(max_orbit_dim=best, cohomogeneity=4 - best, strata=strata)
 

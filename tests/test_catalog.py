@@ -18,14 +18,12 @@ from minkact.catalog import (
     verify_entry,
 )
 from minkact.group import translation
-from minkact.linalg import frac, vec4
+from minkact.linalg import vec4
 from minkact.orbits import orbit_dimension
 from minkact.properness import check_witness, fixed_point_nonproper_certificate
 from minkact.subalgebra import normalize_translations, require_closed
 
 ALL = catalog()
-# the package exports a function named ``catalog``, which shadows the module
-CATALOG_MODULE = importlib.import_module("minkact.catalog")
 ORBITS_MODULE = importlib.import_module("minkact.orbits")
 SCALE_FAMILIES = {"T3:N-aK1bA-l", "T4:aK1bA-N"}
 PARAMETRISED = [e for e in ALL if e.params]
@@ -289,14 +287,13 @@ def test_verify_entry_surveys_each_point_once(entry_id, monkeypatch):
     entry = entry_by_id(entry_id)
     assert not entry.errata  # erratum checks probe fixed points of their own
     calls = Counter()
-    real = ORBITS_MODULE.orbit_dimension
+    real = ORBITS_MODULE._orbit_report
 
-    def counting(h, p):
-        calls[tuple(coords10(b) for b in h.basis), tuple(frac(x) for x in p)] += 1
-        return real(h, p)
+    def counting(h, p, scaled):  # builds every orbit report, surveyed or not
+        calls[tuple(coords10(b) for b in h.basis), p] += 1
+        return real(h, p, scaled)
 
-    monkeypatch.setattr(ORBITS_MODULE, "orbit_dimension", counting)
-    monkeypatch.setattr(CATALOG_MODULE, "orbit_dimension", counting)
+    monkeypatch.setattr(ORBITS_MODULE, "_orbit_report", counting)
     assert verify_entry(entry).passed
     repeated = {key: n for key, n in calls.items() if n > 1}
     assert calls and not repeated

@@ -368,6 +368,7 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["classify", "{tmp}/zero.txt"],
+    ["classify", "{tmp}/latin1.txt"],
     ["witness", "--entry", "T3:nilpotent-pair", "--mu", "1/0"],
     ["orbit", "--entry", "T2:Ya+le1-W2", "--lambda", "1/0"],
     ["export", "--entry", "T4:aK1bA-N", "--a", "1/0", "--out", "-"],
@@ -393,7 +394,7 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     ["witness", "--entry", "T4:AN", "--seed", "7"],
     ["export", "--entry", "T1:R3", "--grid", "2", "--out", "-", "--json"],
 ], ids=[
-    "classify-zero-denominator", "witness-mu", "orbit-lambda", "export-a",
+    "classify-zero-denominator", "classify-not-utf8", "witness-mu", "orbit-lambda", "export-a",
     "witness-b", "orbit-point", "export-missing-dir", "verify-samples-0",
     "classify-samples-negative", "verify-steps-7", "witness-steps-4",
     "verify-tol-0", "witness-tol-negative", "witness-tol-nan", "verify-tol-inf",
@@ -403,6 +404,7 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "zero.txt").write_text("Ya + 1/0*e1\n")
+    (tmp_path / "latin1.txt").write_bytes("Ya\n# \u00e9t\u00e9\nYk1\n".encode("latin-1"))
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     try:
         code = main(argv)
@@ -414,6 +416,8 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert captured.err.splitlines()[-1] == errors[0]
+    if argv[0] == "classify" and "--samples" not in argv:  # the file is at fault
+        assert f"{argv[1]}:" in errors[0]
 
 
 def test_cli_import_leaves_scipy_out():

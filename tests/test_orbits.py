@@ -1,5 +1,6 @@
 """Orbit dimensions, invariant certification, and orbit-space evidence."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from minkact.algebra import (
     linear_from_coords,
     standard_generator,
 )
+from minkact.catalog import catalog, entry_by_id
 from minkact.group import cayley_so3, compose, rational_boost_34, translation
 from minkact.linalg import CausalKind, causal_type, echelon_basis, integral, vec4
 from minkact.orbits import (
@@ -30,7 +32,9 @@ from minkact.orbits import (
     orbit_space_report,
     sample_points,
 )
-from minkact.subalgebra import Subalgebra, require_closed
+from minkact.subalgebra import Subalgebra, closure_check, require_closed
+
+ORBITS_MODULE = importlib.import_module("minkact.orbits")
 
 YK1 = standard_generator("Yk1")
 YA = standard_generator("Ya")
@@ -139,16 +143,21 @@ points = st.just((0, 0, 0, 0)) | st.lists(entries, min_size=4, max_size=4).map(t
 
 
 @settings(max_examples=200, deadline=None)
-@given(killing_bases(), points)
-@example([YK1, YN1, YN2], (1, 2, 3, 5))
-@example([YK1, YA], (0, 0, 0, 0))
+@given(killing_bases(), points, st.integers(0, 10**6))
+@example([YK1, YN1, YN2], (1, 2, 3, 5), 42)
+@example([YK1, YA], (0, 0, 0, 0), 42)
 @example([E3 - E4, E3.scaled(Fraction(1, 999999)) - E4.scaled(Fraction(1, 999999))],
-         (Fraction(1, 10**6), 0, 0, 0))
-def test_orbit_dimension_matches_the_fraction_path(basis, p):
-    # orbit_dimension reads only the basis, so a non-closed one serves here
-    rep = orbit_dimension(Subalgebra(tuple(basis), {}), p)
+         (Fraction(1, 10**6), 0, 0, 0), 866494)
+def test_orbit_dimension_matches_the_fraction_path(basis, p, seed):
+    # orbit_dimension and the survey read only the basis, so a non-closed one serves here
+    h = Subalgebra(tuple(basis), {})
+    rep = orbit_dimension(h, p)
     assert rep == fraction_path_report(basis, p)
     assert all(type(x) is Fraction for row in rep.tangent_basis for x in row)
+    survey = cohomogeneity(h, seed=seed, samples=4)
+    assert [s.point for s in survey.strata] == list(sample_points(seed, 4))
+    for s in survey.strata:
+        assert s == fraction_path_report(basis, s.point)
 
 
 def test_conjugates_build_their_own_killing_rows():
@@ -223,6 +232,36 @@ def test_sample_points_deterministic_and_bounded():
     assert len(pts) == 8
     assert all(abs(x) <= 10 for p in pts for x in p)
     assert pts != sample_points(43, 8)
+    # drawn once and shared by every survey, so callers get immutable tuples
+    assert pts is sample_points(42, 8)
+    assert type(pts) is tuple and all(type(p) is tuple for p in pts)
+    assert pts[:3] == sample_points(42, 3)
+
+
+def test_survey_ranks_without_causal_classes(monkeypatch):
+    entry = entry_by_id("T4:K1AN")
+    h = require_closed(entry.build(entry.defaults[0]))
+    calls = []
+    real = ORBITS_MODULE.causal_class
+    monkeypatch.setattr(ORBITS_MODULE, "causal_class", lambda rows: calls.append(rows) or real(rows))
+    rep = cohomogeneity(h)
+    assert len(rep.strata) == 32 and calls == []
+    # the first read derives a report's causal class, later reads reuse it
+    assert [s.causal for s in rep.strata] == [s.causal for s in rep.strata]
+    assert len(calls) == 32
+
+
+@pytest.mark.parametrize("seed", [42, 866494])
+def test_survey_reports_derive_what_orbit_dimension_computes(seed):
+    insts = [(entry, closure_check(entry.build(params)))
+             for entry in catalog() for params in entry.defaults]
+    insts = [(entry, h) for entry, h in insts if isinstance(h, Subalgebra)]
+    assert len(insts) == 34
+    for entry, h in insts:
+        for rep in cohomogeneity(h, seed=seed).strata:
+            got = rep.dim, rep.tangent_basis, rep.causal
+            want = orbit_dimension(h, rep.point)
+            assert got == (want.dim, want.tangent_basis, want.causal), entry.entry_id
 
 
 def test_cohomogeneity_of_rotation_boost_null_group():
