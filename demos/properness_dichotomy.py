@@ -53,7 +53,7 @@ def nonproper_side():
     print(f"Non-proper side: {entry.entry_id} ({entry.summary}), "
           f"lam = {params['lam']}, mu = {params['mu']}")
     cert = fixed_point_nonproper_certificate(h)
-    print(f"  rational fixed point found by search: {cert is not None} "
+    print(f"  noncompact stabilizer at the origin: {cert is not None} "
           f"(the recurrent point is irrational here)")
     witness, mechanism = nonproperness_witness(entry, params, h)
     print(f"  mechanism: {mechanism}")

@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -63,12 +64,13 @@ def format_element(elt) -> str:
 
 
 def parse_element(text):
-    """Parse one generator line, e.g. ``Ya + 1/2*e1`` or ``Yn1 - 2*e2``."""
-    src = text.replace("-", "+-").replace(" ", "").replace("\t", "")
+    """Parse one generator line, e.g. ``Ya + 1/2*e1`` or ``Yn1 - 2.5e-3*e2``."""
+    term_sign = r"(?<![\d.][eE])"  # a sign not of an exponent, as in 1e-3 or 1.E+2
+    src = re.sub(term_sign + "-", "+-", text.replace(" ", "").replace("\t", ""))
     if src.startswith("+"):
         src = src[1:]
     total = [Fraction(0)] * len(_TOKENS)
-    for raw in src.split("+"):
+    for raw in re.split(term_sign + r"\+", src):
         if not raw:
             raise ValueError(f"empty term in {text!r}")
         coeff, term = (Fraction(-1), raw[1:]) if raw.startswith("-") else (Fraction(1), raw)

@@ -2,9 +2,10 @@
 
 Both sides of the dichotomy carry an exact certificate:
 
-* non-proper: a noncompact one-parameter subgroup fixing a point, or an
-  explicit escaping sequence g_n with bounded x_n and g_n . x_n checked
-  numerically to diverge in norm while the images stay Cauchy;
+* non-proper: a noncompact one-parameter subgroup fixing the origin, read
+  off one kernel (:func:`fixed_point_nonproper_certificate`), or an explicit
+  escaping sequence g_n with bounded x_n and g_n . x_n checked numerically
+  to diverge in norm while the images stay Cauchy;
 * proper: clock homomorphisms (:func:`clock_certificate`), linear functions
   that every group element shifts by a constant, whose common kernel is a
   translation group or a compact group with a fixed point.  No sampling.
@@ -17,7 +18,6 @@ element from a point and its image for each proper family;
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import random
@@ -57,8 +57,10 @@ class RecoveryMismatchError(AssertionError):
 class FixedPointCert:
     """A hyperbolic or parabolic one-parameter subgroup fixing ``point``.
 
-    Such a subgroup is closed and noncompact, and its orbit map at the fixed
-    point is constant, so the action cannot be proper.
+    ``coefficients`` is a primitive integer vector on the basis, and
+    ``point`` is the origin, where the kernel of the translation parts puts
+    it.  Such a subgroup is closed and noncompact, and its orbit map at the
+    fixed point is constant, so the action cannot be proper.
     """
 
     coefficients: tuple
@@ -71,46 +73,31 @@ def combination(coeffs, basis):
     return functools.reduce(operator.add, (b.scaled(c) for c, b in zip(coeffs, basis) if c))
 
 
-COMBO_RANGE = 2  # largest |coefficient| in the combination search
-
-
 def fixed_point_nonproper_certificate(h: Subalgebra):
-    """Search for a noncompact one-parameter subgroup with a fixed point.
+    """A hyperbolic or parabolic element of h fixing the origin, or None.
 
-    Basis elements are tried first, then small integer combinations of them
-    (coefficients in [-COMBO_RANGE, COMBO_RANGE]), deterministically.  Each
-    combination c is typed by the invariant rule of
+    The elements fixing the origin are the combinations c with
+    sum_b c_b x_b = 0: one kernel of the 4 x k matrix of translation parts.
+    Each kernel vector, scaled to a primitive integer vector, is typed by
     :func:`~minkact.subalgebra.type_from_invariants`, with tr(X^2) = c^T T c
-    and 2 Pf(eta X) = c^T P c read off two forms built once on the basis's
-    linear parts (scaled to integers, which keeps every sign): a nonzero
-    Pfaffian (mixed), a negative trace (elliptic) or a zero linear part (a
-    third form, its squared norm, vanishes) is skipped without building the
-    element.  Only hyperbolic and parabolic candidates are assembled and
-    solved for a fixed point.  Returns the first certificate found, or None.
+    and 2 Pf(eta X) = c^T P c read off the invariant forms of the basis's
+    linear parts.  The first hyperbolic or parabolic one is returned.
+
+    Scope: every catalog build is in translation normal form, and its
+    stabilizers sit at the origin.  Fixed points elsewhere are not looked
+    for: the screw family's, on sigma^2 + mu sigma - lambda^2 = 0 with
+    sigma = p3 + p4, and those of Lorentz conjugates of catalog records.
     """
-    dim = h.dim
-    singles = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    combos = [c for c in itertools.product(range(-COMBO_RANGE, COMBO_RANGE + 1), repeat=dim)
-              if any(c) and tuple(c) not in singles]
-    linears = [b.linear for b in h.basis]
-    trace_form, pf_form = (integral(form)[0] for form in invariant_forms(linears))
-    # squared Frobenius norm of the linear part: zero exactly when it is zero
-    flat = [[x for row in m for x in row] for m in linears]
-    norm_form = integral([[sum(x * y for x, y in zip(a, b)) for b in flat] for a in flat])[0]
-    for coeffs in singles + combos:
-        pf = quadratic_form(pf_form, coeffs)
-        if pf != 0:
-            continue
-        trace_sq = quadratic_form(trace_form, coeffs)
-        if trace_sq < 0 or trace_sq == 0 and quadratic_form(norm_form, coeffs) == 0:
-            continue
-        elt = combination(coeffs, h.basis)
-        kind = type_from_invariants(trace_sq, pf, elt.linear)  # hyperbolic or parabolic
-        # fixed point <=> the Killing field vanishes: X p = -x
-        sol = solve_linear(elt.linear, tuple(-t for t in elt.trans))
-        if sol.particular is not None:
-            return FixedPointCert(coefficients=tuple(coeffs), kind=kind,
-                                  point=tuple(sol.particular))
+    trace_form, pf_form = invariant_forms([b.linear for b in h.basis])
+    for c in kernel_of(transpose([b.trans for b in h.basis])):
+        (row,), _ = integral([c])
+        g = math.gcd(*row)
+        coeffs = tuple(x // g for x in row)
+        kind = type_from_invariants(quadratic_form(trace_form, coeffs),
+                                    quadratic_form(pf_form, coeffs),
+                                    combination(coeffs, h.basis).linear)
+        if kind in (OneParamType.HYPERBOLIC, OneParamType.PARABOLIC):
+            return FixedPointCert(coefficients=coeffs, kind=kind, point=vec4(0, 0, 0, 0))
     return None
 
 

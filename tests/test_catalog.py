@@ -236,7 +236,7 @@ def test_screw_family_notes_incidental_fixed_points():
 @pytest.mark.parametrize("lam, mu", [("3", "8"), ("2", "5/3"), ("-2", "5/3")])
 def test_screw_family_notes_fixed_points_off_the_search_box(lam, mu):
     # the fixed point (0,0,s,0) has a two-dimensional orbit; it is rational,
-    # but no small integer combination of the basis fixes it
+    # but off the origin, the only point the stabilizer certificate examines
     entry = entry_by_id("T3:nilpotent-pair")
     params = {"lam": Fraction(lam), "mu": Fraction(mu)}
     h = require_closed(entry.build(params))

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minkact
@@ -47,20 +47,45 @@ def summed_generators(terms):
     return total
 
 
+def exponent_form(mantissa, point, exponent, letter):
+    """(value, text) of a decimal coefficient such as 12.5e-3 or 4E+2."""
+    digits = str(abs(mantissa)).rjust(point + 1, "0")
+    text = f"{digits[:len(digits) - point]}.{digits[len(digits) - point:]}" if point else digits
+    sign = "-" if exponent < 0 else "+" if exponent % 2 else ""
+    value = Fraction(mantissa, 10 ** point) * Fraction(10) ** exponent
+    return value, f"{text}{letter}{sign}{abs(exponent)}"
+
+
+coefficients = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+    .map(lambda c: (c, str(abs(c)))),
+    st.builds(exponent_form, st.integers(-9999, 9999), st.integers(0, 3),
+              st.integers(-6, 6), st.sampled_from("eE")))
+
 generator_terms = st.lists(
-    st.tuples(st.sampled_from(GENERATOR_ORDER + ("e1", "e2", "e3", "e4")),
-              st.fractions(min_value=-50, max_value=50, max_denominator=10**6)),
+    st.tuples(st.sampled_from(GENERATOR_ORDER + ("e1", "e2", "e3", "e4")), coefficients),
     min_size=1, max_size=8)
 
 
 @settings(max_examples=200, deadline=None)
 @given(generator_terms)
+@example([("Ya", (Fraction(1), "1")), ("e1", (Fraction(1, 1000), "1e-3"))])
+@example([("Ya", (Fraction(100), "1E+2"))])
 def test_parse_element_equals_the_scaled_generator_sum(terms):
     text = ""
-    for token, coeff in terms:
+    for token, (coeff, magnitude) in terms:
         sign = "-" if coeff < 0 else "+"
-        text += f" {sign} {abs(coeff)}*{token}" if text else f"{sign}{abs(coeff)}*{token}"
-    assert parse_element(text) == summed_generators(terms)
+        text += f" {sign} {magnitude}*{token}" if text else f"{sign}{magnitude}*{token}"
+    assert parse_element(text) == summed_generators(
+        [(token, coeff) for token, (coeff, _) in terms])
+
+
+def test_classify_reads_exponent_notation(tmp_path, capsys):
+    path = write_generators(tmp_path, "exp.txt", ["Ya + 1e-3*e1", "1E+2*Ya"])
+    assert main(["classify", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("closed subalgebra: dim 2; translations 1")
 
 
 def test_parse_element_rejects_unknown_tokens():

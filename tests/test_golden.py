@@ -26,6 +26,12 @@ benchmark's classify workload draws them, and one dependent basis.  Each case
 holds the file's lines, the exit code and either the printed report or the
 error line.  Regenerate a case by writing its lines to a file and running
 ``classify FILE --json`` on it.
+
+``witness_cases.json`` pins the text output and exit code of ``witness`` on
+every non-proper default instantiation: each case holds the arguments after
+``witness``, the exit code and the printed lines.  Regenerate a case by
+running ``python -m minkact.cli witness`` with those arguments and pasting
+its output as the case's ``output``.
 """
 
 import json
@@ -81,6 +87,15 @@ def test_classify_json_matches_golden_fixture(case, tmp_path, capsys):
         assert captured.out == json.dumps(case["report"], indent=2) + "\n"
     else:
         assert captured.err == case["error"]
+
+
+WITNESS_CASES = json.loads((GOLDEN / "witness_cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", WITNESS_CASES, ids=lambda case: " ".join(case["argv"][1:]))
+def test_witness_text_matches_golden_fixture(case, capsys):
+    assert main(["witness", *case["argv"]]) == case["exit"]
+    assert capsys.readouterr().out == case["output"]
 
 
 if __name__ == "__main__":

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from minkact.algebra import standard_generator
+from minkact.algebra import fundamental_field, standard_generator
 from minkact.catalog import catalog, entry_by_id, nonproperness_witness
 from minkact.linalg import (
     ETA,
@@ -27,6 +27,7 @@ from minkact.properness import (
     WitnessSequence,
     check_witness,
     clock_certificate,
+    combination,
     compact_rotation_certificate,
     fixed_point_nonproper_certificate,
     fixed_point_witness,
@@ -106,8 +107,9 @@ def test_nonproper_entries_have_fixed_point_certificate(entry):
 
 
 def _reference_certificate(h, combo_range=2):
-    """The search done the slow way: assemble every combination in search
-    order and type it with one_param_type."""
+    """The box search the kernel replaced, done the slow way: assemble every
+    small integer combination in search order, type it with one_param_type
+    and solve it for a fixed point anywhere."""
     singles = [tuple(int(i == j) for j in range(h.dim)) for i in range(h.dim)]
     combos = [c for c in itertools.product(range(-combo_range, combo_range + 1),
                                            repeat=h.dim)
@@ -140,12 +142,40 @@ SEARCH_CASES = [(" ".join([e.entry_id] + [f"{k}={v}" for k, v in sorted(p.items(
     ("undecorated null rotation", entry_by_id("T2:Yn1-W2").build({})),
 ]
 
+# screw defaults with mu^2 + 4 lam^2 a rational square: their stabilizer fixes
+# (0, 0, s, 0) off the origin, where the box search found it and the kernel
+# at the origin does not look
+OFF_ORIGIN = {"T3:nilpotent-pair lam=1 mu=0", "T3:nilpotent-pair lam=-2 mu=0",
+              "T3:nilpotent-pair lam=-2 mu=3"}
+
+
+@pytest.mark.parametrize("label,basis", SEARCH_CASES, ids=[label for label, _ in SEARCH_CASES])
+def test_invariant_search_matches_reference_search(label, basis):
+    h = require_closed(basis)
+    cert, reference = fixed_point_nonproper_certificate(h), _reference_certificate(h)
+    if label in OFF_ORIGIN:
+        assert cert is None and reference is not None and any(reference.point)
+    else:
+        assert cert == reference
+
 
 @pytest.mark.parametrize("basis", [b for _, b in SEARCH_CASES],
                          ids=[label for label, _ in SEARCH_CASES])
-def test_invariant_search_matches_reference_search(basis):
+def test_certificate_is_a_noncompact_stabilizer(basis):
     h = require_closed(basis)
-    assert fixed_point_nonproper_certificate(h) == _reference_certificate(h)
+    cert = fixed_point_nonproper_certificate(h)
+    if cert is not None:
+        elt = combination(cert.coefficients, h.basis)
+        assert fundamental_field(elt, cert.point) == (0, 0, 0, 0)
+        assert one_param_type(elt.linear) is cert.kind
+
+
+@pytest.mark.parametrize("entry,params", [
+    pytest.param(e, p, id=e.entry_id + "".join(f"-{k}={v}" for k, v in p.items()))
+    for e in catalog() for p in e.defaults])
+def test_catalog_builds_are_in_translation_normal_form(entry, params):
+    # the certificate looks for stabilizers at the origin only
+    assert require_closed(entry.build(params)).normal_form[0] == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("entry_id,params", [
@@ -242,6 +272,27 @@ def test_clock_certificate_holds_across_the_drift_families(family, value):
     assert cert is not None and cert.kind == "translations"
     assert cert.kernel == (E3 - E4,)
     assert value in {rate for _, rates in cert.clocks for rate in rates}
+
+
+PARAMETRIZED = [e.entry_id for e in catalog() if e.params]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(PARAMETRIZED),
+       st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                min_size=2, max_size=2))
+@example("T3:nilpotent-pair", [Fraction(1), Fraction(0)])
+@example("T3:nilpotent-pair", [Fraction(-2), Fraction(3)])
+def test_exactly_one_certificate_decides_properness(entry_id, values):
+    entry = entry_by_id(entry_id)
+    params = dict(zip(entry.params, values))
+    assume(entry.admissible(params))
+    h = require_closed(entry.build(params))
+    clock, stabilizer = clock_certificate(h), fixed_point_nonproper_certificate(h)
+    if entry_id == "T3:nilpotent-pair":  # fixed-point free, or fixed off the origin
+        assert clock is None and stabilizer is None
+    else:
+        assert (clock is not None, stabilizer is not None) == (entry.proper, not entry.proper)
 
 
 # ---------------------------------------------------------------------------
