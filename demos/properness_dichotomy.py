@@ -14,13 +14,13 @@ Run:  python3 demos/properness_dichotomy.py
 from fractions import Fraction
 
 from minkact.catalog import entry_by_id, nonproperness_witness
-from minkact.group import act
+from minkact.group import act, compose, exp_element, translation
+from minkact.linalg import vscale
 from minkact.properness import (
     check_witness,
     clock_certificate,
     fixed_point_nonproper_certificate,
-    null_family_element,
-    recover_null_family,
+    recover_element,
 )
 from minkact.subalgebra import require_closed
 
@@ -29,18 +29,21 @@ def proper_side():
     entry = entry_by_id("T2:Yn1+me4-W2")
     mu = Fraction(3)
     print(f"Proper side: {entry.entry_id} ({entry.summary}), mu = {mu}")
-    g = null_family_element(Fraction(2, 3), Fraction(-1), Fraction(5), mu)
+    h = require_closed(entry.build({"mu": mu}))
+    cert = clock_certificate(h)
+    print(f"  clock certificate: {cert.describe()}")
+    drift, e2, null_line = h.basis
+    g = compose(translation(vscale(5, null_line.trans)),
+                exp_element(drift.scaled(Fraction(2, 3)) - e2, 1))
     x = (1, 2, 3, 5)
     y = act(g, x)
-    print(f"  a group element moves x = {x} to y = ({','.join(str(c) for c in y)})")
-    t, s, w = recover_null_family(x, y, mu)
-    print(f"  recovered parameters from (x, y) alone: t={t}, s={s}, w={w}")
-    g2 = null_family_element(t, s, w, mu)
-    print(f"  rebuilt element reproduces y exactly: {act(g2, x) == y}")
-    h = require_closed(entry.build({"mu": mu}))
-    print(f"  clock certificate: {clock_certificate(h).describe()}")
-    print("  (the clock p3+p4 advances by mu along the null rotation: it reads t off")
-    print("   exactly as the recovery map does, and the kernel e3-e4 acts freely)")
+    print("  g = translation by 5(e3-e4) after exp(2/3 (Yn1 + mu e4) - e2)")
+    print(f"  moves x = {x} to y = ({','.join(str(c) for c in y)})")
+    readings = [sum(c * (b - a) for c, a, b in zip(cov, x, y)) for cov, _ in cert.clocks]
+    print(f"  the clocks read ({','.join(map(str, readings))}) off (x, y): the rates of the "
+          f"section exp(2/3 (Yn1 + mu e4) - e2);")
+    print("  the displacement left over is the kernel translation 5(e3-e4)")
+    print(f"  recovered element equals g exactly: {recover_element(cert, x, y) == g}")
     print(f"  noncompact stabilizer anywhere? "
           f"{fixed_point_nonproper_certificate(h) is not None}")
     print()

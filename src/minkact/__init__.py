@@ -57,11 +57,12 @@ from .orbits import (
 )
 from .properness import (
     check_witness,
-    compact_rotation_certificate,
+    clock_certificate,
     fixed_point_nonproper_certificate,
     fixed_point_witness,
     nilpotent_pair_witness,
     parameter_recovery_check,
+    recover_element,
 )
 from .subalgebra import (
     NotClosed,
@@ -106,7 +107,7 @@ __all__ = [
     "check_witness",
     "closure_check",
     "cohomogeneity",
-    "compact_rotation_certificate",
+    "clock_certificate",
     "compose",
     "coords10",
     "element",
@@ -130,6 +131,7 @@ __all__ = [
     "orbit_dimension",
     "orbit_space_report",
     "parameter_recovery_check",
+    "recover_element",
     "require_closed",
     "sample_points",
     "standard_generator",

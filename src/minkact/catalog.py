@@ -130,7 +130,6 @@ class CatalogEntry:
     expected_cohomogeneity: int
     strata_witnesses: object  # params -> ((point, dim), ...)
     proper: bool
-    recovery: tuple | None = None  # (kind, (params, basis) -> kwargs)
     orbit_space: object | None = None  # params -> OrbitSpaceSpec
     principal_causal: CausalKind | None = None
     degenerate_locus: object | None = None  # point -> bool
@@ -153,6 +152,12 @@ class CatalogEntry:
     def params(self) -> tuple:
         """Parameter names, in the order every default lists them."""
         return tuple(self.defaults[0])
+
+    @property
+    def recovery(self):
+        """(kind, (params, basis) -> kwargs) for parameter_recovery_check on a
+        proper record: the one recovery map, read off the clock certificate."""
+        return ("clock", lambda p, basis: {"basis": basis}) if self.proper else None
 
     def expected_strata(self, params):
         """Orbit dimensions, descending: the generic 4 - cohomogeneity and the
@@ -187,10 +192,6 @@ def _halfline_spec(invariant, transversal, singular, witnesses):
         singular=singular,
         singular_witnesses=tuple(tuple(map(Fraction, p)) for p in witnesses),
     )
-
-
-def _translation_span(params, basis):
-    return {"span": tuple(b.trans for b in basis)}
 
 
 def _perfect_square_root(x: Fraction):
@@ -254,7 +255,6 @@ def builtin_catalog():
         build=lambda p: (T1, T2, T3),
         expected_invariants=_inv(3, 3, _sp(3), 0, ()),
         proper=True,
-        recovery=("translation", _translation_span),
         orbit_space=lambda p: _line_spec(
             Poly.var(3), [(0, 0, 0, s) for s in (-2, -1, 0, 1, 2)]),
         principal_causal=CausalKind.SPACELIKE,
@@ -265,7 +265,6 @@ def builtin_catalog():
         build=lambda p: (T2, T3, T4),
         expected_invariants=_inv(3, 3, _lor(3), 0, ()),
         proper=True,
-        recovery=("translation", _translation_span),
         orbit_space=lambda p: _line_spec(
             Poly.var(0), [(s, 0, 0, 0) for s in (-2, -1, 0, 1, 2)]),
         principal_causal=CausalKind.LORENTZIAN,
@@ -276,7 +275,6 @@ def builtin_catalog():
         build=lambda p: (T1, T2, TL),
         expected_invariants=_inv(3, 3, _deg(3), 0, ()),
         proper=True,
-        recovery=("translation", _translation_span),
         orbit_space=lambda p: _line_spec(
             _SIGMA, [(0, 0, s, s) for s in (-2, -1, 0, 1, 2)]),
         principal_causal=CausalKind.DEGENERATE,
@@ -298,7 +296,6 @@ def builtin_catalog():
         expected_invariants=_inv(3, 2, _lor(2), 1, (_E,)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 2), ((0, 0, 3, 5), 2)),
         proper=True,
-        recovery=("so2", lambda p, basis: {}),
         orbit_space=lambda p: _halfline_spec(
             _POLY_F_SO2, [(s, 0, 0, 0) for s in (0, 1, 2)],
             (2, CausalKind.LORENTZIAN), [(0, 0, 0, 0), (0, 0, 3, 5)]),
@@ -312,7 +309,6 @@ def builtin_catalog():
         defaults=({"lam": Fraction(1)}, {"lam": Fraction(-2)}),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_H,)),
         proper=True,
-        recovery=("boost", lambda p, basis: {"lam": p["lam"]}),
         orbit_space=lambda p: _line_spec(
             ExpInvariant(level_cov=(0, 0, 1, 1), exp_cov=(1, 0, 0, 0),
                          scale=p["lam"]),
@@ -337,7 +333,6 @@ def builtin_catalog():
         defaults=({"mu": Fraction(3)},),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_P,)),
         proper=True,
-        recovery=("null", lambda p, basis: {"mu": p["mu"]}),
         orbit_space=lambda p: _line_spec(
             Poly.var(0).scale(2 * p["mu"]) - _SIGMA * _SIGMA,
             [(s, 0, 0, 0) for s in (-2, -1, 0, 1, 2)]),
@@ -377,7 +372,6 @@ def builtin_catalog():
         expected_invariants=_inv(4, 1, _TIME1, 3, (_E, _E, _E)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 3), 1)),
         proper=True,
-        recovery=("so3", lambda p, basis: {}),
         orbit_space=lambda p: _halfline_spec(
             _POLY_F_SO3, [(s, 0, 0, 0) for s in (0, 1, 2)],
             (1, CausalKind.TIMELIKE), [(0, 0, 0, 3), (0, 0, 0, -1)]),
@@ -495,7 +489,6 @@ def builtin_catalog():
         expected_cohomogeneity=2,
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 0)),
         proper=True,
-        recovery=("rotation-only", lambda p, basis: {}),
     ))
     add(_entry(
         entry_id="Excluded:K1N",
@@ -803,9 +796,7 @@ def _check_properness(entry, insts, steps, tol):
             f"{mechanism}; norms {rep.group_norms[0]:.3g} -> "
             f"{rep.group_norms[-1]:.3g} over {len(rep.steps)} dyadic steps")
     if entry.proper:
-        recovery, _ = entry.recovery
-        return CheckResult("properness", True,
-                           f"proper: {recovery} recovery map; " + "; ".join(notes))
+        return CheckResult("properness", True, "proper: " + "; ".join(notes))
     return CheckResult("properness", True, "not proper: " + "; ".join(sorted(set(notes))))
 
 

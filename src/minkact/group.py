@@ -6,8 +6,9 @@ touches them.  Exponentials exp(tX) come from one closed form driven by the
 two Lorentz invariants tr(X^2) and Pf(eta X): exact for nilpotent X and an
 exact t, numpy floats otherwise (boosts, rotations by generic angles,
 properness sequences, orbit patches).  Exact rational rotations and boosts
-are available through half-angle/half-velocity parameterizations for tests
-and recovery trials that must stay in the rationals.
+come from half-angle/half-velocity parameterizations and from the Cayley
+transform of a compact linear part about a point, which the properness
+recovery map and its trials use to stay in the rationals.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from .linalg import (
     ZERO4,
     frac,
     mat,
+    mat_is_zero,
     matmul,
     matvec,
     rref,
     transpose,
     vadd,
     vneg,
+    vscale,
+    vsub,
 )
 from .subalgebra import lorentz_invariants
 
@@ -92,13 +96,6 @@ def to_numeric(g: Isometry) -> NumericIsometry:
 # ---------------------------------------------------------------------------
 
 
-def embed5(a: AlgebraElement):
-    """5x5 homogeneous embedding: linear part top-left, translation last column."""
-    rows = [list(a.linear[i]) + [a.trans[i]] for i in range(4)]
-    rows.append([0, 0, 0, 0, 0])
-    return mat(rows)
-
-
 def _phis(z):
     """(phi_1, ..., phi_4) at z, where phi_k(z) = sum_{j>=0} z^j / (2j + k)!.
 
@@ -116,7 +113,7 @@ def _phis(z):
 
 
 def exp_coefficients(trace_sq, pfaffian, t):
-    """(c1, ..., c4) with exp(tM) = I + c1 M + ... + c4 M^4, M the 5x5 embedding.
+    """(c1, ..., c4) with exp(tM) = I + c1 M + ... + c4 M^4, M = [[X, x], [0, 0]].
 
     M has eigenvalues 0, +-alpha and +-i beta, where alpha^2 - beta^2 =
     tr(X^2)/2 and alpha^2 beta^2 = Pf(eta X)^2; interpolating exp at them
@@ -141,14 +138,16 @@ def exp_element_exact(a: AlgebraElement, t) -> Isometry:
     trace_sq, pfaffian = lorentz_invariants(a.linear)
     if trace_sq != 0 or pfaffian != 0:
         raise ValueError("exponential series does not terminate; use the numeric variant")
+    if mat_is_zero(a.linear):
+        return translation(vscale(t, a.trans))
     c1, c2, c3, _ = exp_coefficients(trace_sq, pfaffian, frac(t))
-    m = embed5(a)
-    m2 = matmul(m, m)
-    m3 = matmul(m2, m)
-    total = [[int(i == j) + c1 * m[i][j] + c2 * m2[i][j] + c3 * m3[i][j]
-              for j in range(5)] for i in range(4)]
-    return Isometry(tuple(tuple(row[:4]) for row in total),
-                    tuple(row[4] for row in total))
+    # M^k = [[X^k, X^(k-1) x], [0, 0]] on the 5x5 embedding, and X^3 = 0
+    x, xx = a.linear, matmul(a.linear, a.linear)
+    return Isometry(
+        tuple(tuple(int(i == j) + c1 * x[i][j] + c2 * xx[i][j] for j in range(4))
+              for i in range(4)),
+        tuple(c1 * p + c2 * q + c3 * r
+              for p, q, r in zip(a.trans, matvec(x, a.trans), matvec(xx, a.trans))))
 
 
 def exp_element_numeric(a: AlgebraElement, t: float) -> NumericIsometry:
@@ -196,25 +195,26 @@ def rational_boost_34(tau) -> Isometry:
     return Isometry(mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, ch, sh], [0, 0, sh, ch]]), ZERO4)
 
 
-def cayley_so3(a, b, c) -> Isometry:
-    """Exact rotation block from the Cayley transform of a skew 3x3 matrix.
+def cayley(a, point=ZERO4) -> Isometry:
+    """Exact Cayley transform of an eta-skew 4x4 linear part A about a point p.
 
-    (I - S)^{-1}(I + S) with S = [[0,-a,-b],[a,0,-c],[b,c,0]] is orthogonal
-    with determinant one for any rational a, b, c; acts trivially on e4.
+    V = (I - A)^{-1}(I + A) satisfies V^t eta V = eta whenever I - A is
+    invertible, as it is for every A of a compact group (its eigenvalues are
+    imaginary); the isometry is q -> p + V(q - p).  Row reduction of the
+    augmented block [I - A | I + A] ends in [I | V].
     """
+    reduced, pivots = rref([[IDENTITY4[i][j] - a[i][j] for j in range(4)]
+                            + [IDENTITY4[i][j] + a[i][j] for j in range(4)] for i in range(4)],
+                           pivot_limit=4)
+    if len(pivots) < 4:
+        raise ValueError("I - A is singular; the Cayley transform is undefined")
+    v = tuple(row[4:] for row in reduced)
+    return Isometry(v, vsub(point, matvec(v, point)))
+
+
+def cayley_so3(a, b, c) -> Isometry:
+    """Exact rotation fixing e4: the Cayley transform of the skew 3x3 matrix
+    S = [[0,-a,-b],[a,0,-c],[b,c,0]], orthogonal with determinant one for any
+    rational a, b, c."""
     a, b, c = frac(a), frac(b), frac(c)
-    s = ((0, -a, -b), (a, 0, -c), (b, c, 0))
-    # I - S is invertible (det 1 + a^2 + b^2 + c^2), so row reduction of the
-    # augmented block [I - S | I + S] ends in [I | R]
-    reduced, _ = rref([[IDENTITY4[i][j] - s[i][j] for j in range(3)]
-                       + [IDENTITY4[i][j] + s[i][j] for j in range(3)] for i in range(3)])
-    rows = [list(row[3:]) + [0] for row in reduced] + [[0, 0, 0, 1]]
-    return Isometry(mat(rows), ZERO4)
-
-
-def numeric_boost_34(t: float) -> NumericIsometry:
-    """Float boost exp(t * Ya): cosh/sinh in the (3,4) block."""
-    v = np.eye(4)
-    v[2, 2] = v[3, 3] = math.cosh(t)
-    v[2, 3] = v[3, 2] = math.sinh(t)
-    return NumericIsometry(v, np.zeros(4))
+    return cayley(mat([[0, -a, -b, 0], [a, 0, -c, 0], [b, c, 0, 0], [0, 0, 0, 0]]))

@@ -10,9 +10,10 @@ Both sides of the dichotomy carry an exact certificate:
   that every group element shifts by a constant, whose common kernel is a
   translation group or a compact group with a fixed point.  No sampling.
 
-The constructive parameter-recovery maps (``recover_*``) rebuild a group
-element from a point and its image for each proper family;
-:func:`parameter_recovery_check` exercises them over seeded random trials.
+The clock certificate is also constructive: :func:`recover_element` reads
+the group element carrying a point to its image off the clocks, a section
+and one kernel solve, and :func:`parameter_recovery_check` exercises it over
+seeded random trials.
 """
 
 from __future__ import annotations
@@ -26,18 +27,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .group import (
-    Isometry,
-    act,
-    cayley_so3,
-    exp_element,
-    numeric_boost_34,
-    rational_rotation_12,
-    translation,
-)
-from .linalg import (frac, integral, kernel_of, mat_is_zero, matmul, quadratic_form, solve_linear,
-                     span_contains, sylvester_signature, transpose, vec4)
-from .subalgebra import OneParamType, Subalgebra, invariant_forms, type_from_invariants
+from .algebra import element
+from .group import (Isometry, NumericIsometry, act, cayley, compose, exp_element, to_numeric,
+                    translation)
+from .linalg import (echelon_basis, integral, kernel_of, mat_is_zero, matvec, quadratic_form,
+                     reduce_mod, solve_linear, sylvester_signature, transpose, vadd, vec4, vsub)
+from .subalgebra import (OneParamType, Subalgebra, invariant_forms, require_closed,
+                         type_from_invariants)
 
 
 class WitnessFailedError(AssertionError):
@@ -69,8 +65,9 @@ class FixedPointCert:
 
 
 def combination(coeffs, basis):
-    """sum_i c_i basis_i, for coefficients that are not all zero."""
-    return functools.reduce(operator.add, (b.scaled(c) for c, b in zip(coeffs, basis) if c))
+    """sum_i c_i basis_i; the zero element when every coefficient is zero."""
+    terms = [b.scaled(c) for c, b in zip(coeffs, basis) if c]
+    return functools.reduce(operator.add, terms) if terms else element()
 
 
 def fixed_point_nonproper_certificate(h: Subalgebra):
@@ -101,13 +98,6 @@ def fixed_point_nonproper_certificate(h: Subalgebra):
     return None
 
 
-def compact_rotation_certificate(h: Subalgebra) -> bool:
-    """True when the clock certificate's kernel is all of h and compact: the
-    group fixes a point, is conjugate to rotations, and acts properly."""
-    cert = clock_certificate(h)
-    return cert is not None and cert.kind == "compact" and len(cert.kernel) == h.dim
-
-
 # ---------------------------------------------------------------------------
 # Clock certificates (properness, exact)
 # ---------------------------------------------------------------------------
@@ -122,10 +112,12 @@ def _linear_form(cov):
 
 @dataclass(frozen=True)
 class ClockCertificate:
-    """Clocks (covector, rates) with rates[b] = c . x_b, the basis of their
-    kernel ideal, its kind ('translations' or 'compact') and, when compact,
-    a point the kernel fixes."""
+    """For the basis x_b of h: clocks (covector, rates) with
+    rates[b] = c . x_b, the basis of their kernel ideal, its kind
+    ('translations' or 'compact') and, when compact, a point the kernel
+    fixes."""
 
+    basis: tuple
     clocks: tuple
     kernel: tuple
     kind: str
@@ -166,13 +158,13 @@ def clock_certificate(h: Subalgebra):
     clocks = tuple(zip(covectors, rates))
     linears = [z.linear for z in kernel]
     if all(mat_is_zero(x) for x in linears):
-        return ClockCertificate(clocks, kernel, "translations", None)
+        return ClockCertificate(h.basis, clocks, kernel, "translations", None)
     trace_form, pf_form = invariant_forms(linears)
     if sylvester_signature(trace_form)[1] != len(kernel) or any(map(any, pf_form)):
         return None
     point = solve_linear([row for x in linears for row in x],
                          [-t for z in kernel for t in z.trans]).particular
-    return None if point is None else ClockCertificate(clocks, kernel, "compact", point)
+    return None if point is None else ClockCertificate(h.basis, clocks, kernel, "compact", point)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +315,9 @@ class RecoveryReport:
     trials: int
 
 
+RECOVERY_TOL = 1e-9  # endpoint tolerance when the section is a float exponential
+
+
 def _sample_fraction(rng, lo=-8, hi=8, den=5):
     return Fraction(rng.randint(lo * den, hi * den), den)
 
@@ -331,206 +326,96 @@ def _sample_point(rng):
     return vec4(*(_sample_fraction(rng) for _ in range(4)))
 
 
-def _reflection3(u):
-    """3x3 Householder reflection across the plane orthogonal to u (exact)."""
-    uu = sum(c * c for c in u)
-    return tuple(tuple(Fraction(i == j) - 2 * u[i] * u[j] / uu for j in range(3))
-                 for i in range(3))
+def _image(g, x):
+    """g . x as Fractions, for an exact or a float isometry; a float image
+    converts exactly, so the solves downstream stay in the rationals."""
+    if isinstance(g, Isometry):
+        return act(g, x)
+    return tuple(map(Fraction, g.V @ np.array([float(c) for c in x]) + g.v))
 
 
-def rotation_between(x3, y3):
-    """Exact rational rotation V in SO(3) with V x3 = y3, given |x3|^2 = |y3|^2.
+def _section(cert: ClockCertificate, phi):
+    """exp(Z) for the Z in h with clock rates phi, or None if phi is no rates'
+    value: the particular solution of one solve on the rate matrix, linear in
+    phi, hence a continuous section of the clock homomorphism."""
+    rates = [r for _, r in cert.clocks] or [[0] * len(cert.basis)]
+    a = solve_linear(rates, list(phi) or [0]).particular
+    return None if a is None else exp_element(combination(a, cert.basis), 1)
 
-    Built as a product of at most two reflections: one exchanging x and y,
-    one restoring the determinant while fixing y.
+
+def _kernel_element(cert: ClockCertificate, beta):
+    """The kernel element with coordinates beta: a translation, or the Cayley
+    transform of the combined linear part about the fixed point."""
+    z = combination(beta, cert.kernel)
+    return translation(z.trans) if cert.kind == "translations" else cayley(z.linear, cert.point)
+
+
+def recover_element(cert: ClockCertificate, x, y):
+    """The group element g = k o s with g . x = y, from the pair (x, y) alone.
+
+    The clocks read phi(g) = l(y) - l(x) off the pair, and the section s has
+    phi(s) = phi, so k = g s^-1 lies in the kernel K and carries s . x to y.
+    For translations, k is the displacement y - s . x less its remainder
+    modulo K's span, which the endpoint check demands be zero.  For a
+    compact K fixing p, with u = s . x - p and v = y - p, one solve gives A
+    in K's linear parts with A(u + v) = v - u, and its Cayley transform
+    about p carries u to v.  Exact when Z is nilpotent, otherwise float and
+    checked at RECOVERY_TOL.  Raises RecoveryMismatchError when no element
+    of H carries x to y: y off the orbit, unequal norms under rotations, or
+    a half-turn.
     """
-    x3 = tuple(frac(c) for c in x3)
-    y3 = tuple(frac(c) for c in y3)
-    if sum(c * c for c in x3) != sum(c * c for c in y3):
-        raise ValueError("spatial norms differ; no rotation exists")
-    identity = tuple(tuple(Fraction(i == j) for j in range(3)) for i in range(3))
-    if x3 == y3:
-        return identity
-    u = tuple(a - b for a, b in zip(x3, y3))
-    first = _reflection3(u)  # maps x3 to y3, determinant -1
-    if y3[0] == 0 and y3[1] == 0 and y3[2] == 0:
-        raise ValueError("cannot fix the origin with a reflection")
-    w = (-y3[1], y3[0], Fraction(0)) if (y3[0] != 0 or y3[1] != 0) else (Fraction(1), Fraction(0), Fraction(0))
-    return matmul(_reflection3(w), first)
-
-
-def _embed3(v3):
-    """The 4x4 isometry acting as v3 on space and fixing time."""
-    zero = Fraction(0)
-    return tuple((*row, zero) for row in v3) + ((zero, zero, zero, Fraction(1)),)
-
-
-def recover_translation(x, y, span):
-    """Recover a pure translation carrying x to y; its vector must lie in span."""
-    v = tuple(b - a for a, b in zip(x, y))
-    if span_contains(list(span), v) is None:
-        raise RecoveryMismatchError(f"displacement {v} escapes the translation span")
-    return translation(v)
-
-
-def recover_rotation_translation(x, y):
-    """Recover (R, w): planar rotation in the (1,2) coordinates plus a
-    translation along the last two axes.  Exact via the half-angle tangent."""
-    x1, x2 = x[0], x[1]
-    y1, y2 = y[0], y[1]
-    r2 = x1 * x1 + x2 * x2
-    if r2 != y1 * y1 + y2 * y2:
-        raise RecoveryMismatchError("rotation radius mismatch")
-    if r2 == 0:
-        return translation((Fraction(0), Fraction(0), y[2] - x[2], y[3] - x[3]))
-    denom = r2 + x1 * y1 + x2 * y2
-    if denom == 0:
-        raise RecoveryMismatchError("half-turn is outside the rational chart")
-    tau = (x1 * y2 - x2 * y1) / denom
-    rot = rational_rotation_12(tau)
-    rx = act(Isometry(rot.V, rot.v), x)
-    w = tuple(b - a for a, b in zip(rx, y))
-    if w[0] != 0 or w[1] != 0:
-        raise RecoveryMismatchError("residual translation leaves the (3,4) plane")
-    return Isometry(rot.V, vec4(0, 0, w[2], w[3]))
-
-
-def recover_spatial_rotation(x, y, allow_e4=True):
-    """Recover (V, u e4) with V a rational SO(3) rotation: spatial parts are
-    matched by a two-reflection rotation, the time gap rides on e4."""
-    if not allow_e4 and x[3] != y[3]:
-        raise RecoveryMismatchError("time coordinates differ for a pure rotation")
-    v3 = rotation_between(x[:3], y[:3])
-    big = _embed3(v3)
-    u = y[3] - x[3] if allow_e4 else Fraction(0)
-    return Isometry(big, vec4(0, 0, 0, u))
-
-
-def recover_boost_family(x, y, lam, tol=1e-9):
-    """Recover (t, s, w) for the boost-with-drift family; numeric in t.
-
-    Group elements: boost by t in the (3,4) plane, translation
-    (lam t, s, w, -w).  The first coordinate moves only by the drift, so t
-    reads off exactly; the remaining components are checked at tol.
-    """
-    lam = float(lam)
-    xf = [float(c) for c in x]
-    yf = [float(c) for c in y]
-    t = (yf[0] - xf[0]) / lam
-    s = yf[1] - xf[1]
-    ch, sh = math.cosh(t), math.sinh(t)
-    w = yf[2] - ch * xf[2] - sh * xf[3]
-    y4 = sh * xf[2] + ch * xf[3] - w
-    if abs(y4 - yf[3]) > tol:
-        raise RecoveryMismatchError(
-            f"boost recovery residual {abs(y4 - yf[3]):.3g} exceeds {tol}"
-        )
-    return t, s, w, boost_family_element_numeric(t, s, w, lam)
-
-
-def recover_null_family(x, y, mu):
-    """Recover (t, s, w) for the null-rotation-with-drift family, exactly.
-
-    Group elements: N_t = exp of t times the null rotation, translation
-    (mu t^2/2, s, w, mu t - w).  The lightlike level p3+p4 moves by mu t,
-    so t is rational whenever the data are.
-    """
-    mu = frac(mu)
-    t = ((y[2] + y[3]) - (x[2] + x[3])) / mu
-    s = y[1] - x[1]
-    # (N_t x)_3 = x3 - t x1 - (t^2/2)(x3 + x4)
-    w = y[2] - (x[2] - t * x[0] - t * t * (x[2] + x[3]) / 2)
-    return t, s, w
-
-
-def null_family_element(t, s, w, mu):
-    """The exact group element of the null family with parameters (t, s, w)."""
-    t, s, w, mu = frac(t), frac(s), frac(w), frac(mu)
-    one, zero = Fraction(1), Fraction(0)
-    half_t2 = t * t / 2
-    V = (
-        (one, zero, t, t),
-        (zero, one, zero, zero),
-        (-t, zero, one - half_t2, -half_t2),
-        (t, zero, half_t2, one + half_t2),
-    )
-    v = vec4(mu * t * t / 2, s, w, mu * t - w)
-    return Isometry(V, v)
-
-
-def boost_family_element_numeric(t, s, w, lam):
-    t, s, w, lam = float(t), float(s), float(w), float(lam)
-    return numeric_boost_34(t).V, np.array([lam * t, s, w, -w])
+    x, y = tuple(map(Fraction, x)), tuple(map(Fraction, y))
+    phi = [sum(c * (b - a) for c, a, b in zip(cov, x, y)) for cov, _ in cert.clocks]
+    s = _section(cert, phi)
+    if s is None:
+        raise RecoveryMismatchError(f"clock readings {phi} are the rates of no element of h")
+    sx = _image(s, x)
+    if cert.kind == "translations":
+        d = vsub(y, sx)
+        k = translation(vsub(d, reduce_mod(echelon_basis([z.trans for z in cert.kernel]), d)))
+    else:
+        u, v = vsub(sx, cert.point), vsub(y, cert.point)
+        w = vadd(u, v)
+        beta = solve_linear(transpose([matvec(z.linear, w) for z in cert.kernel]),
+                            vsub(v, u)).particular
+        if beta is None:
+            raise RecoveryMismatchError("no kernel rotation carries s.x to y")
+        k = _kernel_element(cert, beta)
+    if isinstance(s, Isometry):
+        g = compose(k, s)
+    else:
+        kn = to_numeric(k)
+        g = NumericIsometry(kn.V @ s.V, kn.v + kn.V @ s.v)
+    gap = max(abs(a - b) for a, b in zip(_image(g, x), y))
+    if gap > (0 if isinstance(g, Isometry) else RECOVERY_TOL):
+        raise RecoveryMismatchError(f"recovered element misses y by {float(gap):.3g}")
+    return g
 
 
 def parameter_recovery_check(kind, params, trials: int = 100, seed: int = 777) -> RecoveryReport:
-    """Run randomized recovery trials for one proper family.
+    """Run seeded recovery trials on one proper group.
 
-    kind is one of 'translation', 'so2', 'so3', 'rotation-only', 'boost',
-    'null'; params carries what that family needs (translation span, or the
-    drift coefficient).  Every trial builds a group element, pushes a random
-    point through it, recovers an element from the endpoint pair alone, and
-    demands the recovered element reproduce the endpoint (exactly, except for
-    the boost family which is checked at 1e-9).
+    kind must be 'clock', with params {'basis': basis} for a subalgebra h
+    with a clock certificate.  Each trial draws g = k o exp(Z), with Z the
+    section of the rates of a random rational combination of the basis and
+    k a random kernel element, pushes a random point x through g, and
+    demands that :func:`recover_element` rebuild from (x, g . x) alone an
+    element that reproduces the endpoint: exactly when Z is nilpotent, at
+    RECOVERY_TOL otherwise.
     """
+    if kind != "clock":
+        raise ValueError(f"unknown recovery kind: {kind}")
+    cert = clock_certificate(require_closed(params["basis"]))
+    if cert is None:
+        raise ValueError("the algebra has no clock certificate")
     rng = random.Random(seed)
-    for trial in range(trials):
+    for _ in range(trials):
         x = _sample_point(rng)
-        if kind == "translation":
-            span = params["span"]
-            coeffs = [_sample_fraction(rng) for _ in span]
-            v = vec4(0, 0, 0, 0)
-            for c, s_vec in zip(coeffs, span):
-                v = tuple(a + c * b for a, b in zip(v, s_vec))
-            g = translation(v)
-            y = act(g, x)
-            got = recover_translation(x, y, span)
-            if act(got, x) != y:
-                raise RecoveryMismatchError(f"trial {trial}: translation endpoint mismatch")
-        elif kind == "so2":
-            if x[0] == 0 and x[1] == 0:
-                x = vec4(x[0] + 1, x[1], x[2], x[3])
-            tau = _sample_fraction(rng, -3, 3, 7)
-            rot = rational_rotation_12(tau)
-            g = Isometry(rot.V, vec4(0, 0, _sample_fraction(rng), _sample_fraction(rng)))
-            y = act(g, x)
-            got = recover_rotation_translation(x, y)
-            if act(got, x) != y:
-                raise RecoveryMismatchError(f"trial {trial}: rotation endpoint mismatch")
-        elif kind in ("so3", "rotation-only"):
-            a, b, c = (_sample_fraction(rng, -3, 3, 4) for _ in range(3))
-            rot = cayley_so3(a, b, c)
-            u = _sample_fraction(rng) if kind == "so3" else Fraction(0)
-            g = Isometry(rot.V, vec4(0, 0, 0, u))
-            y = act(g, x)
-            got = recover_spatial_rotation(x, y, allow_e4=(kind == "so3"))
-            if act(got, x) != y:
-                raise RecoveryMismatchError(f"trial {trial}: spatial rotation endpoint mismatch")
-        elif kind == "boost":
-            lam = params["lam"]
-            t = rng.uniform(-2.0, 2.0)
-            s = rng.uniform(-5.0, 5.0)
-            w = rng.uniform(-5.0, 5.0)
-            V, v = boost_family_element_numeric(t, s, w, lam)
-            xf = np.array([float(c) for c in x])
-            y = V @ xf + v
-            t2, s2, w2, (V2, v2) = recover_boost_family(xf, y, lam)
-            y2 = V2 @ xf + v2
-            if float(np.linalg.norm(y2 - y)) > 1e-9:
-                raise RecoveryMismatchError(f"trial {trial}: boost endpoint mismatch")
-        elif kind == "null":
-            mu = params["mu"]
-            t = _sample_fraction(rng, -3, 3, 7)
-            s = _sample_fraction(rng)
-            w = _sample_fraction(rng)
-            g = null_family_element(t, s, w, mu)
-            y = act(g, x)
-            t2, s2, w2 = recover_null_family(x, y, mu)
-            g2 = null_family_element(t2, s2, w2, mu)
-            if act(g2, x) != y:
-                raise RecoveryMismatchError(f"trial {trial}: null-family endpoint mismatch")
-            if (t2, s2, w2) != (t, s, w):
-                raise RecoveryMismatchError(f"trial {trial}: null-family parameters drift")
-        else:
-            raise ValueError(f"unknown recovery kind: {kind}")
+        # |a| <= 2 keeps a boost section's float endpoint within RECOVERY_TOL
+        # for drifts down to 1/1000, where reading the rapidity off the
+        # clock divides float error by the drift
+        a = [_sample_fraction(rng, -2, 2, 7) for _ in cert.basis]
+        s = _section(cert, [sum(r * c for r, c in zip(rates, a)) for _, rates in cert.clocks])
+        k = _kernel_element(cert, [_sample_fraction(rng, -3, 3, 4) for _ in cert.kernel])
+        recover_element(cert, x, act(k, _image(s, x)))
     return RecoveryReport(kind=kind, trials=trials)

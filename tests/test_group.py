@@ -14,6 +14,7 @@ from minkact.algebra import AlgebraElement, adjoint, linear_from_coords, standar
 from minkact.group import (
     Isometry,
     act,
+    cayley,
     cayley_so3,
     compose,
     exp_element,
@@ -22,13 +23,11 @@ from minkact.group import (
     invert,
     lorentz_ok,
     lorentz_ok_numeric,
-    numeric_boost_34,
     rational_boost_34,
     rational_rotation_12,
     to_numeric,
     translation,
 )
-from minkact.group import embed5
 from minkact.linalg import vec4
 
 
@@ -112,10 +111,17 @@ def test_cayley_so3_produces_rotations():
     assert act(g, vec4(0, 0, 0, 7)) == vec4(0, 0, 0, 7)
 
 
-def test_numeric_boost_diverges():
-    small = numeric_boost_34(1.0)
-    big = numeric_boost_34(10.0)
-    assert np.abs(big.V).max() > 1000 * np.abs(small.V).max()
+def test_cayley_transform_about_a_point():
+    # 2/3 Yk1 generates the (e1,e2) rotations; its transform has tan-half-angle -2/3
+    p = vec4(1, -2, 3, 5)
+    g = cayley(standard_generator("Yk1").scaled(Fraction(2, 3)).linear, p)
+    assert g.V == rational_rotation_12(Fraction(-2, 3)).V
+    assert lorentz_ok(g.V) and act(g, p) == p
+
+
+def test_cayley_transform_needs_invertible_i_minus_a():
+    with pytest.raises(ValueError, match="singular"):
+        cayley(standard_generator("Ya").linear)
 
 
 def test_adjoint_matches_finite_difference():
@@ -155,6 +161,13 @@ def test_mixed_generator_exponential_is_still_lorentz():
     assert math.isfinite(float(np.abs(g.V).sum()))
 
 
+def embed5(a):
+    """5x5 homogeneous float matrix: linear part top-left, translation last column."""
+    m = np.zeros((5, 5))
+    m[:4, :4], m[:4, 4] = a.linear, a.trans
+    return m
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_coords, st.lists(st.integers(-3, 3), min_size=4, max_size=4),
        st.floats(min_value=-3, max_value=3))
@@ -165,7 +178,7 @@ def test_mixed_generator_exponential_is_still_lorentz():
 def test_numeric_exponential_matches_expm(coords, trans, t):
     elt = AlgebraElement(linear_from_coords(coords), vec4(*trans))
     ours = exp_element_numeric(elt, t)
-    theirs = scipy.linalg.expm(t * np.array(embed5(elt), dtype=float))
+    theirs = scipy.linalg.expm(t * embed5(elt))
     scale = max(1.0, float(np.abs(theirs).max()))
     assert np.abs(ours.V - theirs[:4, :4]).max() <= 1e-10 * scale
     assert np.abs(ours.v - theirs[:4, 4]).max() <= 1e-10 * scale

@@ -1,4 +1,4 @@
-"""Properness certificates: fixed points, escaping sequences, clocks, recovery maps."""
+"""Properness certificates: fixed points, escaping sequences, clocks, the recovery map."""
 
 import itertools
 import math
@@ -19,28 +19,25 @@ from minkact.linalg import (
     solve_linear,
     trace,
     vec4,
+    vscale,
 )
 from minkact.properness import (
     FixedPointCert,
     RecoveryMismatchError,
+    RecoveryReport,
     WitnessFailedError,
     WitnessSequence,
     check_witness,
     clock_certificate,
     combination,
-    compact_rotation_certificate,
     fixed_point_nonproper_certificate,
     fixed_point_witness,
     nilpotent_pair_witness,
-    null_family_element,
     parameter_recovery_check,
-    recover_null_family,
-    recover_rotation_translation,
-    recover_spatial_rotation,
-    recover_translation,
-    rotation_between,
+    recover_element,
 )
-from minkact.group import act
+from minkact.group import (Isometry, act, compose, exp_element, lorentz_ok,
+                           rational_rotation_12, translation)
 from minkact.orbits import Poly, lie_derivative
 from minkact.subalgebra import (
     OneParamType,
@@ -83,10 +80,15 @@ def test_no_certificate_for_translations():
     assert fixed_point_nonproper_certificate(require_closed((E1, E2, E3))) is None
 
 
-def test_compact_rotation_certificate():
-    assert compact_rotation_certificate(require_closed((YK1, YK2, YK3)))
-    assert not compact_rotation_certificate(require_closed((YK1, E3, E4)))
-    assert not compact_rotation_certificate(require_closed((YA,)))
+def test_compact_clock_kernel_is_the_whole_algebra():
+    so3 = require_closed((YK1, YK2, YK3))
+    cert = clock_certificate(so3)
+    assert cert.kind == "compact" and len(cert.kernel) == so3.dim
+    # a compact kernel beside clocks is not the whole algebra
+    so2 = require_closed((YK1, E3, E4))
+    cert = clock_certificate(so2)
+    assert cert.kind == "compact" and len(cert.kernel) == 1 < so2.dim
+    assert clock_certificate(require_closed((YA,))) is None
 
 
 PROPER = [e for e in catalog() if e.proper]
@@ -341,79 +343,119 @@ def test_wandering_base_point_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# recovery maps
+# the recovery map
 # ---------------------------------------------------------------------------
 
 
-def test_recover_translation_inside_span():
-    span = (vec4(1, 0, 0, 0), vec4(0, 1, 0, 0))
-    g = recover_translation(vec4(3, 4, 5, 6), vec4(1, 7, 5, 6), span)
-    assert act(g, vec4(3, 4, 5, 6)) == vec4(1, 7, 5, 6)
+def certificate(entry_id):
+    entry = entry_by_id(entry_id)
+    return clock_certificate(require_closed(entry.build(entry.defaults[0])))
 
 
-def test_recover_translation_rejects_escaping_displacement():
-    span = (vec4(0, 1, 0, 0),)
-    with pytest.raises(RecoveryMismatchError, match="escapes"):
-        recover_translation(vec4(0, 0, 0, 0), vec4(1, 0, 0, 0), span)
+def test_clock_recovery_translation_inside_span():
+    x, y = vec4(3, 4, 5, 6), vec4(1, 7, 5, 6)
+    assert recover_element(certificate("T1:W3"), x, y) == translation(vec4(-2, 3, 0, 0))
 
 
-def test_recover_rotation_translation_roundtrip():
-    from minkact.group import Isometry, rational_rotation_12
-    rot = rational_rotation_12(Fraction(2, 5))
-    g = Isometry(rot.V, vec4(0, 0, Fraction(7, 3), -2))
+def test_clock_recovery_rejects_off_orbit_point():
+    # (0, 0, 1, 1) leaves the span e1, e2, e3 - e4: the clock p3 + p4 moves
+    with pytest.raises(RecoveryMismatchError, match="clock readings"):
+        recover_element(certificate("T1:W3"), vec4(0, 0, 0, 0), vec4(0, 0, 1, 1))
+
+
+def test_clock_recovery_rotation_translation_roundtrip():
+    g = Isometry(rational_rotation_12(Fraction(2, 5)).V, vec4(0, 0, Fraction(7, 3), -2))
     x = vec4(1, 2, 3, 5)
-    y = act(g, x)
-    got = recover_rotation_translation(x, y)
-    assert act(got, x) == y
+    # the action is free off the axis, so the recovered element is g itself
+    assert recover_element(certificate("T2:SO2xR11"), x, act(g, x)) == g
 
 
 def test_recover_rotation_half_turn_is_out_of_chart():
-    with pytest.raises(RecoveryMismatchError, match="half-turn"):
-        recover_rotation_translation(vec4(1, 0, 0, 0), vec4(-1, 0, 0, 0))
+    with pytest.raises(RecoveryMismatchError, match="no kernel rotation"):
+        recover_element(certificate("T2:SO2xR11"), vec4(1, 0, 0, 0), vec4(-1, 0, 0, 0))
 
 
-def test_rotation_between_exact():
-    x3 = (Fraction(1), Fraction(2), Fraction(2))
-    y3 = (Fraction(3), Fraction(0), Fraction(0))
-    v = rotation_between(x3, y3)
-    assert tuple(sum(v[i][j] * x3[j] for j in range(3)) for i in range(3)) == y3
-    # orthogonality: V V^T = I
-    for i in range(3):
-        for j in range(3):
-            dot = sum(v[i][k] * v[j][k] for k in range(3))
-            assert dot == (1 if i == j else 0)
+def test_clock_recovery_carries_so3_exactly():
+    x, y = vec4(1, 2, 2, 0), vec4(3, 0, 0, 0)
+    g = recover_element(certificate("Excluded:SO3"), x, y)
+    assert act(g, x) == y and lorentz_ok(g.V)
+    assert act(g, vec4(0, 0, 0, 7)) == vec4(0, 0, 0, 7)
 
 
-def test_rotation_between_requires_equal_norms():
-    with pytest.raises(ValueError, match="norms differ"):
-        rotation_between((1, 0, 0), (2, 0, 0))
+def test_clock_recovery_requires_equal_norms():
+    with pytest.raises(RecoveryMismatchError, match="no kernel rotation"):
+        recover_element(certificate("Excluded:SO3"), vec4(1, 0, 0, 0), vec4(2, 0, 0, 0))
 
 
-def test_recover_spatial_rotation_respects_time_constraint():
-    with pytest.raises(RecoveryMismatchError, match="time coordinates"):
-        recover_spatial_rotation(vec4(1, 0, 0, 0), vec4(1, 0, 0, 5), allow_e4=False)
+def test_clock_recovery_respects_time_constraint():
+    # pure rotations stop the clock p4
+    with pytest.raises(RecoveryMismatchError, match="clock readings"):
+        recover_element(certificate("Excluded:SO3"), vec4(1, 0, 0, 0), vec4(1, 0, 0, 5))
+
+
+def drift_family_element(h, t, s, w):
+    """translation(w (e3 - e4)) o exp(t b_0 + s b_1) on the basis (b_0, b_1, e3 - e4)."""
+    return translation(vscale(w, h.basis[2].trans)), exp_element(
+        h.basis[0].scaled(t) + h.basis[1].scaled(s), 1)
 
 
 def test_null_family_recovery_is_exact():
-    mu = Fraction(2)
-    g = null_family_element(Fraction(1, 3), Fraction(-4), Fraction(5, 7), mu)
+    h = require_closed(entry_by_id("T2:Yn1+me4-W2").build({"mu": Fraction(2)}))
+    k, s = drift_family_element(h, Fraction(1, 3), Fraction(-4), Fraction(5, 7))
+    g = compose(k, s)
     x = vec4(1, 2, 3, 5)
-    y = act(g, x)
-    assert recover_null_family(x, y, mu) == (Fraction(1, 3), Fraction(-4), Fraction(5, 7))
+    # the action is free: the clocks pin t and s, the kernel translation w
+    assert recover_element(clock_certificate(h), x, act(g, x)) == g
 
 
-@pytest.mark.parametrize("kind,params", [
-    ("translation", {"span": (vec4(1, 0, 0, 0), vec4(0, 1, 0, 0), vec4(0, 0, 1, 0))}),
-    ("translation", {"span": (vec4(0, 1, 0, 0), vec4(0, 0, 1, -1))}),
-    ("so2", {}),
-    ("so3", {}),
-    ("rotation-only", {}),
-    ("boost", {"lam": Fraction(1, 2)}),
-    ("null", {"mu": Fraction(2)}),
-])
-def test_parameter_recovery_families(kind, params):
-    report = parameter_recovery_check(kind, params, trials=40)
-    assert report.trials == 40
+RECOVERY_CASES = [(e.entry_id, p) for e in catalog() if e.proper for p in e.defaults] + [
+    ("T2:Ya+le1-W2", {"lam": Fraction(1, 2)}),
+    ("T2:Yn1+me4-W2", {"mu": Fraction(2)}),
+]
+
+
+@pytest.mark.parametrize("entry_id,params", [
+    pytest.param(e, p, id=e + "".join(f"-{k}={v}" for k, v in p.items()))
+    for e, p in RECOVERY_CASES])
+def test_parameter_recovery_families(entry_id, params):
+    h = require_closed(entry_by_id(entry_id).build(params))
+    kind, kwargs = entry_by_id(entry_id).recovery
+    report = parameter_recovery_check(kind, kwargs(params, h.basis), trials=40)
+    assert report == RecoveryReport(kind="clock", trials=40)
+
+
+def test_recovery_is_derived_for_proper_records_only():
+    assert {e.entry_id for e in catalog() if e.recovery is not None} == \
+        {e.entry_id for e in catalog() if e.proper}
+
+
+drift_values = st.fractions(min_value=-10**6, max_value=10**6,
+                            max_denominator=1000).filter(lambda v: v != 0)
+small = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+coordinates = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("T2:Ya+le1-W2", "lam"), ("T2:Yn1+me4-W2", "mu")]),
+       drift_values, st.tuples(*[coordinates] * 4), small, small, coordinates)
+@example(("T2:Ya+le1-W2", "lam"), Fraction(1, 1000), (1, 2, 3, 5), Fraction(3, 2), 1, 2)
+@example(("T2:Ya+le1-W2", "lam"), Fraction(10**6), (1, 2, 3, 5), Fraction(-2), 1, 2)
+def test_drift_family_recovery_returns_the_generating_element(family, value, x, t, s, w):
+    entry_id, name = family
+    assume(t != 0)
+    h = require_closed(entry_by_id(entry_id).build({name: value}))
+    k, sect = drift_family_element(h, t, s, w)
+    x = vec4(*x)
+    if isinstance(sect, Isometry):  # null rotation: exact, and the action is free
+        g = compose(k, sect)
+        assert recover_element(clock_certificate(h), x, act(g, x)) == g
+    else:  # boost: float, and equal to the generating element at 1e-9
+        y = sect.V @ np.array([float(c) for c in x]) + sect.v + np.array(
+            [float(c) for c in k.v])
+        got = recover_element(clock_certificate(h), x, y)
+        assert np.allclose(got.V, sect.V, rtol=0, atol=1e-9)
+        assert np.allclose(got.v, sect.v + np.array([float(c) for c in k.v]),
+                           rtol=0, atol=1e-9)
 
 
 def test_parameter_recovery_unknown_kind():
