@@ -790,7 +790,7 @@ def _check_properness(entry, insts, steps, tol):
             return CheckResult("properness", False, f"at {label}: {err}")
         try:
             rep = check_witness(witness, steps=steps, tol=tol)
-        except WitnessFailedError as err:
+        except (WitnessFailedError, OverflowError) as err:  # the latter: tol past floats
             return CheckResult("properness", False, f"at {label}: {err}")
         notes.append(
             f"{mechanism}; norms {rep.group_norms[0]:.3g} -> "

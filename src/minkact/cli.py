@@ -23,8 +23,6 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import GENERATOR_ORDER, coords10, from_coords10
 from .catalog import (
     CatalogReport,
@@ -34,7 +32,7 @@ from .catalog import (
     verify_all,
     verify_entry,
 )
-from .group import exp_element
+from .group import act, exp_element
 from .linalg import DependentBasisError
 from .orbits import cohomogeneity, orbit_dimension
 from .properness import WitnessFailedError, check_witness
@@ -205,15 +203,14 @@ def _flag(name):
 
 
 def _in_float_range(cmd):
-    """Run a subcommand that computes in floats with numpy overflow raising:
-    parameters, a point or group elements past the float range are a usage
-    error, never a check FAIL or rows of inf and nan."""
+    """Run a subcommand that computes in floats, where an OverflowError (from
+    float(), math.cosh, or a witness or export value that is not finite) is a
+    usage error, never a check FAIL or rows of inf and nan."""
     @functools.wraps(cmd)
     def run(args):
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                return cmd(args)
-        except (FloatingPointError, OverflowError):
+            return cmd(args)
+        except OverflowError:
             print(f"error: {args.entry} leaves the floating-point range at these "
                   "parameters", file=sys.stderr)
             return 2
@@ -332,16 +329,15 @@ def cmd_export(args):
         triples = [tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
                    for _ in range(args.samples)]
 
-    # one exponential per generator and distinct parameter: a grid has n each
-    exps = [{t: exp_element(b, t) for t in {ts[k] for ts in triples}}
-            for k, b in enumerate(basis)]
-    rows = []
-    for ts in triples:
-        x = base_f
-        for k in (2, 1, 0):
-            g = exps[k][ts[k]]
-            x = (g.V @ [float(c) for c in x] + g.v).tolist()
-        rows.append((*ts, *x))
+    # one exponential per distinct t_k, one action per distinct (t_k, ..., t3)
+    points = {(): base_f}
+    for k in (2, 1, 0):
+        tails = {ts[k:] for ts in triples}
+        exps = {t: exp_element(basis[k], t) for t in {tail[0] for tail in tails}}
+        points = {tail: act(exps[tail[0]], points[tail[1:]]) for tail in tails}
+    if not all(math.isfinite(c) for x in points.values() for c in x):
+        raise OverflowError("the orbit patch leaves the float range")
+    rows = [(*ts, *points[ts]) for ts in triples]
 
     try:
         out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")

@@ -2,21 +2,22 @@
 the affine action on points, and exponentials of algebra elements.
 
 Isometries are exact, over Fractions, everywhere the classification logic
-touches them.  Exponentials exp(tX) come from one closed form driven by the
-two Lorentz invariants tr(X^2) and Pf(eta X): exact for nilpotent X and an
-exact t, numpy floats otherwise (boosts, rotations by generic angles,
-properness sequences, orbit patches).  Exact rational rotations and boosts
-come from half-angle/half-velocity parameterizations and from the Cayley
-transform of a compact linear part about a point, which the properness
-recovery map and its trials use to stay in the rationals.
+touches them.  Exponentials exp(tX) come from one closed form on the 4x4
+blocks driven by the two Lorentz invariants tr(X^2) and Pf(eta X): exact for
+nilpotent X and an exact t, plain Python floats otherwise (boosts, rotations
+by generic angles, properness sequences, orbit patches).  Float isometries
+are the same tuples, so composition and the action serve both.  Exact
+rational rotations and boosts come from half-angle/half-velocity
+parameterizations and from the Cayley transform of a compact linear part
+about a point, which the properness recovery map and its trials use to stay
+in the rationals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .algebra import AlgebraElement, lorentz_inverse
 from .linalg import (
@@ -32,7 +33,6 @@ from .linalg import (
     transpose,
     vadd,
     vneg,
-    vscale,
     vsub,
 )
 from .subalgebra import lorentz_invariants
@@ -48,10 +48,10 @@ class Isometry:
 
 @dataclass(frozen=True)
 class NumericIsometry:
-    """Float isometry for sequence evaluation; entries are numpy arrays."""
+    """Float isometry for sequence evaluation: the same tuples, of floats."""
 
-    V: np.ndarray
-    v: np.ndarray
+    V: tuple
+    v: tuple
 
 
 def lorentz_ok(V) -> bool:
@@ -59,36 +59,25 @@ def lorentz_ok(V) -> bool:
     return matmul(transpose(V), matmul(ETA, V)) == ETA
 
 
-def lorentz_ok_numeric(V, tol=1e-9) -> bool:
-    eta = np.diag([1.0, 1.0, 1.0, -1.0])
-    return bool(np.max(np.abs(V.T @ eta @ V - eta)) <= tol)
+def compose(g, h):
+    """(V,v)(U,u) = (VU, v + V u), in floats when either factor is."""
+    kind = NumericIsometry if NumericIsometry in (type(g), type(h)) else Isometry
+    return kind(matmul(g.V, h.V), vadd(g.v, matvec(g.V, h.v)))
 
 
-def compose(g: Isometry, h: Isometry) -> Isometry:
-    """(V,v)(U,u) = (VU, v + V u)."""
-    return Isometry(matmul(g.V, h.V), vadd(g.v, matvec(g.V, h.v)))
-
-
-def invert(g: Isometry) -> Isometry:
+def invert(g):
     """(V,v)^{-1} = (V^{-1}, -V^{-1} v) with V^{-1} = eta V^t eta."""
     vinv = lorentz_inverse(g.V)
-    return Isometry(vinv, vneg(matvec(vinv, g.v)))
+    return type(g)(vinv, vneg(matvec(vinv, g.v)))
 
 
-def act(g: Isometry, p):
+def act(g, p):
     """Affine action: p -> V p + v."""
     return vadd(matvec(g.V, p), g.v)
 
 
 def translation(p) -> Isometry:
     return Isometry(IDENTITY4, tuple(frac(x) for x in p))
-
-
-def to_numeric(g: Isometry) -> NumericIsometry:
-    return NumericIsometry(
-        np.array([[float(x) for x in row] for row in g.V]),
-        np.array([float(x) for x in g.v]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -132,33 +121,45 @@ def exp_coefficients(trace_sq, pfaffian, t):
     return c1, c2, c3, c4
 
 
+_FLOAT_IDENTITY = tuple(tuple(map(float, row)) for row in IDENTITY4)
+
+
+def _exp_blocks(a: AlgebraElement, t, trace_sq, pfaffian):
+    """exp(t a) from the invariants of a = (X, x): the powers of M are
+    [[X^k, X^(k-1) x], [0, 0]], and X^4 = (tr(X^2)/2) X^2 + Pf(eta X)^2 I
+    (Cayley-Hamilton on so(3,1)) folds c4 X^4 into I and X^2; the powers
+    stop at the first that vanishes, X^3 for a nilpotent X.  Exact
+    coefficients keep the Fractions; float ones convert X and x once."""
+    c1, c2, c3, c4 = exp_coefficients(trace_sq, pfaffian, t)
+    one, x, p, kind = IDENTITY4, a.linear, a.trans, Isometry
+    if isinstance(c1, float):
+        # float() of a Fraction makes this division through a slower hook
+        one, x = _FLOAT_IDENTITY, tuple(tuple(e.numerator / e.denominator for e in row)
+                                        for row in x)
+        p = tuple(e.numerator / e.denominator for e in p)
+        trace_sq, pfaffian, kind = float(trace_sq), float(pfaffian), NumericIsometry
+    powers = [one] if mat_is_zero(x) else [one, x, matmul(x, x)]
+    if trace_sq or pfaffian:
+        powers.append(matmul(x, powers[2]))
+    linear = (1 + c4 * pfaffian * pfaffian, c1, c2 + c4 * trace_sq / 2, c3)
+    return kind(tuple(tuple(sum(map(mul, linear, entries)) for entries in zip(*rows))
+                      for rows in zip(*powers)),
+                tuple(sum(map(mul, (c1, c2, c3, c4), entries))
+                      for entries in zip(*(matvec(m, p) for m in powers))))
+
+
 def exp_element_exact(a: AlgebraElement, t) -> Isometry:
     """Exact exponential of t*a; only defined when the linear part is
     nilpotent (null rotations, pure translations)."""
     trace_sq, pfaffian = lorentz_invariants(a.linear)
     if trace_sq != 0 or pfaffian != 0:
         raise ValueError("exponential series does not terminate; use the numeric variant")
-    if mat_is_zero(a.linear):
-        return translation(vscale(t, a.trans))
-    c1, c2, c3, _ = exp_coefficients(trace_sq, pfaffian, frac(t))
-    # M^k = [[X^k, X^(k-1) x], [0, 0]] on the 5x5 embedding, and X^3 = 0
-    x, xx = a.linear, matmul(a.linear, a.linear)
-    return Isometry(
-        tuple(tuple(int(i == j) + c1 * x[i][j] + c2 * xx[i][j] for j in range(4))
-              for i in range(4)),
-        tuple(c1 * p + c2 * q + c3 * r
-              for p, q, r in zip(a.trans, matvec(x, a.trans), matvec(xx, a.trans))))
+    return _exp_blocks(a, frac(t), trace_sq, pfaffian)
 
 
 def exp_element_numeric(a: AlgebraElement, t: float) -> NumericIsometry:
     """Float exponential of t*a from the closed form of :func:`exp_coefficients`."""
-    c1, c2, c3, c4 = exp_coefficients(*lorentz_invariants(a.linear), float(t))
-    m = np.zeros((5, 5))
-    m[:4, :4] = a.linear
-    m[:4, 4] = a.trans
-    m2 = m @ m
-    e = np.eye(5) + c1 * m + c2 * m2 + (c3 * m + c4 * m2) @ m2
-    return NumericIsometry(e[:4, :4].copy(), e[:4, 4].copy())
+    return _exp_blocks(a, float(t), *lorentz_invariants(a.linear))
 
 
 def exp_element(a: AlgebraElement, t):
@@ -167,9 +168,9 @@ def exp_element(a: AlgebraElement, t):
     A float t always selects the numeric variant; exact scalars stay exact
     whenever the linear part is nilpotent and fall back to floats if not.
     """
-    if isinstance(t, float) or lorentz_invariants(a.linear) != (0, 0):
-        return exp_element_numeric(a, float(t))
-    return exp_element_exact(a, t)
+    trace_sq, pfaffian = lorentz_invariants(a.linear)
+    exact = not isinstance(t, float) and trace_sq == 0 and pfaffian == 0
+    return _exp_blocks(a, frac(t) if exact else float(t), trace_sq, pfaffian)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Exact rational linear algebra over Minkowski 4-space.
 
-Nothing in this module touches floating point.  Vectors are 4-tuples of
-``fractions.Fraction``, matrices are tuples of row tuples.  Elimination and
-signatures run on Python ints: :func:`integral` clears the denominators and
-:func:`integer_rref` is the one Gauss-Jordan kernel, under :func:`rref` and
-every solve built on it.  The signature convention is (+, +, +, -) with
-``eta`` the diagonal form matrix.
+Nothing in this module makes a float.  Vectors are 4-tuples of
+``fractions.Fraction``, matrices are tuples of row tuples (the products and
+sums serve float tuples alike).  Elimination and signatures run on Python
+ints: :func:`integral` clears the denominators and :func:`integer_rref` is
+the one Gauss-Jordan kernel, under :func:`rref` and every solve built on it.
+The signature convention is (+, +, +, -) with ``eta`` the diagonal form
+matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Sequence
 
 
@@ -44,11 +46,11 @@ ZERO4 = vec4(0, 0, 0, 0)
 
 
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vscale(c, u):
@@ -95,13 +97,13 @@ def matmul(a, b):
     if len(a[0]) != len(b):
         raise DimensionMismatchError("inner dimensions differ")
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def matvec(a, v):
     if len(a[0]) != len(v):
         raise DimensionMismatchError("matrix width != vector length")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def transpose(a):

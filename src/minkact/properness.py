@@ -4,8 +4,8 @@ Both sides of the dichotomy carry an exact certificate:
 
 * non-proper: a noncompact one-parameter subgroup fixing the origin, read
   off one kernel (:func:`fixed_point_nonproper_certificate`), or an explicit
-  escaping sequence g_n with bounded x_n and g_n . x_n checked numerically
-  to diverge in norm while the images stay Cauchy;
+  escaping sequence g_n with bounded x_n and g_n . x_n checked in plain
+  Python floats to diverge in norm while the images stay Cauchy;
 * proper: clock homomorphisms (:func:`clock_certificate`), linear functions
   that every group element shifts by a constant, whose common kernel is a
   translation group or a compact group with a fixed point.  No sampling.
@@ -25,11 +25,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import element
-from .group import (Isometry, NumericIsometry, act, cayley, compose, exp_element, to_numeric,
-                    translation)
+from .group import Isometry, act, cayley, compose, exp_element, translation
 from .linalg import (echelon_basis, integral, kernel_of, mat_is_zero, matvec, quadratic_form,
                      reduce_mod, solve_linear, sylvester_signature, transpose, vadd, vec4, vsub)
 from .subalgebra import (OneParamType, Subalgebra, invariant_forms, require_closed,
@@ -176,8 +173,8 @@ def clock_certificate(h: Subalgebra):
 class WitnessSequence:
     """Sequence n -> (g_n, x_n) meant to violate properness.
 
-    ``group_at(n)`` returns (V, v) as float arrays; ``point_at(n)`` a float
-     4-vector.  The defining property: x_n converges, g_n . x_n converges,
+    ``group_at(n)`` returns (V, v) as float tuples; ``point_at(n)`` a float
+    4-tuple.  The defining property: x_n converges, g_n . x_n converges,
     but |g_n| diverges, so {g in G : g K meets K} is noncompact for a
     compact K containing both limits.
     """
@@ -194,7 +191,7 @@ def fixed_point_witness(elt, point, kind: OneParamType) -> WitnessSequence:
     float range while the norms still diverge linearly; parabolic subgroups
     grow polynomially and take t_n = n directly.
     """
-    pt = np.array([float(x) for x in point])
+    pt = tuple(map(float, point))
     hyperbolic = kind is OneParamType.HYPERBOLIC
 
     def group_at(n):
@@ -218,28 +215,30 @@ def nilpotent_pair_witness(lam, mu) -> WitnessSequence:
 
     The group elements are built from the two-parameter null-rotation block
     C(t, s) together with the translations the decorated generators force;
-    along t_n = (alpha+mu) n, s_n = -lam n (alpha the positive root of
-    x^2 + mu x - lam^2) the chosen base point x = (0, 0, alpha, 0) satisfies
-    g_n . x = x identically, while |g_n| grows quadratically.
+    along t_n = (alpha+mu) n / r, s_n = -lam n / r (alpha the positive root
+    of x^2 + mu x - lam^2, r = hypot(alpha+mu, lam)) the chosen base point
+    x = (0, 0, alpha, 0) satisfies g_n . x = x identically, while |g_n| grows
+    quadratically.  At unit speed q = n^2/2 cancels no more than it must in
+    (1 - q) alpha + q alpha, at every scale of the parameters.
     """
     lam = float(lam)
     mu = float(mu)
+    if lam == 0:  # lam != 0 is admissible, so this is an underflow
+        raise OverflowError("lam underflows to zero in floats")
     alpha = (-mu + math.sqrt(mu * mu + 4.0 * lam * lam)) / 2.0
-    x = np.array([0.0, 0.0, alpha, 0.0])
+    r = math.hypot(alpha + mu, lam)
+    x = (0.0, 0.0, alpha, 0.0)
 
     def group_at(n):
-        t = (alpha + mu) * n
-        s = -lam * n
+        t = (alpha + mu) * n / r
+        s = -lam * n / r
         q = (t * t + s * s) / 2.0
-        V = np.array([
-            [1.0, 0.0, t, t],
-            [0.0, 1.0, s, s],
-            [-t, -s, 1.0 - q, -q],
-            [t, s, q, 1.0 + q],
-        ])
+        V = ((1.0, 0.0, t, t),
+             (0.0, 1.0, s, s),
+             (-t, -s, 1.0 - q, -q),
+             (t, s, q, 1.0 + q))
         vtx = q * alpha
-        v = np.array([lam * s, lam * t + mu * s, vtx, -vtx])
-        return V, v
+        return V, (lam * s, lam * t + mu * s, vtx, -vtx)
 
     def point_at(n):
         return x
@@ -265,7 +264,9 @@ def check_witness(witness: WitnessSequence, steps: int = 1024,
 
     Requires: group norms diverge (final > 10x initial, nondecreasing over
     the last half of the ladder) while both x_n and g_n . x_n are Cauchy at
-    tolerance tol over that tail.  Raises WitnessFailedError otherwise.
+    tolerance tol over that tail.  Raises WitnessFailedError otherwise, and
+    OverflowError where floats cannot decide: a norm or an image past their
+    range, or images so large that rounding alone opens a tail gap of tol.
     """
     ladder = []
     n = 1
@@ -279,9 +280,11 @@ def check_witness(witness: WitnessSequence, steps: int = 1024,
     for n in ladder:
         V, v = witness.group_at(n)
         x = witness.point_at(n)
-        norms.append(float(np.linalg.norm(V) + np.linalg.norm(v)))
+        norms.append(math.hypot(*(c for row in V for c in row)) + math.hypot(*v))
         points.append(x)
-        images.append(V @ x + v)
+        images.append(vadd(matvec(V, x), v))
+        if not all(map(math.isfinite, (norms[-1], *images[-1]))):
+            raise OverflowError(f"the witness leaves the float range at n = {n}")
 
     if not norms[-1] > 10.0 * norms[0]:
         raise WitnessFailedError(
@@ -292,12 +295,15 @@ def check_witness(witness: WitnessSequence, steps: int = 1024,
         if b < a:
             raise WitnessFailedError("group norms are not eventually monotone")
 
-    point_gap = max(float(np.linalg.norm(points[k + 1] - points[k]))
-                    for k in range(tail, len(ladder) - 1))
-    image_gap = max(float(np.linalg.norm(images[k + 1] - images[k]))
-                    for k in range(tail, len(ladder) - 1))
+    point_gap = max(math.dist(points[k + 1], points[k]) for k in range(tail, len(ladder) - 1))
+    image_gap = max(math.dist(images[k + 1], images[k]) for k in range(tail, len(ladder) - 1))
     if point_gap >= tol:
         raise WitnessFailedError(f"base points are not Cauchy: tail gap {point_gap:.3g}")
+    # the last image sums terms up to |g_n| (1 + |x_n|) in size, each rounded
+    # by a few ulps of it, so a gap within 16 of those ulps says nothing
+    size = norms[-1] * (1 + math.hypot(*points[-1]))
+    if tol <= image_gap <= 16 * math.ulp(size):
+        raise OverflowError(f"images of size {size:.3g} cannot resolve tol {tol:g}")
     if image_gap >= tol:
         raise WitnessFailedError(f"images are not Cauchy: tail gap {image_gap:.3g}")
     return WitnessReport(steps=tuple(ladder), group_norms=tuple(norms),
@@ -329,9 +335,7 @@ def _sample_point(rng):
 def _image(g, x):
     """g . x as Fractions, for an exact or a float isometry; a float image
     converts exactly, so the solves downstream stay in the rationals."""
-    if isinstance(g, Isometry):
-        return act(g, x)
-    return tuple(map(Fraction, g.V @ np.array([float(c) for c in x]) + g.v))
+    return tuple(map(Fraction, act(g, x)))
 
 
 def _section(cert: ClockCertificate, phi):
@@ -381,11 +385,7 @@ def recover_element(cert: ClockCertificate, x, y):
         if beta is None:
             raise RecoveryMismatchError("no kernel rotation carries s.x to y")
         k = _kernel_element(cert, beta)
-    if isinstance(s, Isometry):
-        g = compose(k, s)
-    else:
-        kn = to_numeric(k)
-        g = NumericIsometry(kn.V @ s.V, kn.v + kn.V @ s.v)
+    g = compose(k, s)
     gap = max(abs(a - b) for a, b in zip(_image(g, x), y))
     if gap > (0 if isinstance(g, Isometry) else RECOVERY_TOL):
         raise RecoveryMismatchError(f"recovered element misses y by {float(gap):.3g}")

@@ -136,6 +136,13 @@ def test_verify_known_defect_fails(capsys):
     assert "== 0/1 catalog entries fully verified ==" in out
 
 
+def test_verify_tolerance_past_float_resolution_fails_the_check(capsys):
+    # the screw witness's images carry rounding far above 1e-20
+    assert main(["verify", "--entry", "T3:nilpotent-pair", "--tol", "1e-20"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL T3:nilpotent-pair [properness]" in out and "cannot resolve tol 1e-20" in out
+
+
 def _masked(payload):
     data = json.loads(payload)
     for e in data["entries"]:
@@ -412,6 +419,7 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     ["witness", "--entry", "T3:nilpotent-pair", "--lambda", "1e400"],
     ["export", "--entry", "T3:nilpotent-pair", "--lambda", "1e400", "--grid", "2", "--out", "-"],
     ["witness", "--entry", "T3:nilpotent-pair", "--lambda", "1e100"],
+    ["witness", "--entry", "T3:nilpotent-pair", "--lambda", "1e-400", "--mu", "-1"],
     ["export", "--entry", "T3:nilpotent-pair", "--lambda", "1.7e308", "--grid", "2", "--out", "-"],
     ["export", "--entry", "T4:aK1bA-N", "--a", "1e154", "--grid", "2", "--out", "-"],
     ["export", "--entry", "T4:aK1bA-N", "--b", "1e30", "--grid", "2", "--out", "-"],
@@ -424,8 +432,8 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     "classify-samples-negative", "verify-steps-7", "witness-steps-4",
     "verify-tol-0", "witness-tol-negative", "witness-tol-nan", "verify-tol-inf",
     "export-point-past-float", "witness-lambda-past-float", "export-lambda-past-float",
-    "witness-lambda-overflows", "export-lambda-overflows", "export-a-overflows",
-    "export-b-overflows", "orbit-seed", "witness-seed", "export-json",
+    "witness-lambda-overflows", "witness-lambda-underflows", "export-lambda-overflows",
+    "export-a-overflows", "export-b-overflows", "orbit-seed", "witness-seed", "export-json",
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "zero.txt").write_text("Ya + 1/0*e1\n")
@@ -445,10 +453,25 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
         assert f"{argv[1]}:" in errors[0]
 
 
-def test_cli_import_leaves_scipy_out():
-    """numpy is the only numeric runtime dependency; scipy serves the tests."""
+REQUEST_MIX = """
+import contextlib, io, sys
+import minkact.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["witness", "--entry", "T3:nilpotent-pair", "--lambda=-2", "--mu=3"],
+                 ["orbit", "--entry", "T2:Ya+le1-W2", "--lambda=1/2", "--point=1,2,3,5"],
+                 ["export", "--entry", "T4:aK1bA-N", "--grid", "2", "--out", "-"],
+                 ["verify", "--entry", "T3:nilpotent-pair"]):
+        minkact.cli.main(argv)
+for package in ("numpy", "scipy"):
+    print(sorted(m for m in sys.modules if m.split(".")[0] == package))
+"""
+
+
+def test_cli_requests_load_no_numeric_module():
+    """The package computes in the standard library alone: importing the
+    command line, serving a witness, orbit and export request and verifying
+    a record load neither numpy nor scipy, which serve the tests only."""
     src = str(Path(minkact.__file__).resolve().parents[1])
-    code = "import sys, minkact.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", REQUEST_MIX], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "[]"]

@@ -32,6 +32,13 @@ every non-proper default instantiation: each case holds the arguments after
 ``witness``, the exit code and the printed lines.  Regenerate a case by
 running ``python -m minkact.cli witness`` with those arguments and pasting
 its output as the case's ``output``.
+
+``export_cases.json`` pins the CSV that ``export --out -`` prints: every
+record's first default on a 2^3 grid at the point 1/3,2/5,-3/7,5/4, and three
+seeded samples on an elliptic, a hyperbolic and a mixed record.  Each case
+holds the arguments after ``export``, the exit code and the printed CSV.
+Regenerate a case by running ``python -m minkact.cli export`` with those
+arguments and pasting its output as the case's ``output``.
 """
 
 import json
@@ -95,6 +102,15 @@ WITNESS_CASES = json.loads((GOLDEN / "witness_cases.json").read_text())
 @pytest.mark.parametrize("case", WITNESS_CASES, ids=lambda case: " ".join(case["argv"][1:]))
 def test_witness_text_matches_golden_fixture(case, capsys):
     assert main(["witness", *case["argv"]]) == case["exit"]
+    assert capsys.readouterr().out == case["output"]
+
+
+EXPORT_CASES = json.loads((GOLDEN / "export_cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", EXPORT_CASES, ids=lambda case: " ".join(case["argv"][1:-2]))
+def test_export_csv_matches_golden_fixture(case, capsys):
+    assert main(["export", *case["argv"]]) == case["exit"]
     assert capsys.readouterr().out == case["output"]
 
 

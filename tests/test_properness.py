@@ -4,7 +4,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -316,27 +315,45 @@ def test_parabolic_fixed_point_witness_checks_out():
     assert report.image_gap < 1e-6
 
 
-def test_nilpotent_pair_witness_checks_out():
-    report = check_witness(nilpotent_pair_witness(Fraction(1), Fraction(3)))
+@pytest.mark.parametrize("lam,mu", [(1, 3), (-30, 10), (Fraction("1e-200"), 0)],
+                         ids=["1,3", "-30,10", "1e-200,0"])
+def test_nilpotent_pair_witness_checks_out(lam, mu):
+    # the unit-speed walk keeps q = n^2/2 at every scale of lam and mu
+    report = check_witness(nilpotent_pair_witness(Fraction(lam), Fraction(mu)))
     assert report.group_norms[-1] > 10 * report.group_norms[0]
     assert report.image_gap < 1e-6
+
+
+def scaled_identity(c):
+    return tuple(tuple(c if i == j else 0.0 for j in range(4)) for i in range(4))
 
 
 def test_bounded_sequence_is_rejected():
     fake = WitnessSequence(
         description="identity forever",
-        group_at=lambda n: (np.eye(4), np.zeros(4)),
-        point_at=lambda n: np.zeros(4),
+        group_at=lambda n: (scaled_identity(1.0), (0.0,) * 4),
+        point_at=lambda n: (0.0,) * 4,
     )
     with pytest.raises(WitnessFailedError, match="do not diverge"):
         check_witness(fake)
 
 
+@pytest.mark.parametrize("witness,message", [
+    (WitnessSequence(description="entries past the float range",
+                     group_at=lambda n: (scaled_identity(1e306 * n), (0.0,) * 4),
+                     point_at=lambda n: (1.0, 0.0, 0.0, 0.0)), "float range"),
+    (nilpotent_pair_witness(Fraction(10) ** 100, 0), "cannot resolve"),
+], ids=["overflow", "unresolved"])
+def test_witness_outside_float_reach_raises_overflow(witness, message):
+    with pytest.raises(OverflowError, match=message):
+        check_witness(witness)
+
+
 def test_wandering_base_point_is_rejected():
     fake = WitnessSequence(
         description="diverging group, non-Cauchy points",
-        group_at=lambda n: (float(n) * np.eye(4), np.zeros(4)),
-        point_at=lambda n: np.array([math.sin(float(n)), 0.0, 0.0, 0.0]),
+        group_at=lambda n: (scaled_identity(float(n)), (0.0,) * 4),
+        point_at=lambda n: (math.sin(float(n)), 0.0, 0.0, 0.0),
     )
     with pytest.raises(WitnessFailedError, match="not Cauchy"):
         check_witness(fake)
@@ -446,16 +463,14 @@ def test_drift_family_recovery_returns_the_generating_element(family, value, x, 
     h = require_closed(entry_by_id(entry_id).build({name: value}))
     k, sect = drift_family_element(h, t, s, w)
     x = vec4(*x)
+    g = compose(k, sect)
+    got = recover_element(clock_certificate(h), x, act(g, x))
     if isinstance(sect, Isometry):  # null rotation: exact, and the action is free
-        g = compose(k, sect)
-        assert recover_element(clock_certificate(h), x, act(g, x)) == g
+        assert got == g
     else:  # boost: float, and equal to the generating element at 1e-9
-        y = sect.V @ np.array([float(c) for c in x]) + sect.v + np.array(
-            [float(c) for c in k.v])
-        got = recover_element(clock_certificate(h), x, y)
-        assert np.allclose(got.V, sect.V, rtol=0, atol=1e-9)
-        assert np.allclose(got.v, sect.v + np.array([float(c) for c in k.v]),
-                           rtol=0, atol=1e-9)
+        gap = max(abs(a - b) for a, b in zip((*got.v, *sum(got.V, ())),
+                                              (*g.v, *sum(g.V, ()))))
+        assert gap <= 1e-9
 
 
 def test_parameter_recovery_unknown_kind():
