@@ -4,9 +4,10 @@ A proper action comes with clocks: linear functions that every group
 element shifts by a constant, so that a point and its image pin down the
 group element up to a kernel that acts properly on its own.  The same data
 give a constructive inverse: from a point and its image alone, rebuild the
-unique group element connecting them.  A non-proper action comes with an
-escape: group elements of exploding size whose effect on some base point
-stays bounded.
+unique group element connecting them.  A non-proper action comes with a
+noncompact stabilizer, found exactly even where its fixed point is
+irrational, and with the escape it makes: group elements of exploding size
+whose effect on the fixed point stays bounded.
 
 Run:  python3 demos/properness_dichotomy.py
 """
@@ -55,12 +56,12 @@ def nonproper_side():
     h = require_closed(entry.build(params))
     print(f"Non-proper side: {entry.entry_id} ({entry.summary}), "
           f"lam = {params['lam']}, mu = {params['mu']}")
-    cert = fixed_point_nonproper_certificate(h)
-    print(f"  noncompact stabilizer at the origin: {cert is not None} "
-          f"(the recurrent point is irrational here)")
-    witness, mechanism = nonproperness_witness(entry, params, h)
-    print(f"  mechanism: {mechanism}")
-    print(f"  {witness.description}")
+    print(f"  noncompact stabilizer at the origin: "
+          f"{fixed_point_nonproper_certificate(h) is not None}")
+    cert = fixed_point_nonproper_certificate(h, entry.stratum_points(params))
+    print(f"  at the declared stratum point, in Q(sqrt(13)): {cert.describe()}")
+    witness, _ = nonproperness_witness(entry, params, h)
+    print(f"  escaping sequence: {witness.description}")
     rep = check_witness(witness, steps=1024, tol=1e-6)
     print("      n      |g_n|          g_n.x - x")
     for n, norm in zip(rep.steps, rep.group_norms):

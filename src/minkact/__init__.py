@@ -60,7 +60,6 @@ from .properness import (
     clock_certificate,
     fixed_point_nonproper_certificate,
     fixed_point_witness,
-    nilpotent_pair_witness,
     parameter_recovery_check,
     recover_element,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "lorentz_ok",
     "match_catalog",
     "mink_inner",
-    "nilpotent_pair_witness",
     "nonproperness_witness",
     "normalize_translations",
     "one_param_type",

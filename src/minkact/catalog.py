@@ -30,7 +30,6 @@ corrected analysis is confirmed.
 from __future__ import annotations
 
 import functools
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -57,15 +56,12 @@ from .orbits import (
     field_polys,
     orbit_dimension,
     orbit_space_report,
+    quadratic_point,
 )
 from .properness import (
-    WitnessFailedError,
-    check_witness,
     clock_certificate,
-    combination,
     fixed_point_nonproper_certificate,
     fixed_point_witness,
-    nilpotent_pair_witness,
 )
 from .subalgebra import (
     NotClosed,
@@ -128,16 +124,13 @@ class CatalogEntry:
     defaults: tuple  # instantiations the verifier exercises
     expected_invariants: SubalgebraInvariants
     expected_cohomogeneity: int
-    strata_witnesses: object  # params -> ((point, dim), ...)
+    strata_witnesses: object  # params -> ((point, dim), ...), a point rational or quadratic
     proper: bool
     orbit_space: object | None = None  # params -> OrbitSpaceSpec
     principal_causal: CausalKind | None = None
     degenerate_locus: object | None = None  # point -> bool
     rank_identity: object | None = None  # params -> (coeff polys, note)
     errata: tuple = ()
-    # params -> WitnessSequence: one fixed-point-free escaping sequence for the
-    # whole family, used even where a rational fixed point happens to exist
-    escape_witness: object | None = None
 
     @property
     def family(self) -> str:
@@ -158,6 +151,11 @@ class CatalogEntry:
         """(kind, (params, basis) -> kwargs) for parameter_recovery_check on a
         proper record: the one recovery map, read off the clock certificate."""
         return ("clock", lambda p, basis: {"basis": basis}) if self.proper else None
+
+    def stratum_points(self, params):
+        """The declared witness points: surveyed for their strata, and the
+        candidates, beside the origin, for a fixed point."""
+        return [pt for pt, _ in self.strata_witnesses(params)]
 
     def expected_strata(self, params):
         """Orbit dimensions, descending: the generic 4 - cohomogeneity and the
@@ -194,27 +192,15 @@ def _halfline_spec(invariant, transversal, singular, witnesses):
     )
 
 
-def _perfect_square_root(x: Fraction):
-    """Exact rational square root, or None."""
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def _screw_witnesses(params):
-    """Low-dimensional stratum of the screw family: the fixed circle-substitute
-    (0,0,s,0) with s(s+mu) = lam^2 exists over the rationals iff mu^2+4 lam^2
-    is a perfect square."""
+    """The two-dimensional stratum of the screw family: the orbit rank drops
+    where sigma = p3 + p4 solves sigma^2 + mu sigma - lam^2 = 0, whose
+    discriminant mu^2 + 4 lam^2 is positive at every admissible lam.  The point
+    (0, 0, sigma, 0) at the larger root is rational when the discriminant is a
+    rational square, and in Q(sqrt(mu^2 + 4 lam^2)) otherwise."""
     lam, mu = params["lam"], params["mu"]
-    root = _perfect_square_root(mu * mu + 4 * lam * lam)
-    if root is None:
-        return ()
-    s = (-mu + root) / 2
-    return (((0, 0, s, 0), 2),)
+    return ((quadratic_point((0, 0, -mu / 2, 0), (0, 0, Fraction(1, 2), 0),
+                             mu * mu + 4 * lam * lam), 2),)
 
 
 def _k1n_identity(_params):
@@ -408,7 +394,6 @@ def builtin_catalog():
         expected_invariants=_inv(3, 1, _LIGHT1, 2, (_P, _P)),
         strata_witnesses=_screw_witnesses,
         proper=False,
-        escape_witness=lambda p: nilpotent_pair_witness(p["lam"], p["mu"]),
     ))
     add(_entry(
         entry_id="T3:K1N-l",
@@ -665,9 +650,7 @@ def _instantiations(entry):
 
 
 def _fmt_params(params):
-    if not params:
-        return "-"
-    return ",".join(f"{k}={params[k]}" for k in sorted(params))
+    return ",".join(f"{k}={params[k]}" for k in sorted(params)) or "-"
 
 
 def _check_closure(entry, insts):
@@ -746,55 +729,39 @@ def _check_cohomogeneity(entry, insts, surveys, samples):
 
 
 def nonproperness_witness(entry, params, h):
-    """Build the escaping-sequence witness for a nonproper entry.
-
-    Returns (witness, mechanism description).  Raises ValueError for proper
-    entries and LookupError if no certificate is found where one is expected.
+    """(witness, mechanism) for a nonproper entry: the escaping-sequence
+    ladder about the fixed point of the certificate that ``verify`` reads, as
+    an illustration.  Raises ValueError for proper entries, LookupError
+    without a certificate, and OverflowError for a parameter past float
+    range, or nonzero but rounded to zero, where the ladder leaves the group.
     """
     if entry.proper:
         raise ValueError(f"{entry.entry_id} is proper; no witness applies")
-    if entry.escape_witness is not None:
-        # uniform mechanism for the whole family; a declared low stratum (for
-        # the screw family: mu^2+4lam^2 a rational square) is a fixed point
-        witness = entry.escape_witness(params)
-        mechanism = "fixed-point-free escaping sequence"
-        if entry.strata_witnesses(params):
-            mechanism += " (incidental fixed point exists at these parameters)"
-        return witness, mechanism
-    cert = fixed_point_nonproper_certificate(h)
+    if any(v and not float(v) for v in params.values()):
+        raise OverflowError("a nonzero parameter underflows to zero in floats")
+    cert = fixed_point_nonproper_certificate(h, entry.stratum_points(params))
     if cert is None:
         raise LookupError("no non-properness certificate found")
-    witness = fixed_point_witness(combination(cert.coefficients, h.basis), cert.point, cert.kind)
-    mechanism = (f"{cert.kind.value.lower()} stabilizer at "
-                 f"({','.join(map(str, cert.point))})")
-    return witness, mechanism
+    return fixed_point_witness(cert.linear(h.basis), cert.point, cert.kind), cert.describe()
 
 
-def _check_properness(entry, insts, steps, tol):
+def _check_properness(entry, insts):
     notes = []
     for params, h in insts:
         label = _fmt_params(params)
         if entry.proper:
             cert = clock_certificate(h)
             if cert is None:
-                stab = fixed_point_nonproper_certificate(h)
-                why = ("no clock certificate" if stab is None else
-                       f"unexpected noncompact stabilizer {stab.coefficients} "
-                       f"fixing {stab.point}")
+                stab = fixed_point_nonproper_certificate(h, entry.stratum_points(params))
+                why = "no clock certificate" if stab is None else f"unexpected {stab.describe()}"
                 return CheckResult("properness", False, f"at {label}: {why}")
             notes.append(f"at {label}: {cert.describe()}" if params else cert.describe())
             continue
-        try:
-            witness, mechanism = nonproperness_witness(entry, params, h)
-        except LookupError as err:
-            return CheckResult("properness", False, f"at {label}: {err}")
-        try:
-            rep = check_witness(witness, steps=steps, tol=tol)
-        except (WitnessFailedError, OverflowError) as err:  # the latter: tol past floats
-            return CheckResult("properness", False, f"at {label}: {err}")
-        notes.append(
-            f"{mechanism}; norms {rep.group_norms[0]:.3g} -> "
-            f"{rep.group_norms[-1]:.3g} over {len(rep.steps)} dyadic steps")
+        stab = fixed_point_nonproper_certificate(h, entry.stratum_points(params))
+        if stab is None:
+            return CheckResult("properness", False,
+                               f"at {label}: no non-properness certificate found")
+        notes.append(stab.describe())
     if entry.proper:
         return CheckResult("properness", True, "proper: " + "; ".join(notes))
     return CheckResult("properness", True, "not proper: " + "; ".join(sorted(set(notes))))
@@ -946,7 +913,7 @@ _ERRATUM_CHECKS = {
 # ---------------------------------------------------------------------------
 
 
-def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6) -> VerificationReport:
+def verify_entry(entry, seed=42, samples=32) -> VerificationReport:
     start = time.perf_counter()
     checks = []
     insts = _instantiations(entry)
@@ -955,10 +922,10 @@ def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6) -> Verificati
     if closure.passed:
         checks.append(_check_invariants(entry, insts))
         surveys = [cohomogeneity(h, seed=seed, samples=samples,
-                                 extra_points=[pt for pt, _ in entry.strata_witnesses(params)])
+                                 extra_points=entry.stratum_points(params))
                    for params, h in insts]
         checks.append(_check_cohomogeneity(entry, insts, surveys, samples))
-        checks.append(_check_properness(entry, insts, steps, tol))
+        checks.append(_check_properness(entry, insts))
         if entry.orbit_space is not None:
             checks.append(_check_orbit_space(entry, insts, surveys))
         checks.append(_check_roundtrip(entry, insts, seed))
@@ -973,7 +940,6 @@ def verify_entry(entry, seed=42, samples=32, steps=1024, tol=1e-6) -> Verificati
                               seed=seed, elapsed_ms=elapsed_ms)
 
 
-def verify_all(seed=42, samples=32, steps=1024, tol=1e-6) -> CatalogReport:
-    reports = [verify_entry(e, seed=seed, samples=samples, steps=steps, tol=tol)
-               for e in catalog()]
+def verify_all(seed=42, samples=32) -> CatalogReport:
+    reports = [verify_entry(e, seed=seed, samples=samples) for e in catalog()]
     return CatalogReport(seed=seed, reports=tuple(reports))

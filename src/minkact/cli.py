@@ -34,7 +34,7 @@ from .catalog import (
 )
 from .group import act, exp_element
 from .linalg import DependentBasisError
-from .orbits import cohomogeneity, orbit_dimension
+from .orbits import cohomogeneity, orbit_dimension, point_text
 from .properness import WitnessFailedError, check_witness
 from .subalgebra import NotClosed, closure_check, require_closed
 
@@ -104,10 +104,6 @@ def _fmt_params(params):
     return ", ".join(f"{k}={params[k]}" for k in sorted(params))
 
 
-def _fmt_point(p):
-    return "(" + ",".join(str(c) for c in p) + ")"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -120,12 +116,10 @@ def cmd_verify(args):
         except KeyError:
             print(f"error: unknown catalog entry {args.entry!r}", file=sys.stderr)
             return 2
-        rep = verify_entry(entry, seed=args.seed, samples=args.samples,
-                           steps=args.steps, tol=args.tol)
+        rep = verify_entry(entry, seed=args.seed, samples=args.samples)
         report = CatalogReport(seed=args.seed, reports=(rep,))
     else:
-        report = verify_all(seed=args.seed, samples=args.samples,
-                            steps=args.steps, tol=args.tol)
+        report = verify_all(seed=args.seed, samples=args.samples)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -194,7 +188,7 @@ def cmd_classify(args):
         if m.params:
             line += f" [{_fmt_params(m.params)}]"
         print(line)
-        print(f"  normalizing translation: {_fmt_point(m.normalization)}")
+        print(f"  normalizing translation: {point_text(m.normalization)}")
     return 0
 
 
@@ -259,10 +253,10 @@ def cmd_orbit(args):
             "tangent": [[str(c) for c in row] for row in rep.tangent_basis],
         }, indent=2))
         return 0
-    print(f"{entry.entry_id} at {_fmt_point(rep.point)}:")
+    print(f"{entry.entry_id} at {point_text(rep.point)}:")
     print(f"  orbit dimension {rep.dim}, causal type {rep.causal}")
     for row in rep.tangent_basis:
-        print(f"  tangent {_fmt_point(row)}")
+        print(f"  tangent {point_text(row)}")
     return 0
 
 
@@ -419,28 +413,21 @@ def build_parser():
                     "isometry groups of Minkowski 4-space")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sampling=True, witnessing=False):
-        if sampling:
-            p.add_argument("--seed", type=int, default=42,
-                           help="seed for rational sampling (default 42)")
-            p.add_argument("--samples", type=_int_at_least(1), default=32,
-                           help="number of sample points (default 32)")
-        if witnessing:
-            # the escape check needs the dyadic ladder 1, 2, 4, 8 at least
-            p.add_argument("--steps", type=_int_at_least(8), default=1024,
-                           help="escape-sequence ladder length (default 1024)")
-            p.add_argument("--tol", type=_positive_float, default=1e-6,
-                           help="convergence tolerance (default 1e-6)")
+    def sampling(p):
+        p.add_argument("--seed", type=int, default=42,
+                       help="seed for rational sampling (default 42)")
+        p.add_argument("--samples", type=_int_at_least(1), default=32,
+                       help="number of sample points (default 32)")
 
     pv = sub.add_parser("verify",
                         help="replay the evidence behind every catalog entry")
-    common(pv, witnessing=True)
+    sampling(pv)
     pv.add_argument("--entry", help="restrict to one catalog entry")
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("classify",
                         help="identify the group generated by a file of generators")
-    common(pc)
+    sampling(pc)
     pc.add_argument("file",
                     help="text file, one generator per line (e.g. 'Ya + 1/2*e1'); "
                          "'#' starts a comment")
@@ -448,7 +435,6 @@ def build_parser():
 
     po = sub.add_parser("orbit",
                         help="orbit dimension and causal type at a point")
-    common(po, sampling=False)
     po.add_argument("--entry", required=True, help="catalog entry id")
     _param_flags(po)
     po.add_argument("--point", type=_point_type,
@@ -457,13 +443,17 @@ def build_parser():
 
     pw = sub.add_parser("witness",
                         help="run the escaping-sequence properness refutation")
-    common(pw, sampling=False, witnessing=True)
+    # the escape check needs the dyadic ladder 1, 2, 4, 8 at least
+    pw.add_argument("--steps", type=_int_at_least(8), default=1024,
+                    help="escape-sequence ladder length (default 1024)")
+    pw.add_argument("--tol", type=_positive_float, default=1e-6,
+                    help="convergence tolerance (default 1e-6)")
     pw.add_argument("--entry", required=True, help="catalog entry id")
     _param_flags(pw)
     pw.set_defaults(func=cmd_witness)
 
     pe = sub.add_parser("export", help="sample an orbit patch to CSV")
-    common(pe)
+    sampling(pe)
     pe.add_argument("--entry", required=True, help="catalog entry id")
     _param_flags(pe)
     pe.add_argument("--point", type=_point_type,

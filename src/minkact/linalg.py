@@ -110,12 +110,6 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def quadratic_form(m, c):
-    """c^T M c for a square matrix M and a coefficient vector c."""
-    return sum(ci * sum(x * cj for x, cj in zip(row, c) if cj)
-               for ci, row in zip(c, m) if ci)
-
-
 def mat_is_zero(a) -> bool:
     return all(x == 0 for row in a for x in row)
 

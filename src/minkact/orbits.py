@@ -14,15 +14,18 @@ derived from that elimination when first read, which few checks do.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product, repeat
 from operator import mul
 
-from .algebra import AlgebraElement
-from .linalg import CausalClass, causal_class, frac, integer_rref, integral
+from .algebra import AlgebraElement, fundamental_field
+from .linalg import (CausalClass, causal_class, frac, integer_rref, integral, matvec, rank_of,
+                     transpose)
 from .subalgebra import Subalgebra
 
 
@@ -75,11 +78,7 @@ class Poly:
     @staticmethod
     def covector(cov):
         """Linear form cov . p."""
-        out = Poly()
-        for k, c in enumerate(cov):
-            if c != 0:
-                out = out + Poly.var(k).scale(c)
-        return out
+        return Poly({tuple(int(j == k) for j in range(4)): c for k, c in enumerate(cov)})
 
     def is_zero(self):
         return not self.terms
@@ -134,15 +133,9 @@ class Poly:
         """A small integer point where the polynomial is nonzero (None if zero)."""
         if self.is_zero():
             return None
-        grid = (0, 1, -1, 2, -2, 3, -3)
-        for a in grid:
-            for b in grid:
-                for c in grid:
-                    for d in grid:
-                        p = (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-                        if self.eval(p) != 0:
-                            return p
-        return None  # unreachable for the low degrees used here
+        grid = [Fraction(x) for x in (0, 1, -1, 2, -2, 3, -3)]
+        # None is unreachable for the low degrees used here
+        return next((p for p in product(grid, repeat=4) if self.eval(p) != 0), None)
 
     def __repr__(self):
         if not self.terms:
@@ -160,14 +153,7 @@ class Poly:
 
 def field_polys(elt: AlgebraElement):
     """The four components of elt's Killing field as degree-one polynomials."""
-    comps = []
-    for m in range(4):
-        poly = Poly.const(elt.trans[m])
-        for n in range(4):
-            if elt.linear[m][n] != 0:
-                poly = poly + Poly.var(n).scale(elt.linear[m][n])
-        comps.append(poly)
-    return comps
+    return [Poly.const(t) + Poly.covector(row) for row, t in zip(elt.linear, elt.trans)]
 
 
 def lie_derivative(f: Poly, elt: AlgebraElement) -> Poly:
@@ -230,6 +216,58 @@ class ExpInvariant:
 
 
 # ---------------------------------------------------------------------------
+# Points with coordinates in a real quadratic field
+# ---------------------------------------------------------------------------
+
+
+def _surd_text(a, b, d):
+    """a + b sqrt(d) as text, e.g. '-3/2+1/2*sqrt(13)'."""
+    return f"{a}{'+' if b > 0 else ''}{b}*sqrt({d})" if b else str(a)
+
+
+@dataclass(frozen=True)
+class QuadraticPoint:
+    """The point ``rational`` + sqrt(d) ``surd`` of Q(sqrt d)^4, for a rational
+    d > 0 that is no square, as :func:`quadratic_point` builds it; readers
+    work on its two rational halves."""
+
+    rational: tuple
+    surd: tuple
+    d: Fraction
+
+    def __str__(self):
+        return "(" + ",".join(map(_surd_text, self.rational, self.surd, repeat(self.d))) + ")"
+
+
+def quadratic_point(rational, surd, d):
+    """The point rational + sqrt(d) surd, for a rational d >= 0: a tuple of
+    Fractions when sqrt(d) is rational or surd is zero, else a QuadraticPoint."""
+    rational, surd, d = tuple(map(frac, rational)), tuple(map(frac, surd)), frac(d)
+    n, m = math.isqrt(d.numerator), math.isqrt(d.denominator)
+    if any(surd) and (n * n, m * m) != (d.numerator, d.denominator):
+        return QuadraticPoint(rational, surd, d)
+    return tuple(a + Fraction(n, m) * b for a, b in zip(rational, surd))
+
+
+def point_text(p) -> str:
+    """A rational or quadratic point as text, e.g. '(0,0,1,-1)'."""
+    return str(p) if isinstance(p, QuadraticPoint) else "(" + ",".join(map(str, p)) + ")"
+
+
+def killing_matrix(h: Subalgebra, p):
+    """The 4 x k matrix of Killing fields of h's basis at a rational p; at
+    p0 + sqrt(d) p1, where the fields are A + sqrt(d) B (B the linear parts at
+    p1), its rational realification [[A, dB], [B, A]], whose kernel holds
+    (c0, c1) for each c0 + sqrt(d) c1 of the kernel over Q(sqrt d)."""
+    if not isinstance(p, QuadraticPoint):
+        return transpose([fundamental_field(b, p) if any(p) else b.trans for b in h.basis])
+    a = killing_matrix(h, p.rational)
+    b = transpose([matvec(x.linear, p.surd) for x in h.basis])
+    return ([(*ra, *(p.d * x for x in rb)) for ra, rb in zip(a, b)]
+            + [(*rb, *ra) for ra, rb in zip(a, b)])
+
+
+# ---------------------------------------------------------------------------
 # Orbit dimension and cohomogeneity
 # ---------------------------------------------------------------------------
 
@@ -279,7 +317,11 @@ def _orbit_report(h: Subalgebra, p, scaled) -> OrbitReport:
 def orbit_dimension(h: Subalgebra, p) -> OrbitReport:
     """Exact rank of the orbit through p, from integer elimination on the
     Killing fields at p; its tangent basis and causal class follow on first
-    read (see :class:`OrbitReport`)."""
+    read (see :class:`OrbitReport`).  At a :class:`QuadraticPoint` the rank is
+    half that of the :func:`killing_matrix` realification, and the report has
+    no tangent basis or causal class."""
+    if isinstance(p, QuadraticPoint):
+        return OrbitReport(p, rank_of(killing_matrix(h, p)) // 2, echelon=None)
     p = tuple(frac(x) for x in p)
     return _orbit_report(h, p, integral([(*p, 1)])[0][0])
 

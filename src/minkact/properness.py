@@ -2,14 +2,16 @@
 
 Both sides of the dichotomy carry an exact certificate:
 
-* non-proper: a noncompact one-parameter subgroup fixing the origin, read
-  off one kernel (:func:`fixed_point_nonproper_certificate`), or an explicit
-  escaping sequence g_n with bounded x_n and g_n . x_n checked in plain
-  Python floats to diverge in norm while the images stay Cauchy;
+* non-proper: a noncompact one-parameter subgroup fixing a point, read off
+  one kernel of the Killing matrix there (:func:`fixed_point_nonproper_certificate`),
+  the point rational or in a real quadratic field;
 * proper: clock homomorphisms (:func:`clock_certificate`), linear functions
   that every group element shifts by a constant, whose common kernel is a
   translation group or a compact group with a fixed point.  No sampling.
 
+An escaping sequence g_n with bounded x_n and g_n . x_n, checked in plain
+Python floats to diverge in norm while the images stay Cauchy, illustrates
+a fixed-point certificate (:func:`fixed_point_witness`); no verdict reads it.
 The clock certificate is also constructive: :func:`recover_element` reads
 the group element carrying a point to its image off the clocks, a section
 and one kernel solve, and :func:`parameter_recovery_check` exercises it over
@@ -24,13 +26,15 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
-from .algebra import element
+from .algebra import AlgebraElement, element
 from .group import Isometry, act, cayley, compose, exp_element, translation
-from .linalg import (echelon_basis, integral, kernel_of, mat_is_zero, matvec, quadratic_form,
-                     reduce_mod, solve_linear, sylvester_signature, transpose, vadd, vec4, vsub)
-from .subalgebra import (OneParamType, Subalgebra, invariant_forms, require_closed,
-                         type_from_invariants)
+from .linalg import (ZERO4, echelon_basis, integral, kernel_of, mat_is_zero, matvec, reduce_mod,
+                     solve_linear, sylvester_signature, transpose, vadd, vec4, vsub)
+from .orbits import QuadraticPoint, killing_matrix, point_text
+from .subalgebra import (OneParamType, Subalgebra, _pfaffian_polar, _trace_product,
+                         invariant_forms, require_closed, type_from_invariants)
 
 
 class WitnessFailedError(AssertionError):
@@ -46,19 +50,47 @@ class RecoveryMismatchError(AssertionError):
 # ---------------------------------------------------------------------------
 
 
+def _surd_sign(a, b, d):
+    """The sign of a + b sqrt(d), exactly: that of its larger term, for a
+    rational d >= 0 with sqrt(d) irrational or b = 0."""
+    x = a if a * a > b * b * d else b
+    return (x > 0) - (x < 0)
+
+
+def _surd_float(a, b, d):
+    """a + b sqrt(d) in floats; where the terms have opposite signs, through
+    (a^2 - b^2 d) / (a - b sqrt(d)), which does not cancel (zero when both
+    terms are below float range)."""
+    if a * b >= 0:
+        return float(a) + math.sqrt(d) * float(b)
+    far = float(a) - math.sqrt(d) * float(b)
+    return float(a * a - b * b * d) / far if far else 0.0
+
+
 @dataclass(frozen=True)
 class FixedPointCert:
-    """A hyperbolic or parabolic one-parameter subgroup fixing ``point``.
-
-    ``coefficients`` is a primitive integer vector on the basis, and
-    ``point`` is the origin, where the kernel of the translation parts puts
-    it.  Such a subgroup is closed and noncompact, and its orbit map at the
-    fixed point is constant, so the action cannot be proper.
-    """
+    """A hyperbolic or parabolic element sum_b c_b basis_b fixing ``point``,
+    with c = ``coefficients`` + sqrt(d) ``surd`` (empty at a rational point)
+    primitive over both integer halves.  Such a subgroup is closed and
+    noncompact, and its orbit map at the fixed point is constant, so the
+    action cannot be proper."""
 
     coefficients: tuple
     kind: OneParamType
-    point: tuple
+    point: tuple | QuadraticPoint
+    surd: tuple = ()
+
+    def describe(self) -> str:
+        return f"{self.kind.value.lower()} stabilizer at {point_text(self.point)}"
+
+    def linear(self, basis):
+        """The element's linear part in floats, from c divided by its largest
+        entry, so that no coefficient overflows."""
+        top = max(map(abs, (*self.coefficients, *self.surd)))
+        x0, x1 = (combination([Fraction(c, top) for c in half], basis).linear
+                  for half in (self.coefficients, self.surd))
+        d = self.point.d if self.surd else 0
+        return tuple(tuple(map(_surd_float, r0, r1, repeat(d))) for r0, r1 in zip(x0, x1))
 
 
 def combination(coeffs, basis):
@@ -67,31 +99,41 @@ def combination(coeffs, basis):
     return functools.reduce(operator.add, terms) if terms else element()
 
 
-def fixed_point_nonproper_certificate(h: Subalgebra):
-    """A hyperbolic or parabolic element of h fixing the origin, or None.
+def _stabilizer_type(basis, c, d):
+    """The type of the element with coefficients c0 + sqrt(d) c1, c listing
+    c0 then c1 (empty at a rational point), read off its own linear part
+    X = X0 + sqrt(d) X1: tr(X^2) and Pf(eta X) are a + b sqrt(d), with halves
+    from the products of X0 and X1."""
+    x0, x1 = (combination(half, basis).linear for half in (c[:len(basis)], c[len(basis):]))
+    trace_sign = _surd_sign(_trace_product(x0, x0) + d * _trace_product(x1, x1),
+                            2 * _trace_product(x0, x1), d)
+    pfaffian = (_pfaffian_polar(x0, x0) + d * _pfaffian_polar(x1, x1),
+                _pfaffian_polar(x0, x1)) != (0, 0)
+    # the rows of both halves: X is zero exactly when they all are
+    return type_from_invariants(trace_sign, pfaffian, x0 + x1)
 
-    The elements fixing the origin are the combinations c with
-    sum_b c_b x_b = 0: one kernel of the 4 x k matrix of translation parts.
-    Each kernel vector, scaled to a primitive integer vector, is typed by
-    :func:`~minkact.subalgebra.type_from_invariants`, with tr(X^2) = c^T T c
-    and 2 Pf(eta X) = c^T P c read off the invariant forms of the basis's
-    linear parts.  The first hyperbolic or parabolic one is returned.
 
-    Scope: every catalog build is in translation normal form, and its
-    stabilizers sit at the origin.  Fixed points elsewhere are not looked
-    for: the screw family's, on sigma^2 + mu sigma - lambda^2 = 0 with
-    sigma = p3 + p4, and those of Lorentz conjugates of catalog records.
+def fixed_point_nonproper_certificate(h: Subalgebra, points=()):
+    """A hyperbolic or parabolic element of h fixing a point, or None.
+
+    The candidates are the origin, ``points`` (rational or
+    :class:`~minkact.orbits.QuadraticPoint`), then the point of
+    ``h.normal_form``, where a translation conjugate of a catalog build has
+    its stabilizers.  The elements fixing p are one kernel, of the rational
+    :func:`~minkact.orbits.killing_matrix` at p.  The first kernel vector,
+    made primitive, that its own linear part types hyperbolic or parabolic
+    is returned.
     """
-    trace_form, pf_form = invariant_forms([b.linear for b in h.basis])
-    for c in kernel_of(transpose([b.trans for b in h.basis])):
-        (row,), _ = integral([c])
-        g = math.gcd(*row)
-        coeffs = tuple(x // g for x in row)
-        kind = type_from_invariants(quadratic_form(trace_form, coeffs),
-                                    quadratic_form(pf_form, coeffs),
-                                    combination(coeffs, h.basis).linear)
-        if kind in (OneParamType.HYPERBOLIC, OneParamType.PARABOLIC):
-            return FixedPointCert(coefficients=coeffs, kind=kind, point=vec4(0, 0, 0, 0))
+    for p in (ZERO4, *points, None):  # None: the normal-form point, solved for last
+        p = h.normal_form[0] if p is None else p
+        d = p.d if isinstance(p, QuadraticPoint) else 0
+        for c in kernel_of(killing_matrix(h, p)):
+            (row,), _ = integral([c])
+            g = math.gcd(*row)
+            c = tuple(x // g for x in row)
+            kind = _stabilizer_type(h.basis, c, d)
+            if kind in (OneParamType.HYPERBOLIC, OneParamType.PARABOLIC):
+                return FixedPointCert(c[:h.dim], kind, p, c[h.dim:])
     return None
 
 
@@ -123,7 +165,7 @@ class ClockCertificate:
     def describe(self) -> str:
         clocks = ", ".join(f"clock {_linear_form(c)} rates ({','.join(map(str, r))})"
                            for c, r in self.clocks) or "no clock"
-        fixing = f", fixing ({','.join(map(str, self.point))})" if self.point is not None else ""
+        fixing = f", fixing {point_text(self.point)}" if self.point is not None else ""
         return f"{clocks}, kernel of dim {len(self.kernel)}: {self.kind}{fixing}"
 
 
@@ -184,67 +226,37 @@ class WitnessSequence:
     point_at: object
 
 
-def fixed_point_witness(elt, point, kind: OneParamType) -> WitnessSequence:
-    """Witness through a fixed point: g_n = exp(t_n X), x_n = the point.
+def fixed_point_witness(linear, point, kind: OneParamType) -> WitnessSequence:
+    """Witness through a fixed point p: x_n = p and g_n = exp(t_n X) about p,
+    that is (V_n, p - V_n p) with V_n = exp(t_n X), for X the linear part of
+    an element fixing p, so that floats round the images only once.
 
-    Hyperbolic subgroups grow like e^t, so t_n = log(1+n) keeps cosh within
-    float range while the norms still diverge linearly; parabolic subgroups
-    grow polynomially and take t_n = n directly.
+    X is scaled to a unit linear part in floats: unit rapidity sqrt(tr(X^2)/2)
+    when hyperbolic, largest entry 1 when parabolic (a nilpotent X has no
+    invariant scale), so the walk's speed depends neither on how the element
+    was normalized nor on the family's parameters.  Hyperbolic subgroups grow
+    like e^t, so t_n = log(1+n) keeps cosh within float range while the norms
+    still diverge linearly; parabolic subgroups grow polynomially and take
+    t_n = n directly.  ``point`` is rational or a
+    :class:`~minkact.orbits.QuadraticPoint`.
     """
-    pt = tuple(map(float, point))
     hyperbolic = kind is OneParamType.HYPERBOLIC
+    x = tuple(tuple(map(float, row)) for row in linear)
+    speed = math.sqrt(_trace_product(x, x) / 2) if hyperbolic else max(map(abs, sum(x, ())))
+    unit = AlgebraElement(tuple(tuple(Fraction(v / speed) for v in row) for row in x), ZERO4)
+    pt = (tuple(map(_surd_float, point.rational, point.surd, repeat(point.d)))
+          if isinstance(point, QuadraticPoint) else tuple(map(float, point)))
 
     def group_at(n):
-        t = math.log(1.0 + n) if hyperbolic else float(n)
-        g = exp_element(elt, t)
-        return g.V, g.v
+        V = exp_element(unit, math.log(1.0 + n) if hyperbolic else float(n)).V
+        return V, vsub(pt, matvec(V, pt))
 
     def point_at(n):
         return pt
 
     label = "hyperbolic" if hyperbolic else "parabolic"
     return WitnessSequence(
-        description=f"{label} one-parameter subgroup fixing {tuple(point)}",
-        group_at=group_at,
-        point_at=point_at,
-    )
-
-
-def nilpotent_pair_witness(lam, mu) -> WitnessSequence:
-    """Escaping sequence for the fixed-point-free screw family.
-
-    The group elements are built from the two-parameter null-rotation block
-    C(t, s) together with the translations the decorated generators force;
-    along t_n = (alpha+mu) n / r, s_n = -lam n / r (alpha the positive root
-    of x^2 + mu x - lam^2, r = hypot(alpha+mu, lam)) the chosen base point
-    x = (0, 0, alpha, 0) satisfies g_n . x = x identically, while |g_n| grows
-    quadratically.  At unit speed q = n^2/2 cancels no more than it must in
-    (1 - q) alpha + q alpha, at every scale of the parameters.
-    """
-    lam = float(lam)
-    mu = float(mu)
-    if lam == 0:  # lam != 0 is admissible, so this is an underflow
-        raise OverflowError("lam underflows to zero in floats")
-    alpha = (-mu + math.sqrt(mu * mu + 4.0 * lam * lam)) / 2.0
-    r = math.hypot(alpha + mu, lam)
-    x = (0.0, 0.0, alpha, 0.0)
-
-    def group_at(n):
-        t = (alpha + mu) * n / r
-        s = -lam * n / r
-        q = (t * t + s * s) / 2.0
-        V = ((1.0, 0.0, t, t),
-             (0.0, 1.0, s, s),
-             (-t, -s, 1.0 - q, -q),
-             (t, s, q, 1.0 + q))
-        vtx = q * alpha
-        return V, (lam * s, lam * t + mu * s, vtx, -vtx)
-
-    def point_at(n):
-        return x
-
-    return WitnessSequence(
-        description=f"screw family lam={lam} mu={mu}: recurrent point ({0}, {0}, {alpha:.6g}, {0})",
+        description=f"{label} one-parameter subgroup fixing {point_text(point)}",
         group_at=group_at,
         point_at=point_at,
     )
@@ -268,11 +280,7 @@ def check_witness(witness: WitnessSequence, steps: int = 1024,
     OverflowError where floats cannot decide: a norm or an image past their
     range, or images so large that rounding alone opens a tail gap of tol.
     """
-    ladder = []
-    n = 1
-    while n <= steps:
-        ladder.append(n)
-        n *= 2
+    ladder = [2 ** k for k in range(steps.bit_length())]
     if len(ladder) < 4:
         raise WitnessFailedError("need at least 4 dyadic steps")
 

@@ -220,31 +220,35 @@ def test_nonproperness_witness_for_screw_family():
     params = {"lam": Fraction(1), "mu": Fraction(3)}
     h = require_closed(entry.build(params))
     witness, mechanism = nonproperness_witness(entry, params, h)
-    assert mechanism == "fixed-point-free escaping sequence"
+    assert mechanism == "parabolic stabilizer at (0,0,-3/2+1/2*sqrt(13),0)"
     check_witness(witness)
 
 
-def test_screw_family_notes_incidental_fixed_points():
-    # mu^2 + 4 lam^2 a perfect square => a rational fixed point happens to exist
+def test_screw_family_stabilizer_fixes_the_declared_point():
+    # mu^2 + 4 lam^2 a perfect square: the declared point is rational
     entry = entry_by_id("T3:nilpotent-pair")
     params = {"lam": Fraction(1), "mu": Fraction(0)}
     h = require_closed(entry.build(params))
+    assert entry.stratum_points(params) == [(0, 0, 1, 0)]
     _, mechanism = nonproperness_witness(entry, params, h)
-    assert "incidental fixed point" in mechanism
+    assert mechanism == "parabolic stabilizer at (0,0,1,0)"
 
 
 @pytest.mark.parametrize("lam, mu", [("3", "8"), ("2", "5/3"), ("-2", "5/3")])
 def test_screw_family_notes_fixed_points_off_the_search_box(lam, mu):
     # the fixed point (0,0,s,0) has a two-dimensional orbit; it is rational,
-    # but off the origin, the only point the stabilizer certificate examines
+    # but off the origin and the normal-form point, so only the declared
+    # stratum point finds it
     entry = entry_by_id("T3:nilpotent-pair")
     params = {"lam": Fraction(lam), "mu": Fraction(mu)}
     h = require_closed(entry.build(params))
     (point, dim), = entry.strata_witnesses(params)
     assert orbit_dimension(h, point).dim == dim == 2
     assert fixed_point_nonproper_certificate(h) is None
+    cert = fixed_point_nonproper_certificate(h, [point])
+    assert cert.point == point
     _, mechanism = nonproperness_witness(entry, params, h)
-    assert "incidental fixed point" in mechanism
+    assert mechanism == cert.describe()
 
 
 def test_nonproperness_witness_rejects_proper_entry():
@@ -278,6 +282,19 @@ def test_verify_all_covers_every_entry_once(seed42_report):
     report = seed42_report
     assert [r.entry_id for r in report.reports] == [e.entry_id for e in ALL]
     assert report.to_dict()["pass"] is False
+
+
+def test_verify_reads_no_float(seed42_report, monkeypatch):
+    # every verdict, the non-proper ones included, stands on exact
+    # certificates: with the float ladder and the group exponential gone,
+    # the replay prints the same report
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("verify evaluated a float witness")
+
+    for module in ("minkact.group", "minkact.properness", "minkact.catalog"):
+        for name in ("exp_element", "check_witness"):
+            monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
+    assert _masked(verify_all().to_dict()) == _masked(seed42_report.to_dict())
 
 
 @pytest.mark.parametrize("entry_id", ["T2:SO2xR11", "T3:SO3xRe4", "T3:K1A-l"])

@@ -30,6 +30,7 @@ from minkact.orbits import (
     lie_derivative,
     orbit_dimension,
     orbit_space_report,
+    quadratic_point,
     sample_points,
 )
 from minkact.subalgebra import Subalgebra, closure_check, require_closed
@@ -262,6 +263,28 @@ def test_survey_reports_derive_what_orbit_dimension_computes(seed):
             got = rep.dim, rep.tangent_basis, rep.causal
             want = orbit_dimension(h, rep.point)
             assert got == (want.dim, want.tangent_basis, want.causal), entry.entry_id
+
+
+SCREW_13 = require_closed(entry_by_id("T3:nilpotent-pair").build(
+    {"lam": Fraction(1), "mu": Fraction(3)}))
+
+
+@pytest.mark.parametrize("rational,surd,rank", [
+    ((0, 0, Fraction(-3, 2), 0), (0, 0, Fraction(1, 2), 0), 2),   # sigma^2 + 3 sigma = 1
+    ((0, 0, Fraction(-3, 2), 0), (0, 0, Fraction(-1, 2), 0), 2),  # the other root
+    ((1, 0, Fraction(7, 2), -5), (0, 0, Fraction(1, 2), 0), 2),  # same sigma = p3 + p4
+    ((1, 2, 0, 0), (0, 1, 1, 0), 3),
+    ((0, 0, 0, 0), (3, 0, 0, -1), 3),
+], ids=["root", "other-root", "on-stratum", "generic", "surd-only"])
+def test_orbit_rank_at_a_q_sqrt_13_point_matches_sympy(rational, surd, rank):
+    import sympy
+
+    p = quadratic_point(rational, surd, 13)
+    coords = [sympy.nsimplify(a) + sympy.sqrt(13) * sympy.nsimplify(b)
+              for a, b in zip(rational, surd)]
+    fields = [[sum(sympy.nsimplify(x) * c for x, c in zip(row, coords)) + sympy.nsimplify(t)
+               for row, t in zip(b.linear, b.trans)] for b in SCREW_13.basis]
+    assert orbit_dimension(SCREW_13, p).dim == sympy.Matrix(fields).rank(simplify=True) == rank
 
 
 def test_cohomogeneity_of_rotation_boost_null_group():

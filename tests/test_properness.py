@@ -14,7 +14,7 @@ from minkact.linalg import (
     ETA,
     char_poly,
     matmul,
-    quadratic_form,
+    matvec,
     solve_linear,
     trace,
     vec4,
@@ -31,17 +31,17 @@ from minkact.properness import (
     combination,
     fixed_point_nonproper_certificate,
     fixed_point_witness,
-    nilpotent_pair_witness,
     parameter_recovery_check,
     recover_element,
 )
 from minkact.group import (Isometry, act, compose, exp_element, lorentz_ok,
                            rational_rotation_12, translation)
-from minkact.orbits import Poly, lie_derivative
+from minkact.orbits import Poly, QuadraticPoint, lie_derivative, quadratic_point
 from minkact.subalgebra import (
     OneParamType,
     invariant_forms,
     one_param_type,
+    recenter,
     require_closed,
 )
 
@@ -91,20 +91,63 @@ def test_compact_clock_kernel_is_the_whole_algebra():
 
 
 PROPER = [e for e in catalog() if e.proper]
-NONPROPER = [e for e in catalog()
-             if not e.proper and e.entry_id != "T3:nilpotent-pair"]
+NONPROPER = [e for e in catalog() if not e.proper]
 
 
 @pytest.mark.parametrize("entry", PROPER, ids=lambda e: e.entry_id)
 def test_proper_entries_have_no_fixed_point_certificate(entry):
     h = require_closed(entry.build(entry.defaults[0]))
     assert fixed_point_nonproper_certificate(h) is None
+    assert fixed_point_nonproper_certificate(h, entry.stratum_points(entry.defaults[0])) is None
 
 
 @pytest.mark.parametrize("entry", NONPROPER, ids=lambda e: e.entry_id)
 def test_nonproper_entries_have_fixed_point_certificate(entry):
-    h = require_closed(entry.build(entry.defaults[0]))
-    assert fixed_point_nonproper_certificate(h) is not None
+    params = entry.defaults[0]
+    h = require_closed(entry.build(params))
+    assert fixed_point_nonproper_certificate(h, entry.stratum_points(params)) is not None
+
+
+def test_translation_conjugates_are_certified_at_their_normal_form_point():
+    # the stabilizer of the recentred boost sits at -(1,2,3,5) modulo the
+    # translations the group contains, where h.normal_form puts it
+    h = recenter(require_closed(entry_by_id("T2:Ya-W2").build({})), vec4(1, 2, 3, 5))
+    cert = fixed_point_nonproper_certificate(h)
+    assert cert is not None and cert.kind is OneParamType.HYPERBOLIC
+    assert cert.point == h.normal_form[0] != (0, 0, 0, 0)
+    elt = combination(cert.coefficients, h.basis)
+    assert fundamental_field(elt, cert.point) == (0, 0, 0, 0)
+
+
+SCREW = entry_by_id("T3:nilpotent-pair")
+
+
+def test_screw_stabilizer_at_a_point_in_q_sqrt_13():
+    params = {"lam": Fraction(1), "mu": Fraction(3)}
+    h = require_closed(SCREW.build(params))
+    cert = fixed_point_nonproper_certificate(h, SCREW.stratum_points(params))
+    assert cert.point == QuadraticPoint((0, 0, Fraction(-3, 2), 0), (0, 0, Fraction(1, 2), 0), 13)
+    assert cert.kind is OneParamType.PARABOLIC
+    assert cert.describe() == "parabolic stabilizer at (0,0,-3/2+1/2*sqrt(13),0)"
+    # c = c0 + sqrt(13) c1 kills the field at p0 + sqrt(13) p1: both halves of
+    # sum_b c_b (X_b p + x_b) vanish
+    p0, p1 = cert.point.rational, cert.point.surd
+    c0, c1 = cert.coefficients, cert.surd
+    assert any(c1)
+    fields0 = [fundamental_field(b, p0) for b in h.basis]
+    moves1 = [matvec(b.linear, p1) for b in h.basis]
+    rational = [sum(c * f[i] for c, f in zip(c0, fields0))
+                + 13 * sum(c * m[i] for c, m in zip(c1, moves1)) for i in range(4)]
+    surd = [sum(c * m[i] for c, m in zip(c0, moves1))
+            + sum(c * f[i] for c, f in zip(c1, fields0)) for i in range(4)]
+    assert rational == surd == [0, 0, 0, 0]
+
+
+def test_quadratic_points_fold_rational_square_roots():
+    assert quadratic_point((1, 0, 0, 0), (0, 0, 1, 0), Fraction(25, 4)) == \
+        (1, 0, Fraction(5, 2), 0)
+    assert quadratic_point((1, 0, 0, 0), (0, 0, 0, 0), 13) == (1, 0, 0, 0)
+    assert isinstance(quadratic_point((0,) * 4, (0, 0, 1, 0), Fraction(13, 4)), QuadraticPoint)
 
 
 def _reference_certificate(h, combo_range=2):
@@ -144,8 +187,9 @@ SEARCH_CASES = [(" ".join([e.entry_id] + [f"{k}={v}" for k, v in sorted(p.items(
 ]
 
 # screw defaults with mu^2 + 4 lam^2 a rational square: their stabilizer fixes
-# (0, 0, s, 0) off the origin, where the box search found it and the kernel
-# at the origin does not look
+# (0, 0, s, 0) off the origin, where the box search found it; without the
+# declared stratum points the certificate examines only the origin and the
+# normal-form point, which coincide for catalog builds
 OFF_ORIGIN = {"T3:nilpotent-pair lam=1 mu=0", "T3:nilpotent-pair lam=-2 mu=0",
               "T3:nilpotent-pair lam=-2 mu=3"}
 
@@ -175,7 +219,7 @@ def test_certificate_is_a_noncompact_stabilizer(basis):
     pytest.param(e, p, id=e.entry_id + "".join(f"-{k}={v}" for k, v in p.items()))
     for e in catalog() for p in e.defaults])
 def test_catalog_builds_are_in_translation_normal_form(entry, params):
-    # the certificate looks for stabilizers at the origin only
+    # so the certificate's normal-form point is the origin on catalog builds
     assert require_closed(entry.build(params)).normal_form[0] == (0, 0, 0, 0)
 
 
@@ -186,6 +230,10 @@ def test_catalog_builds_are_in_translation_normal_form(entry, params):
 def test_invariant_forms_evaluate_to_trace_and_pfaffian(entry_id, params):
     h = require_closed(entry_by_id(entry_id).build(params))
     trace_form, pf_form = invariant_forms([b.linear for b in h.basis])
+
+    def quadratic_form(m, c):
+        return sum(ci * mij * cj for ci, row in zip(c, m) for mij, cj in zip(row, c))
+
     for coeffs in itertools.product(range(-2, 3), repeat=h.dim):
         x = _combination(h, coeffs).linear
         assert quadratic_form(trace_form, coeffs) == trace(matmul(x, x))
@@ -284,16 +332,16 @@ PARAMETRIZED = [e.entry_id for e in catalog() if e.params]
                 min_size=2, max_size=2))
 @example("T3:nilpotent-pair", [Fraction(1), Fraction(0)])
 @example("T3:nilpotent-pair", [Fraction(-2), Fraction(3)])
+@example("T3:nilpotent-pair", [Fraction(-30), Fraction(10)])
+@example("T3:nilpotent-pair", [Fraction(5, 3), Fraction(-20)])
 def test_exactly_one_certificate_decides_properness(entry_id, values):
     entry = entry_by_id(entry_id)
     params = dict(zip(entry.params, values))
     assume(entry.admissible(params))
     h = require_closed(entry.build(params))
-    clock, stabilizer = clock_certificate(h), fixed_point_nonproper_certificate(h)
-    if entry_id == "T3:nilpotent-pair":  # fixed-point free, or fixed off the origin
-        assert clock is None and stabilizer is None
-    else:
-        assert (clock is not None, stabilizer is not None) == (entry.proper, not entry.proper)
+    clock = clock_certificate(h)
+    stabilizer = fixed_point_nonproper_certificate(h, entry.stratum_points(params))
+    assert (clock is not None, stabilizer is not None) == (entry.proper, not entry.proper)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +350,7 @@ def test_exactly_one_certificate_decides_properness(entry_id, values):
 
 
 def test_hyperbolic_fixed_point_witness_checks_out():
-    report = check_witness(fixed_point_witness(YA, (0, 0, 0, 0),
+    report = check_witness(fixed_point_witness(YA.linear, (0, 0, 0, 0),
                                                OneParamType.HYPERBOLIC))
     assert report.steps == (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
     assert report.group_norms[-1] > 10 * report.group_norms[0]
@@ -310,18 +358,34 @@ def test_hyperbolic_fixed_point_witness_checks_out():
 
 
 def test_parabolic_fixed_point_witness_checks_out():
-    report = check_witness(fixed_point_witness(YN1, (0, 0, 0, 0),
+    report = check_witness(fixed_point_witness(YN1.linear, (0, 0, 0, 0),
                                                OneParamType.PARABOLIC))
     assert report.image_gap < 1e-6
+
+
+def screw_witness(lam, mu):
+    params = {"lam": Fraction(lam), "mu": Fraction(mu)}
+    return nonproperness_witness(SCREW, params, require_closed(SCREW.build(params)))
 
 
 @pytest.mark.parametrize("lam,mu", [(1, 3), (-30, 10), (Fraction("1e-200"), 0)],
                          ids=["1,3", "-30,10", "1e-200,0"])
 def test_nilpotent_pair_witness_checks_out(lam, mu):
-    # the unit-speed walk keeps q = n^2/2 at every scale of lam and mu
-    report = check_witness(nilpotent_pair_witness(Fraction(lam), Fraction(mu)))
+    # the walk runs at unit speed about the exact fixed point, at every scale
+    # of lam and mu; (1, 3) and (-30, 10) fix points in Q(sqrt 13), Q(sqrt 37)
+    witness, mechanism = screw_witness(lam, mu)
+    assert mechanism.startswith("parabolic stabilizer at (0,0,")
+    report = check_witness(witness)
     assert report.group_norms[-1] > 10 * report.group_norms[0]
     assert report.image_gap < 1e-6
+
+
+def test_witness_floats_a_quadratic_point_without_cancellation():
+    # sigma = (-mu + sqrt(mu^2 + 4 lam^2)) / 2 is about lam^2 / mu = 1e-11 here;
+    # summing the two halves in floats would keep none of its digits
+    witness, _ = screw_witness(Fraction(1, 1000), 10 ** 5)
+    sigma = witness.point_at(1)[2]
+    assert sigma == pytest.approx(1e-11, rel=1e-9)
 
 
 def scaled_identity(c):
@@ -342,7 +406,7 @@ def test_bounded_sequence_is_rejected():
     (WitnessSequence(description="entries past the float range",
                      group_at=lambda n: (scaled_identity(1e306 * n), (0.0,) * 4),
                      point_at=lambda n: (1.0, 0.0, 0.0, 0.0)), "float range"),
-    (nilpotent_pair_witness(Fraction(10) ** 100, 0), "cannot resolve"),
+    (screw_witness(Fraction(10) ** 100, 0)[0], "cannot resolve"),
 ], ids=["overflow", "unresolved"])
 def test_witness_outside_float_reach_raises_overflow(witness, message):
     with pytest.raises(OverflowError, match=message):
