@@ -8,6 +8,8 @@ and refutations, orbit-space invariants).  See the ``minkact`` command line
 for the verifier.
 """
 
+import types
+
 from .algebra import (
     AlgebraElement,
     GENERATOR_ORDER,
@@ -53,6 +55,7 @@ from .orbits import (
     invariant_function_check,
     orbit_dimension,
     orbit_space_report,
+    orbit_space_spec,
     sample_points,
 )
 from .properness import (
@@ -77,64 +80,6 @@ from .subalgebra import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlgebraElement",
-    "CatalogEntry",
-    "CatalogReport",
-    "CausalClass",
-    "CausalKind",
-    "ExpInvariant",
-    "GENERATOR_ORDER",
-    "Isometry",
-    "MatchResult",
-    "NotClosed",
-    "NotClosedError",
-    "NumericIsometry",
-    "OneParamType",
-    "OrbitSpaceKind",
-    "OrbitSpaceSpec",
-    "Poly",
-    "Subalgebra",
-    "SubalgebraInvariants",
-    "VerificationReport",
-    "adjoint",
-    "bracket",
-    "builtin_catalog",
-    "cartan_involution",
-    "catalog",
-    "causal_type",
-    "check_witness",
-    "closure_check",
-    "cohomogeneity",
-    "clock_certificate",
-    "compose",
-    "coords10",
-    "element",
-    "entry_by_id",
-    "exp_element",
-    "fixed_point_nonproper_certificate",
-    "fixed_point_witness",
-    "frac",
-    "fundamental_field",
-    "invariant_function_check",
-    "invariants",
-    "invert",
-    "lift_constraints",
-    "lorentz_ok",
-    "match_catalog",
-    "mink_inner",
-    "nonproperness_witness",
-    "normalize_translations",
-    "one_param_type",
-    "orbit_dimension",
-    "orbit_space_report",
-    "parameter_recovery_check",
-    "recover_element",
-    "require_closed",
-    "sample_points",
-    "standard_generator",
-    "translation",
-    "vec4",
-    "verify_all",
-    "verify_entry",
-]
+# every public name imported above, so that the exports are listed once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -3,16 +3,16 @@ Minkowski 4-space, with machine-checkable evidence per entry.
 
 Each record carries the generators (possibly decorated by parameters), the
 expected conjugation invariants, explicit witness points for every
-non-generic orbit stratum, the properness verdict together with its
-certificate mechanism, and — for the proper families — the orbit-space
-evidence (global invariant function, transversal, singular-orbit data).
-Each fact is stated once: the family is the id's prefix, the parameter names
-are the defaults' keys, the cohomogeneity is 1 unless a record says
-otherwise, and the expected strata are the generic dimension plus those of
-the witness points.  `verify_entry` replays all of it; `match_catalog`
-re-identifies an arbitrary closed subalgebra against the table: on the
-span's translation normal form, one exact linear solve fits a record's
-parameters, which every record's generators depend on affinely.
+non-generic orbit stratum, and the properness verdict together with its
+certificate mechanism.  Each fact is stated once: the family is the id's
+prefix, the parameter names are the defaults' keys, the cohomogeneity is 1
+unless a record says otherwise, the expected strata are the generic
+dimension plus those of the witness points, and the orbit space of a proper
+table record (invariant, transversal, singular orbit, principal causal
+types) is derived from its Killing fields.  `verify_entry` replays all of
+it; `match_catalog` re-identifies an arbitrary closed subalgebra against the
+table: on the span's translation normal form, one exact linear solve fits a
+record's parameters, which every record's generators depend on affinely.
 
 Six `Excluded:*` records document the near-miss groups whose orbit
 stratification disqualifies them (wrong maximal dimension, or homogeneous
@@ -47,15 +47,14 @@ from .linalg import (
 )
 from .orbits import (
     EvidenceFailedError,
-    ExpInvariant,
     NotInvariantError,
     OrbitSpaceKind,
-    OrbitSpaceSpec,
     Poly,
     cohomogeneity,
     field_polys,
     orbit_dimension,
     orbit_space_report,
+    orbit_space_spec,
     quadratic_point,
 )
 from .properness import (
@@ -70,6 +69,7 @@ from .subalgebra import (
     SubalgebraInvariants,
     closure_check,
     recenter,
+    require_closed,
 )
 
 YK1 = standard_generator("Yk1")
@@ -126,9 +126,6 @@ class CatalogEntry:
     expected_cohomogeneity: int
     strata_witnesses: object  # params -> ((point, dim), ...), a point rational or quadratic
     proper: bool
-    orbit_space: object | None = None  # params -> OrbitSpaceSpec
-    principal_causal: CausalKind | None = None
-    degenerate_locus: object | None = None  # point -> bool
     rank_identity: object | None = None  # params -> (coeff polys, note)
     errata: tuple = ()
 
@@ -152,6 +149,26 @@ class CatalogEntry:
         proper record: the one recovery map, read off the clock certificate."""
         return ("clock", lambda p, basis: {"basis": basis}) if self.proper else None
 
+    @property
+    def orbit_space(self):
+        """params -> the OrbitSpaceSpec derived from that instantiation's
+        Killing fields, on the proper table records; None on the others."""
+        if not (self.proper and self.in_table):
+            return None
+
+        def derive(params):
+            h = require_closed(self.build(params))
+            return orbit_space_spec(h, [orbit_dimension(h, p)
+                                        for p in self.stratum_points(params)])
+        return derive
+
+    @property
+    def principal_causal(self):
+        """The causal kind of the principal orbits at the first default, read
+        off the derived orbit space; None where there is none."""
+        spaces = self.orbit_space
+        return spaces and spaces(self.defaults[0]).principal_causal
+
     def stratum_points(self, params):
         """The declared witness points: surveyed for their strata, and the
         candidates, beside the origin, for a fixed point."""
@@ -169,27 +186,7 @@ def _no_params(_):
     return True
 
 
-_POLY_F_SO2 = Poly.var(0) * Poly.var(0) + Poly.var(1) * Poly.var(1)
-_POLY_F_SO3 = _POLY_F_SO2 + Poly.var(2) * Poly.var(2)
 _SIGMA = Poly.var(2) + Poly.var(3)  # p3 + p4, the null level
-
-
-def _line_spec(invariant, transversal):
-    return OrbitSpaceSpec(
-        kind=OrbitSpaceKind.LINE,
-        invariant=invariant,
-        transversal=tuple(tuple(map(Fraction, p)) for p in transversal),
-    )
-
-
-def _halfline_spec(invariant, transversal, singular, witnesses):
-    return OrbitSpaceSpec(
-        kind=OrbitSpaceKind.HALFLINE,
-        invariant=invariant,
-        transversal=tuple(tuple(map(Fraction, p)) for p in transversal),
-        singular=singular,
-        singular_witnesses=tuple(tuple(map(Fraction, p)) for p in witnesses),
-    )
 
 
 def _screw_witnesses(params):
@@ -241,9 +238,6 @@ def builtin_catalog():
         build=lambda p: (T1, T2, T3),
         expected_invariants=_inv(3, 3, _sp(3), 0, ()),
         proper=True,
-        orbit_space=lambda p: _line_spec(
-            Poly.var(3), [(0, 0, 0, s) for s in (-2, -1, 0, 1, 2)]),
-        principal_causal=CausalKind.SPACELIKE,
     ))
     add(_entry(
         entry_id="T1:R21",
@@ -251,9 +245,6 @@ def builtin_catalog():
         build=lambda p: (T2, T3, T4),
         expected_invariants=_inv(3, 3, _lor(3), 0, ()),
         proper=True,
-        orbit_space=lambda p: _line_spec(
-            Poly.var(0), [(s, 0, 0, 0) for s in (-2, -1, 0, 1, 2)]),
-        principal_causal=CausalKind.LORENTZIAN,
     ))
     add(_entry(
         entry_id="T1:W3",
@@ -261,9 +252,6 @@ def builtin_catalog():
         build=lambda p: (T1, T2, TL),
         expected_invariants=_inv(3, 3, _deg(3), 0, ()),
         proper=True,
-        orbit_space=lambda p: _line_spec(
-            _SIGMA, [(0, 0, s, s) for s in (-2, -1, 0, 1, 2)]),
-        principal_causal=CausalKind.DEGENERATE,
     ))
 
     # ----- one linear generator plus a translation plane -----------------
@@ -282,10 +270,6 @@ def builtin_catalog():
         expected_invariants=_inv(3, 2, _lor(2), 1, (_E,)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 2), ((0, 0, 3, 5), 2)),
         proper=True,
-        orbit_space=lambda p: _halfline_spec(
-            _POLY_F_SO2, [(s, 0, 0, 0) for s in (0, 1, 2)],
-            (2, CausalKind.LORENTZIAN), [(0, 0, 0, 0), (0, 0, 3, 5)]),
-        principal_causal=CausalKind.LORENTZIAN,
     ))
     add(_entry(
         entry_id="T2:Ya+le1-W2",
@@ -295,12 +279,6 @@ def builtin_catalog():
         defaults=({"lam": Fraction(1)}, {"lam": Fraction(-2)}),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_H,)),
         proper=True,
-        orbit_space=lambda p: _line_spec(
-            ExpInvariant(level_cov=(0, 0, 1, 1), exp_cov=(1, 0, 0, 0),
-                         scale=p["lam"]),
-            [(0, 0, s, s) for s in (-2, -1, 0, 1, 2)]),
-        principal_causal=CausalKind.LORENTZIAN,
-        degenerate_locus=lambda pt: pt[2] + pt[3] == 0,
         errata=("erratum:degenerate-locus",),
     ))
     add(_entry(
@@ -319,10 +297,6 @@ def builtin_catalog():
         defaults=({"mu": Fraction(3)},),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_P,)),
         proper=True,
-        orbit_space=lambda p: _line_spec(
-            Poly.var(0).scale(2 * p["mu"]) - _SIGMA * _SIGMA,
-            [(s, 0, 0, 0) for s in (-2, -1, 0, 1, 2)]),
-        principal_causal=CausalKind.LORENTZIAN,
         errata=("erratum:deg-regime-lorentzian",),
     ))
     add(_entry(
@@ -358,10 +332,6 @@ def builtin_catalog():
         expected_invariants=_inv(4, 1, _TIME1, 3, (_E, _E, _E)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 3), 1)),
         proper=True,
-        orbit_space=lambda p: _halfline_spec(
-            _POLY_F_SO3, [(s, 0, 0, 0) for s in (0, 1, 2)],
-            (1, CausalKind.TIMELIKE), [(0, 0, 0, 3), (0, 0, 0, -1)]),
-        principal_causal=CausalKind.LORENTZIAN,
     ))
     add(_entry(
         entry_id="T3:K1A-l",
@@ -653,6 +623,10 @@ def _fmt_params(params):
     return ",".join(f"{k}={params[k]}" for k in sorted(params)) or "-"
 
 
+def _failed(name, params, message):
+    return CheckResult(name, False, f"at {_fmt_params(params)}: {message}")
+
+
 def _check_closure(entry, insts):
     bad = [(_fmt_params(p), v.describe()) for p, v in insts if isinstance(v, NotClosed)]
     if bad:
@@ -684,40 +658,28 @@ def _check_rank_identity(entry, params, h):
     return True, note
 
 
-def _check_cohomogeneity(entry, insts, surveys, samples):
+def _check_cohomogeneity(entry, insts, surveys, samples, spaces):
     details = []
-    for (params, h), rep in zip(insts, surveys):
+    for (params, h), rep, space in zip(insts, surveys, spaces):
+        dims, expected_dims = rep.observed_dims(), entry.expected_strata(params)
         if rep.cohomogeneity != entry.expected_cohomogeneity:
-            return CheckResult(
-                "cohomogeneity", False,
-                f"at {_fmt_params(params)}: computed cohomogeneity "
-                f"{rep.cohomogeneity} (orbit dims {set(rep.observed_dims())}), "
-                f"table asserts {entry.expected_cohomogeneity}")
-        expected_dims = tuple(entry.expected_strata(params))
-        if rep.observed_dims() != expected_dims:
-            return CheckResult(
-                "cohomogeneity", False,
-                f"at {_fmt_params(params)}: strata {rep.observed_dims()} != "
-                f"expected {expected_dims}")
+            return _failed("cohomogeneity", params,
+                           f"computed cohomogeneity {rep.cohomogeneity} (orbit dims {set(dims)}), "
+                           f"table asserts {entry.expected_cohomogeneity}")
+        if dims != expected_dims:
+            return _failed("cohomogeneity", params, f"strata {dims} != expected {expected_dims}")
         # the declared witnesses were surveyed last, after the samples
         for (pt, dim), got in zip(entry.strata_witnesses(params), rep.strata[samples:]):
             if got.dim != dim:
-                return CheckResult(
-                    "cohomogeneity", False,
-                    f"at {_fmt_params(params)}: declared stratum point {pt} has "
-                    f"dim {got.dim}, expected {dim}")
-        if entry.principal_causal is not None:
-            for orbit in rep.strata:
-                if orbit.dim != 3:
-                    continue
-                expect = entry.principal_causal
-                if entry.degenerate_locus is not None and entry.degenerate_locus(orbit.point):
-                    expect = CausalKind.DEGENERATE
-                if orbit.causal.kind is not expect:
-                    return CheckResult(
-                        "cohomogeneity", False,
-                        f"at {_fmt_params(params)}: principal orbit at {orbit.point} is "
-                        f"{orbit.causal.kind.value}, expected {expect.value}")
+                return _failed("cohomogeneity", params,
+                               f"declared stratum point {pt} has dim {got.dim}, expected {dim}")
+        # the Gram signature of each principal orbit against the sign of N
+        for orbit in rep.strata if space else ():
+            expect = orbit.dim == 3 and space.causal_at(orbit.point)
+            if expect and orbit.causal.kind is not expect:
+                return _failed("cohomogeneity", params, f"principal orbit at {orbit.point} is "
+                                                        f"{orbit.causal.kind.value}, expected "
+                                                        f"{expect.value}")
         if entry.rank_identity is not None:
             ok, note = _check_rank_identity(entry, params, h)
             if not ok:
@@ -767,19 +729,14 @@ def _check_properness(entry, insts):
     return CheckResult("properness", True, "not proper: " + "; ".join(sorted(set(notes))))
 
 
-def _check_orbit_space(entry, insts, surveys):
-    kinds = []
-    for (params, h), survey in zip(insts, surveys):
-        spec = entry.orbit_space(params)
+def _check_orbit_space(entry, insts, surveys, spaces):
+    for (params, h), survey, spec in zip(insts, surveys, spaces):
         try:
-            rep = orbit_space_report(h, spec, survey)
+            orbit_space_report(h, spec, survey)
         except (EvidenceFailedError, NotInvariantError) as err:
-            return CheckResult("orbit_space", False,
-                               f"at {_fmt_params(params)}: {err}")
-        kinds.append(rep.kind)
-    kind = kinds[0]
-    spec = entry.orbit_space(entry.defaults[0])
-    if kind is OrbitSpaceKind.HALFLINE:
+            return _failed("orbit_space", params, err)
+    spec = spaces[0]
+    if spec.kind is OrbitSpaceKind.HALFLINE:
         dim, ck = spec.singular
         detail = (f"half-line: invariant certified, singular orbit "
                   f"(dim {dim}, {ck.value}) at the boundary")
@@ -799,7 +756,7 @@ def _check_roundtrip(entry, insts, seed):
             return CheckResult("matching-roundtrip", False,
                                f"at {label}: conjugate matched {ids or 'nothing'}")
         m, = matches
-        if _canon(entry.build(m.params)) != _canon(h.basis):
+        if _canon(entry.build(m.params)) != h.echelon_rows:
             return CheckResult(
                 "matching-roundtrip", False,
                 f"at {label}: fitted {_fmt_params(m.params)} spans another algebra")
@@ -814,11 +771,22 @@ def _check_roundtrip(entry, insts, seed):
 # ---------------------------------------------------------------------------
 
 
-def _erratum_deg_regime(entry, insts):
+def _gradient_norm_check(name, insts, spaces, holds, claim, detail):
+    """The erratum ``name``, decided by the invariant's gradient norm N at
+    every instantiation: it passes with ``detail`` where ``holds(N)``, as
+    ``claim`` states."""
+    for (params, _h), spec in zip(insts, spaces):
+        if not holds(spec.gradient_norm.terms):
+            return _failed(name, params,
+                           f"the invariant's gradient norm is {spec.gradient_norm}, not {claim}")
+    return CheckResult(name, True, detail)
+
+
+def _erratum_deg_regime(entry, insts, spaces):
     """The decorated null-rotation family was tabulated with a degenerate
     orbit regime; the orbits are Lorentzian on both sides of the claimed
-    boundary.  What does flip is the causal character of the generating
-    velocity field."""
+    boundary, as the invariant's gradient norm is a positive constant.  What
+    does flip is the causal character of the generating velocity field."""
     for params, h in insts:
         mu = params["mu"]
         probes = ((vec4(0, 0, 0, 0), -mu * mu), (vec4(0, 0, 5 * mu, 0), 24 * mu * mu))
@@ -828,36 +796,28 @@ def _erratum_deg_regime(entry, insts):
             if d != want:
                 return CheckResult("erratum:deg-regime-lorentzian", False,
                                    f"velocity norm at {pt} is {d}, expected {want}")
-            rep = orbit_dimension(h, pt)
-            if rep.causal.kind is not CausalKind.LORENTZIAN:
-                return CheckResult(
-                    "erratum:deg-regime-lorentzian", False,
-                    f"orbit at {pt} is {rep.causal.kind.value}, not Lorentzian")
-    return CheckResult(
-        "erratum:deg-regime-lorentzian", True,
+    return _gradient_norm_check(
+        "erratum:deg-regime-lorentzian", insts, spaces,
+        lambda n: set(n) == {(0, 0, 0, 0)} and n[(0, 0, 0, 0)] > 0, "a positive constant",
         "orbits are Lorentzian on both sides of the claimed degenerate regime; "
         "only the generator velocity flips causal character (norms -mu^2 and 24mu^2)")
 
 
-def _erratum_deg_locus(entry, insts):
+def _erratum_deg_locus(entry, insts, spaces):
     """The degenerate-orbit locus of the boost-with-drift family is
-    p3 + p4 = 0, not p3 = p4."""
-    for params, h in insts:
-        on_claimed = orbit_dimension(h, vec4(0, 0, 1, 1))     # p3 = p4, sum != 0
-        on_actual = orbit_dimension(h, vec4(1, 2, 3, -3))     # p3 + p4 = 0
-        if on_claimed.causal.kind is not CausalKind.LORENTZIAN:
-            return CheckResult("erratum:degenerate-locus", False,
-                               f"orbit at (0,0,1,1) is {on_claimed.causal.kind.value}")
-        if on_actual.causal.kind is not CausalKind.DEGENERATE or on_actual.dim != 3:
-            return CheckResult("erratum:degenerate-locus", False,
-                               f"orbit at (1,2,3,-3) is {on_actual.causal.kind.value}")
-    return CheckResult(
-        "erratum:degenerate-locus", True,
+    p3 + p4 = 0, not p3 = p4: the invariant's gradient norm is a positive
+    multiple of (p3 + p4)^2."""
+    square = (_SIGMA * _SIGMA).terms
+    return _gradient_norm_check(
+        "erratum:degenerate-locus", insts, spaces,
+        lambda n: n.get((0, 0, 2, 0), 0) > 0
+        and n == {mono: c * n[(0, 0, 2, 0)] for mono, c in square.items()},
+        "a positive multiple of (p3+p4)^2",
         "degenerate orbits sit exactly on p3+p4=0 (the tabulated locus p3=p4 "
         "carries Lorentzian orbits)")
 
 
-def _erratum_not_closed(entry, insts):
+def _erratum_not_closed(entry, insts, _spaces):
     """The tabulated version of this family decorates the null rotations with
     a free parameter; closure forces that parameter to zero."""
     for params, _h in insts:
@@ -883,7 +843,7 @@ def _erratum_not_closed(entry, insts):
         "lam=0; only the undecorated members are groups")
 
 
-def _erratum_dim4(entry, insts):
+def _erratum_dim4(entry, insts, _spaces):
     for params, h in insts:
         rep = orbit_dimension(h, vec4(1, 2, 3, 5))
         if rep.dim != 4:
@@ -924,13 +884,16 @@ def verify_entry(entry, seed=42, samples=32) -> VerificationReport:
         surveys = [cohomogeneity(h, seed=seed, samples=samples,
                                  extra_points=entry.stratum_points(params))
                    for params, h in insts]
-        checks.append(_check_cohomogeneity(entry, insts, surveys, samples))
+        # the orbit spaces read the declared stratum points off the surveys
+        spaces = [entry.orbit_space and orbit_space_spec(h, survey.strata[samples:])
+                  for (_, h), survey in zip(insts, surveys)]
+        checks.append(_check_cohomogeneity(entry, insts, surveys, samples, spaces))
         checks.append(_check_properness(entry, insts))
         if entry.orbit_space is not None:
-            checks.append(_check_orbit_space(entry, insts, surveys))
+            checks.append(_check_orbit_space(entry, insts, surveys, spaces))
         checks.append(_check_roundtrip(entry, insts, seed))
         for slug in entry.errata:
-            checks.append(_ERRATUM_CHECKS[slug](entry, insts))
+            checks.append(_ERRATUM_CHECKS[slug](entry, insts, spaces))
     else:
         for name in ("invariants", "cohomogeneity", "properness",
                      "matching-roundtrip"):

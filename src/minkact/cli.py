@@ -61,6 +61,23 @@ def format_element(elt) -> str:
     return out
 
 
+_MAX_DIGITS = 1000
+
+
+def exact_literal(text):
+    """Fraction(text), refused past _MAX_DIGITS digits (its length plus its
+    decimal exponent): Fraction builds 10**n for an exponent n, and Python
+    prints no integer past 4300 digits."""
+    exponent = re.search(r"[eE]([+-]?\d+)\s*$", text) if len(text) <= _MAX_DIGITS else None
+    if len(text) + (abs(int(exponent[1])) if exponent else 0) > _MAX_DIGITS:
+        raise ValueError(f"the literal {text[:20]}{'...' * (len(text) > 20)} has over "
+                         f"{_MAX_DIGITS} digits")
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ValueError(f"not a rational: {text!r}") from None
+
+
 def parse_element(text):
     """Parse one generator line, e.g. ``Ya + 1/2*e1`` or ``Yn1 - 2.5e-3*e2``."""
     term_sign = r"(?<![\d.][eE])"  # a sign not of an exponent, as in 1e-3 or 1.E+2
@@ -75,7 +92,7 @@ def parse_element(text):
         if "*" in term:
             num, term = term.split("*", 1)
             try:
-                coeff *= Fraction(num)
+                coeff *= exact_literal(num)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {text!r}") from None
         if term not in _TOKENS:
@@ -358,9 +375,11 @@ def cmd_export(args):
 
 def _rational(text):
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return exact_literal(text)
+    except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _point_type(text):

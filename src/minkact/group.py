@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 from .algebra import AlgebraElement, lorentz_inverse
 from .linalg import (
@@ -128,8 +129,9 @@ def _exp_blocks(a: AlgebraElement, t, trace_sq, pfaffian):
     """exp(t a) from the invariants of a = (X, x): the powers of M are
     [[X^k, X^(k-1) x], [0, 0]], and X^4 = (tr(X^2)/2) X^2 + Pf(eta X)^2 I
     (Cayley-Hamilton on so(3,1)) folds c4 X^4 into I and X^2; the powers
-    stop at the first that vanishes, X^3 for a nilpotent X.  Exact
-    coefficients keep the Fractions; float ones convert X and x once."""
+    stop at the first that vanishes, X^3 for a nilpotent X.  The identity
+    enters as a diagonal coefficient and x itself, never through a product.
+    Exact coefficients keep the Fractions; float ones convert X and x once."""
     c1, c2, c3, c4 = exp_coefficients(trace_sq, pfaffian, t)
     one, x, p, kind = IDENTITY4, a.linear, a.trans, Isometry
     if isinstance(c1, float):
@@ -138,14 +140,17 @@ def _exp_blocks(a: AlgebraElement, t, trace_sq, pfaffian):
                                         for row in x)
         p = tuple(e.numerator / e.denominator for e in p)
         trace_sq, pfaffian, kind = float(trace_sq), float(pfaffian), NumericIsometry
-    powers = [one] if mat_is_zero(x) else [one, x, matmul(x, x)]
+    powers = [] if mat_is_zero(x) else [x, matmul(x, x)]
     if trace_sq or pfaffian:
-        powers.append(matmul(x, powers[2]))
-    linear = (1 + c4 * pfaffian * pfaffian, c1, c2 + c4 * trace_sq / 2, c3)
-    return kind(tuple(tuple(sum(map(mul, linear, entries)) for entries in zip(*rows))
-                      for rows in zip(*powers)),
+        powers.append(matmul(x, powers[1]))
+    c0, *linear = (1 + c4 * pfaffian * pfaffian, c1, c2 + c4 * trace_sq / 2, c3)
+    # each entry sums from the identity's, c0 on the diagonal, then over X, X^2, X^3
+    acc = [row[:i] + (c0,) + row[i + 1:] for i, row in enumerate(one)]
+    for c, m in zip(linear, powers):
+        acc = [tuple(map(add, ra, map(mul, repeat(c), rm))) for ra, rm in zip(acc, m)]
+    return kind(tuple(acc),
                 tuple(sum(map(mul, (c1, c2, c3, c4), entries))
-                      for entries in zip(*(matvec(m, p) for m in powers))))
+                      for entries in zip(p, *(matvec(m, p) for m in powers))))
 
 
 def exp_element_exact(a: AlgebraElement, t) -> Isometry:

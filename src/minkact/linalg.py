@@ -221,13 +221,6 @@ def reduce_mod(echelon_rows, v):
     return v
 
 
-def span_contains(vectors, v):
-    """Coefficients expressing ``v`` in ``vectors``, or None if outside the span."""
-    if not vectors:
-        return None if not is_zero_vec(v) else ()
-    return solve_linear(list(zip(*vectors)), v).particular
-
-
 def spans_equal(vs, ws) -> bool:
     return echelon_basis(list(vs)) == echelon_basis(list(ws))
 

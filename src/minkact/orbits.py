@@ -1,6 +1,7 @@
 """Orbit analysis: orbit dimension and causal type at a point, cohomogeneity
-via seeded exact sampling, symbolic invariant-function certification, and
-orbit-space evidence (line vs half-line with singular-orbit data).
+via seeded exact sampling, symbolic invariant-function certification, orbit
+spaces derived from the Killing fields, and their evidence (line vs
+half-line with singular-orbit data).
 
 Everything here is exact: sample points are rational, ranks and causal types
 come from exact integer elimination (never a numerical threshold), and
@@ -24,9 +25,9 @@ from itertools import product, repeat
 from operator import mul
 
 from .algebra import AlgebraElement, fundamental_field
-from .linalg import (CausalClass, causal_class, frac, integer_rref, integral, matvec, rank_of,
-                     transpose)
-from .subalgebra import Subalgebra
+from .linalg import (CausalClass, CausalKind, causal_class, frac, integer_rref, integral,
+                     kernel_of, matvec, mink_inner, rank_of, sylvester_signature, transpose)
+from .subalgebra import Subalgebra, lorentz_invariants
 
 
 class EvidenceFailedError(AssertionError):
@@ -166,23 +167,10 @@ def lie_derivative(f: Poly, elt: AlgebraElement) -> Poly:
 
 @dataclass(frozen=True)
 class InvariantCertificate:
-    """Symbolic proof that a polynomial is constant on every orbit."""
+    """Symbolic proof that a function is constant on every orbit."""
 
-    function: Poly
+    function: object  # Poly or ExpInvariant
     n_elements: int
-
-
-def invariant_function_check(h: Subalgebra, f: Poly) -> InvariantCertificate:
-    """Certify L_X f = 0 for every basis element X, as a polynomial identity.
-
-    Raises NotInvariantError with an explicit witness point otherwise.
-    """
-    for idx, elt in enumerate(h.basis):
-        deriv = lie_derivative(f, elt)
-        if not deriv.is_zero():
-            point = deriv.nonzero_point()
-            raise NotInvariantError(idx, deriv, point, deriv.eval(point))
-    return InvariantCertificate(function=f, n_elements=len(h.basis))
 
 
 @dataclass(frozen=True)
@@ -191,28 +179,36 @@ class ExpInvariant:
 
     Not polynomial, but its constancy along the action is still an exact
     polynomial identity: scale*L(v) - L(p)*E(v) = 0 for every generator field
-    v.  Exact values are only extracted at points where E vanishes.
+    v.  Exact values, the levels L, are only extracted where E vanishes.
     """
 
     level_cov: tuple
     exp_cov: tuple
     scale: Fraction
 
-    def certify(self, h: Subalgebra):
+    def lie_identity(self, elt: AlgebraElement) -> Poly:
         level = Poly.covector(self.level_cov)
-        exponent = Poly.covector(self.exp_cov)
-        for idx, elt in enumerate(h.basis):
-            deriv = (lie_derivative(level, elt).scale(self.scale)
-                     - level * lie_derivative(exponent, elt))
-            if not deriv.is_zero():
-                point = deriv.nonzero_point()
-                raise NotInvariantError(idx, deriv, point, deriv.eval(point))
-        return InvariantCertificate(function=level, n_elements=len(h.basis))
+        return (lie_derivative(level, elt).scale(self.scale)
+                - level * lie_derivative(Poly.covector(self.exp_cov), elt))
 
-    def value_exact(self, p):
-        if sum(c * x for c, x in zip(self.exp_cov, p)) != 0:
+    def eval(self, p):
+        if sum(map(mul, self.exp_cov, p)) != 0:
             raise ValueError("exact value only available where the exponent vanishes")
-        return sum(c * x for c, x in zip(self.level_cov, p))
+        return sum(map(mul, self.level_cov, p))
+
+
+def invariant_function_check(h: Subalgebra, f) -> InvariantCertificate:
+    """Certify L_X f = 0 for every basis element X, as a polynomial identity;
+    for an :class:`ExpInvariant`, its identity.
+
+    Raises NotInvariantError with an explicit witness point otherwise.
+    """
+    for idx, elt in enumerate(h.basis):
+        deriv = f.lie_identity(elt) if isinstance(f, ExpInvariant) else lie_derivative(f, elt)
+        if not deriv.is_zero():
+            point = deriv.nonzero_point()
+            raise NotInvariantError(idx, deriv, point, deriv.eval(point))
+    return InvariantCertificate(function=f, n_elements=len(h.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +235,20 @@ class QuadraticPoint:
         return "(" + ",".join(map(_surd_text, self.rational, self.surd, repeat(self.d))) + ")"
 
 
+def rational_sqrt(q):
+    """sqrt(q) for a rational q >= 0 whose square root is rational, else None."""
+    n, m = (math.isqrt(q.numerator), math.isqrt(q.denominator)) if q >= 0 else (0, 0)
+    return Fraction(n, m) if (n * n, m * m) == (q.numerator, q.denominator) else None
+
+
 def quadratic_point(rational, surd, d):
     """The point rational + sqrt(d) surd, for a rational d >= 0: a tuple of
     Fractions when sqrt(d) is rational or surd is zero, else a QuadraticPoint."""
     rational, surd, d = tuple(map(frac, rational)), tuple(map(frac, surd)), frac(d)
-    n, m = math.isqrt(d.numerator), math.isqrt(d.denominator)
-    if any(surd) and (n * n, m * m) != (d.numerator, d.denominator):
+    root = rational_sqrt(d)
+    if any(surd) and root is None:
         return QuadraticPoint(rational, surd, d)
-    return tuple(a + Fraction(n, m) * b for a, b in zip(rational, surd))
+    return tuple(a + (root or 0) * b for a, b in zip(rational, surd))
 
 
 def point_text(p) -> str:
@@ -380,20 +382,55 @@ class OrbitSpaceKind(Enum):
     HALFLINE = "HalfLine"
 
 
+# the causal kind of a hypersurface orbit, indexed by the sign of N: 0, +1, -1
+_KINDS = (CausalKind.DEGENERATE, CausalKind.LORENTZIAN, CausalKind.SPACELIKE)
+
+
 @dataclass(frozen=True)
 class OrbitSpaceSpec:
-    """Declared orbit-space evidence obligations for a catalog entry.
-
-    ``transversal`` is a tuple of exact points meant to hit pairwise distinct
-    orbits; ``singular`` (half-line case only) is (dim, CausalKind) together
-    with witness points realizing the singular orbit.
-    """
+    """Orbit-space evidence obligations, as :func:`orbit_space_spec` derives
+    them: ``transversal`` holds exact points meant to hit pairwise distinct
+    orbits; ``singular`` (half-line only) is (dim, CausalKind), realized at
+    the ``singular_witnesses``."""
 
     kind: OrbitSpaceKind
     invariant: object  # Poly or ExpInvariant
     transversal: tuple
     singular: tuple | None = None  # (dim, CausalKind)
     singular_witnesses: tuple = ()
+
+    @cached_property
+    def gradient_norm(self) -> Poly:
+        """N = eta(grad f, grad f); for sigma exp(-E/s), eta of
+        s grad sigma - sigma grad E, a positive multiple of its gradient's."""
+        f = self.invariant
+        grad = ([Poly.const(f.scale * a) - Poly.covector(f.level_cov).scale(e)
+                 for a, e in zip(f.level_cov, f.exp_cov)] if isinstance(f, ExpInvariant)
+                else [f.diff(k) for k in range(4)])
+        return mink_inner(grad, grad)
+
+    @cached_property
+    def _integer_norm(self):
+        """N's terms as (exponents, coefficient), times a positive integer and
+        homogenized to degree 2 by a fifth variable."""
+        (coeffs,), _ = integral([list(self.gradient_norm.terms.values())])
+        return [((*mono, 2 - sum(mono)), c) for mono, c in zip(self.gradient_norm.terms, coeffs)]
+
+    def causal_at(self, p) -> CausalKind:
+        """The causal kind of the level-set orbit through p: Lorentzian,
+        spacelike or degenerate as N(p) is positive, negative or zero.  The
+        sign is that of D^2 N(p), evaluated in integers at (D p, D); a
+        constant N is not evaluated."""
+        terms = self._integer_norm
+        q = (integral([(*p, 1)])[0][0] if any(m != (0, 0, 0, 0, 2) for m, _ in terms)
+             else (0, 0, 0, 0, 1))
+        value = sum(c * math.prod(map(pow, q, mono)) for mono, c in terms)
+        return _KINDS[(value > 0) - (value < 0)]
+
+    @property
+    def principal_causal(self) -> CausalKind:
+        """The causal kind off the zeros of N."""
+        return self.causal_at(self.gradient_norm.nonzero_point() or (0, 0, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -403,10 +440,110 @@ class OrbitSpaceReport:
     notes: tuple
 
 
-def _invariant_value(spec: OrbitSpaceSpec, p):
-    if isinstance(spec.invariant, ExpInvariant):
-        return spec.invariant.value_exact(p)
-    return spec.invariant.eval(p)
+def _kernel_line(rows):
+    """The kernel of integer ``rows`` if it is a line, in coprime integers,
+    first nonzero entry positive; else None.  Free column f: v_f = L, the
+    lcm of the pivots, and pivot row d v_p + c v_f = 0 gives v_p."""
+    reduced, pivots = integer_rref(rows)
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    if len(free) != 1:
+        return None
+    v = [0] * len(rows[0])
+    v[free[0]] = lcm = math.lcm(*(row[p] for row, p in zip(reduced, pivots)))
+    for row, p in zip(reduced, pivots):
+        v[p] = -row[free[0]] * (lcm // row[p])
+    g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+    return tuple(x // g for x in v)
+
+
+def _invariant_form(h: Subalgebra, monomials):
+    """The line of invariant forms in ``monomials`` ((i,) is p_i, (i, j) is
+    p_i p_j) as a :func:`_kernel_line`, or None.  One row per generator and
+    image monomial, from ``h.killing_rows``: row m is a positive multiple of
+    field component v_m = X_m . p + x_m, and d(p_m rest) adds rest * v_m."""
+    rows = []
+    for gen in h.killing_rows:
+        image = {}
+        for col, mono in enumerate(monomials):
+            for pos, m in enumerate(mono):
+                rest = mono[:pos] + mono[pos + 1:]
+                for k, c in enumerate(gen[m]):
+                    if c:
+                        key = tuple(sorted(rest + (k,))) if k < 4 else rest
+                        image.setdefault(key, [0] * len(monomials))[col] += c
+        rows.extend(image.values())
+    line = _kernel_line(rows)
+    return line and Poly({tuple(map(mono.count, range(4))): c
+                          for mono, c in zip(monomials, line)})
+
+
+def clocks(h: Subalgebra):
+    """The clocks of h, (c, rates) for the covectors c with c X_b = 0 on each
+    basis element b = (X_b, x_b), one kernel of the stacked transposed linear
+    parts: l(p) = c . p has the constant Lie derivative rates[b] = c . x_b."""
+    return [(c, tuple(sum(map(mul, c, b.trans)) for b in h.basis))
+            for c in kernel_of([col for b in h.basis for col in transpose(b.linear)])]
+
+
+def _semi_invariant(h: Subalgebra):
+    """sigma exp(-E/s), for a clock E of rates r_b and a covector sigma with
+    sigma X_b = (r_b/s) sigma and sigma . x_b = 0 on each basis element
+    b = (X_b, x_b), so L_b sigma = (r_b/s) sigma; s = r_b / k for the rational
+    eigenvalue k = +-sqrt(tr(X_b^2)/2) of a boost part.  None unless a clock,
+    element and sign leave a line of sigma."""
+    for clock, rates in clocks(h):
+        for b, rate in zip(h.basis, rates):
+            root = rational_sqrt(lorentz_invariants(b.linear)[0] / 2)
+            for s in (rate / root, -rate / root) if rate and root else ():
+                sigma = _kernel_line(integral(
+                    [[x.linear[m][k] - w if m == k else x.linear[m][k] for m in range(4)]
+                     for x, w in zip(h.basis, [r / s for r in rates]) for k in range(4)]
+                    + [x.trans for x in h.basis])[0])
+                if sigma:
+                    return ExpInvariant(sigma, clock, s)
+    return None
+
+
+def _transversal(invariant, ts):
+    """The points t e_k, t in ``ts``, on the first axis where the invariant's
+    restriction, a polynomial in t, takes distinct levels (for sigma
+    exp(-E/s), one along which E vanishes, with levels sigma)."""
+    for k in range(4):
+        if isinstance(invariant, ExpInvariant):
+            powers = {} if invariant.exp_cov[k] else {1: invariant.level_cov[k]}
+        else:
+            powers = {mono[k]: c for mono, c in invariant.terms.items() if sum(mono) == mono[k]}
+        if len({sum(c * t ** e for e, c in powers.items()) for t in ts}) == len(ts):
+            return tuple(tuple(Fraction(t * (j == k)) for j in range(4)) for t in ts)
+    raise EvidenceFailedError("no coordinate axis separates the invariant's levels")
+
+
+_LINEAR = tuple((k,) for k in range(4))
+_QUADRATIC = tuple((i, j) for i in range(4) for j in range(i, 4))
+
+
+def orbit_space_spec(h: Subalgebra, strata=()) -> OrbitSpaceSpec:
+    """The orbit space of a proper cohomogeneity-one action, derived from h.
+
+    The invariant is the line of invariant linear forms, else of forms of
+    degree at most two, else :func:`_semi_invariant`.  A quadratic form with
+    no negative square (Sylvester, on twice its Gram matrix) makes a
+    half-line, whose singular orbit is that of the lower-dimensional
+    ``strata`` (OrbitReports of declared points) at level 0; anything else
+    a line.  Raises EvidenceFailedError without an invariant.
+    """
+    f = (_invariant_form(h, _LINEAR) or _invariant_form(h, _QUADRATIC + _LINEAR)
+         or _semi_invariant(h))
+    if f is None:
+        raise EvidenceFailedError("no invariant form or exponential semi-invariant")
+    gram = [[f.terms.get(tuple((k == i) + (k == j) for k in range(4)), 0) * (1 + (i == j))
+             for j in range(4)] for i in range(4)] if isinstance(f, Poly) else None
+    if not gram or any(sum(mono) != 2 for mono in f.terms) or sylvester_signature(gram)[1]:
+        return OrbitSpaceSpec(OrbitSpaceKind.LINE, f, _transversal(f, (-2, -1, 0, 1, 2)))
+    singular = [rep for rep in strata if rep.dim < 3 and f.eval(rep.point) == 0]
+    return OrbitSpaceSpec(OrbitSpaceKind.HALFLINE, f, _transversal(f, (0, 1, 2)),
+                          (singular[0].dim, singular[0].causal.kind) if singular else None,
+                          tuple(rep.point for rep in singular))
 
 
 def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
@@ -423,14 +560,12 @@ def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
     """
     surveyed = {rep.point: rep for rep in survey.strata}
     notes = []
-    if isinstance(spec.invariant, ExpInvariant):
-        spec.invariant.certify(h)
-        notes.append("invariant certified (exponential form, exact identity)")
-    else:
-        invariant_function_check(h, spec.invariant)
-        notes.append("invariant certified (polynomial identity)")
+    invariant_function_check(h, spec.invariant)
+    notes.append("invariant certified (exponential form, exact identity)"
+                 if isinstance(spec.invariant, ExpInvariant)
+                 else "invariant certified (polynomial identity)")
 
-    values = [_invariant_value(spec, p) for p in spec.transversal]
+    values = [spec.invariant.eval(p) for p in spec.transversal]
     if len(set(values)) != len(values):
         raise EvidenceFailedError("transversal does not separate orbit levels")
     notes.append(f"transversal hits {len(values)} distinct invariant levels")
@@ -453,12 +588,12 @@ def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
                 f"singular witness {w}: got dim {rep.dim} {rep.causal.kind.value}, "
                 f"expected dim {sing_dim} {sing_kind.value}"
             )
-        if _invariant_value(spec, w) != 0:
+        if spec.invariant.eval(w) != 0:
             raise EvidenceFailedError("singular witness is not at the boundary level")
     notes.append(f"singular orbit verified: dim {sing_dim}, {sing_kind.value}")
 
     for rep in survey.strata:
-        value = _invariant_value(spec, rep.point)
+        value = spec.invariant.eval(rep.point)
         if value < 0:
             raise EvidenceFailedError("invariant is not one-sided")
         expected = sing_dim if value == 0 else 3

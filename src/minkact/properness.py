@@ -32,7 +32,7 @@ from .algebra import AlgebraElement, element
 from .group import Isometry, act, cayley, compose, exp_element, translation
 from .linalg import (ZERO4, echelon_basis, integral, kernel_of, mat_is_zero, matvec, reduce_mod,
                      solve_linear, sylvester_signature, transpose, vadd, vec4, vsub)
-from .orbits import QuadraticPoint, killing_matrix, point_text
+from .orbits import QuadraticPoint, clocks, killing_matrix, point_text
 from .subalgebra import (OneParamType, Subalgebra, _pfaffian_polar, _trace_product,
                          invariant_forms, require_closed, type_from_invariants)
 
@@ -189,21 +189,19 @@ def clock_certificate(h: Subalgebra):
     exp(t_j Z_j)) gives k_n = s(phi(g_n))^-1 g_n in K with
     k_n . x_n -> s(a)^-1 . y, so (k_n), hence (g_n), subconverges.
     """
-    covectors = kernel_of([col for b in h.basis for col in transpose(b.linear)])
-    rates = [tuple(sum(c * t for c, t in zip(cov, b.trans)) for b in h.basis)
-             for cov in covectors]
+    found = tuple(clocks(h))
     # a zero row keeps the whole algebra when there is no clock
-    kernel = tuple(combination(a, h.basis) for a in kernel_of(rates or [[0] * h.dim]))
-    clocks = tuple(zip(covectors, rates))
+    rates = [r for _, r in found] or [[0] * h.dim]
+    kernel = tuple(combination(a, h.basis) for a in kernel_of(rates))
     linears = [z.linear for z in kernel]
     if all(mat_is_zero(x) for x in linears):
-        return ClockCertificate(h.basis, clocks, kernel, "translations", None)
+        return ClockCertificate(h.basis, found, kernel, "translations", None)
     trace_form, pf_form = invariant_forms(linears)
     if sylvester_signature(trace_form)[1] != len(kernel) or any(map(any, pf_form)):
         return None
     point = solve_linear([row for x in linears for row in x],
                          [-t for z in kernel for t in z.trans]).particular
-    return None if point is None else ClockCertificate(h.basis, clocks, kernel, "compact", point)
+    return None if point is None else ClockCertificate(h.basis, found, kernel, "compact", point)
 
 
 # ---------------------------------------------------------------------------

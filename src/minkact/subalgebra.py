@@ -28,7 +28,6 @@ from .linalg import (
     matvec,
     reduce_mod,
     solve_linear,
-    span_contains,
     vadd,
 )
 
@@ -82,12 +81,6 @@ class Subalgebra:
     def echelon_rows(self):
         """Echelon rows of the span (linear rows first), computed once."""
         return tuple(echelon_basis([coords10(b) for b in self.basis]))
-
-    def span_rows(self):
-        return list(self.echelon_rows)
-
-    def contains(self, elt: AlgebraElement) -> bool:
-        return span_contains([coords10(b) for b in self.basis], coords10(elt)) is not None
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ from minkact.catalog import (
     verify_entry,
 )
 from minkact.group import translation
-from minkact.linalg import vec4
-from minkact.orbits import orbit_dimension
+from minkact.linalg import CausalKind, vec4
+from minkact.orbits import (ExpInvariant, OrbitSpaceKind, Poly, cohomogeneity, orbit_dimension,
+                            orbit_space_report, orbit_space_spec)
 from minkact.properness import check_witness, fixed_point_nonproper_certificate
 from minkact.subalgebra import normalize_translations, require_closed
 
@@ -314,3 +315,96 @@ def test_verify_entry_surveys_each_point_once(entry_id, monkeypatch):
     assert verify_entry(entry).passed
     repeated = {key: n for key, n in calls.items() if n > 1}
     assert calls and not repeated
+
+
+# ---------------------------------------------------------------------------
+# orbit spaces derived from the Killing fields
+# ---------------------------------------------------------------------------
+
+P1, P2, P3, P4 = (Poly.var(k) for k in range(4))
+SIGMA = P3 + P4
+_LINE, _HALF = OrbitSpaceKind.LINE, OrbitSpaceKind.HALFLINE
+_SPACE, _LOR, _DEG = CausalKind.SPACELIKE, CausalKind.LORENTZIAN, CausalKind.DEGENERATE
+# the seven records' orbit spaces as the catalog once declared them by hand:
+# params -> invariant, kind, singular (dim, kind), principal causal kind
+DECLARED_ORBIT_SPACES = {
+    "T1:R3": (lambda p: P4, _LINE, None, _SPACE),
+    "T1:R21": (lambda p: P1, _LINE, None, _LOR),
+    "T1:W3": (lambda p: SIGMA, _LINE, None, _DEG),
+    "T2:SO2xR11": (lambda p: P1 * P1 + P2 * P2, _HALF, (2, _LOR), _LOR),
+    "T2:Ya+le1-W2": (lambda p: ExpInvariant((0, 0, 1, 1), (1, 0, 0, 0), p["lam"]),
+                     _LINE, None, _LOR),
+    "T2:Yn1+me4-W2": (lambda p: P1.scale(2 * p["mu"]) - SIGMA * SIGMA, _LINE, None, _LOR),
+    "T3:SO3xRe4": (lambda p: P1 * P1 + P2 * P2 + P3 * P3, _HALF, (1, CausalKind.TIMELIKE), _LOR),
+}
+EXACT_INVARIANTS = {"T2:SO2xR11", "T3:SO3xRe4"}  # criterion 5 pins these unscaled
+
+
+def _derive(entry, params, seed=42):
+    h = require_closed(entry.build(params))
+    survey = cohomogeneity(h, seed=seed, extra_points=entry.stratum_points(params))
+    return h, survey, orbit_space_spec(h, survey.strata[32:])
+
+
+def _same_up_to_scale(derived, declared):
+    if isinstance(declared, ExpInvariant):
+        ratio = Fraction(derived.level_cov[2], declared.level_cov[2])
+        return (isinstance(derived, ExpInvariant)
+                and derived.level_cov == tuple(ratio * c for c in declared.level_cov)
+                and [Fraction(c) / derived.scale for c in derived.exp_cov]
+                == [Fraction(c) / declared.scale for c in declared.exp_cov])
+    mono = next(iter(declared.terms))
+    ratio = derived.terms.get(mono, 0) / declared.terms[mono]
+    return ratio != 0 and derived == declared.scale(ratio)
+
+
+def test_orbit_spaces_sit_on_exactly_the_proper_table_records():
+    derived = {e.entry_id for e in ALL if e.orbit_space is not None}
+    assert derived == set(DECLARED_ORBIT_SPACES)
+    assert entry_by_id("Excluded:SO3").proper
+    assert entry_by_id("Excluded:SO3").orbit_space is None
+
+
+@pytest.mark.parametrize("entry, params", [
+    pytest.param(entry_by_id(eid), params, id=f"{eid}-{i}")
+    for eid in DECLARED_ORBIT_SPACES for i, params in enumerate(entry_by_id(eid).defaults)])
+def test_derived_orbit_spaces_reproduce_the_declared_ones(entry, params):
+    invariant, kind, singular, principal = DECLARED_ORBIT_SPACES[entry.entry_id]
+    h, survey, spec = _derive(entry, params)
+    declared = invariant(params)
+    assert _same_up_to_scale(spec.invariant, declared)
+    if entry.entry_id in EXACT_INVARIANTS:
+        assert spec.invariant == declared
+    assert (spec.kind, spec.singular, spec.principal_causal) == (kind, singular, principal)
+    assert orbit_space_report(h, spec, survey).kind is kind
+    # the catalog's attributes read the same derivation
+    assert entry.orbit_space(params) == spec
+    assert entry.principal_causal is principal
+
+
+def _rationals():
+    return st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 30))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rationals(), st.integers(0, 10 ** 6))
+def test_boost_drift_degenerates_exactly_on_the_null_level(lam, seed):
+    entry = entry_by_id("T2:Ya+le1-W2")
+    h, survey, spec = _derive(entry, {"lam": lam}, seed)
+    orbit_space_report(h, spec, survey)
+    norm = spec.gradient_norm
+    c = norm.terms.get((0, 0, 2, 0), 0)
+    assert c > 0 and norm == (SIGMA * SIGMA).scale(c)
+    for orbit in survey.strata:  # the sign of N is each orbit's Gram signature
+        assert orbit.causal.kind is spec.causal_at(orbit.point)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rationals(), st.integers(0, 10 ** 6))
+def test_null_drift_orbits_are_lorentzian_at_every_level(mu, seed):
+    entry = entry_by_id("T2:Yn1+me4-W2")
+    h, survey, spec = _derive(entry, {"mu": mu}, seed)
+    orbit_space_report(h, spec, survey)
+    norm = spec.gradient_norm
+    assert set(norm.terms) == {(0, 0, 0, 0)} and norm.terms[(0, 0, 0, 0)] > 0
+    assert all(orbit.causal.kind is CausalKind.LORENTZIAN for orbit in survey.strata)

@@ -417,6 +417,9 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     ["orbit", "--entry", "T1:R3", "--seed", "7"],
     ["witness", "--entry", "T4:AN", "--seed", "7"],
     ["export", "--entry", "T1:R3", "--grid", "2", "--out", "-", "--json"],
+    ["classify", "{tmp}/huge_exponent.txt"],
+    ["orbit", "--entry", "T1:R3", "--point", "1,2,3,1e100000"],
+    ["orbit", "--entry", "T2:Ya+le1-W2", "--lambda", "1e10000000"],
 ], ids=[
     "classify-zero-denominator", "classify-not-utf8", "witness-mu", "orbit-lambda", "export-a",
     "witness-b", "orbit-point", "export-missing-dir", "verify-samples-0",
@@ -425,21 +428,30 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     "export-point-past-float", "witness-lambda-past-float", "export-lambda-past-float",
     "witness-lambda-overflows", "witness-lambda-underflows", "export-lambda-overflows",
     "export-a-overflows", "export-b-overflows", "orbit-seed", "witness-seed", "export-json",
+    "classify-coefficient-past-4300-digits", "orbit-point-past-4300-digits",
+    "orbit-lambda-exponent-1e10000000",
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "zero.txt").write_text("Ya + 1/0*e1\n")
     (tmp_path / "latin1.txt").write_bytes("Ya\n# \u00e9t\u00e9\nYk1\n".encode("latin-1"))
+    (tmp_path / "huge_exponent.txt").write_text("Ya + 1e5000*e1\ne2\ne3 - e4\n")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects the value
-        code = exc.code
+    if "1e10000000" in argv:  # unchecked, Fraction would build 10**(10**7): fail fast
+        src = str(Path(minkact.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "minkact.cli", *argv], capture_output=True,
+                              text=True, timeout=5, env=dict(os.environ, PYTHONPATH=src))
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        out, err = capsys.readouterr()
     assert code == 2
-    captured = capsys.readouterr()
-    assert "FAIL" not in captured.out
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert "FAIL" not in out
+    errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1
-    assert captured.err.splitlines()[-1] == errors[0]
+    assert err.splitlines()[-1] == errors[0]
     if argv[0] == "classify" and "--samples" not in argv:  # the file is at fault
         assert f"{argv[1]}:" in errors[0]
 
