@@ -195,7 +195,7 @@ def integral(rows):
 
 
 def rank_of(rows) -> int:
-    return len(rref(rows)[1])
+    return len(integer_rref(integral(list(rows))[0])[1])
 
 
 def echelon_basis(vectors):
@@ -241,31 +241,39 @@ class LinearSolution:
 def solve_linear(a, b) -> LinearSolution:
     """Solve A x = b exactly; also used as the kernel/rank workhorse.
 
-    One reduction of [A | b] with pivots only in A: the system is consistent
-    when b vanishes on every row without a pivot, and the free columns give
-    the kernel in their left-to-right order.
+    One :func:`integer_rref` of [A | b], cleared of denominators, with pivots
+    only in A: the system is consistent when no row is left without a pivot
+    (such a row is zero in A and nonzero in b).  The particular solution reads
+    the entries off the pivot rows.  Free column f gives one kernel vector:
+    v_f is L, the lcm of the pivots, and pivot row d v_p + c v_f = 0 gives
+    v_p; made primitive, it is the integer multiple, positive at f, of the
+    vector with v_f = 1.  Its entries are integer-valued Fractions, so that
+    callers dividing by them stay exact.
     """
     ncols = len(a[0]) if a else 0
     if len(b) != len(a):
         raise DimensionMismatchError(f"A has {len(a)} rows but b has {len(b)} entries")
-    reduced, pivots = rref([[*row, bv] for row, bv in zip(a, b)], pivot_limit=ncols)
+    rows, pivots = integer_rref(integral([[*row, bv] for row, bv in zip(a, b)])[0],
+                                pivot_limit=ncols)
+    lcm = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
     kernel = []
     for f in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        kernel.append(tuple(v))
-    if any(row[ncols] for row in reduced[len(pivots):]):
+        v = [0] * ncols
+        v[f] = lcm
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f] * (lcm // row[p])
+        kernel.append(tuple(map(Fraction, _primitive(v))))
+    if len(rows) > len(pivots):
         return LinearSolution(particular=None, kernel=tuple(kernel), rank=len(pivots))
     particular = [Fraction(0)] * ncols
-    for row, p in zip(reduced, pivots):
-        particular[p] = row[ncols]
+    for row, p in zip(rows, pivots):
+        particular[p] = Fraction(row[ncols], row[p])
     return LinearSolution(particular=tuple(particular), kernel=tuple(kernel), rank=len(pivots))
 
 
 def kernel_of(a):
-    """Basis of the null space of A (deterministic free-variable order)."""
+    """Basis of the null space of A, one primitive integer vector (as
+    Fractions) per free column, positive there, in left-to-right order."""
     return solve_linear(a, [0] * len(a)).kernel
 
 

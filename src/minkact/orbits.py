@@ -166,14 +166,6 @@ def lie_derivative(f: Poly, elt: AlgebraElement) -> Poly:
 
 
 @dataclass(frozen=True)
-class InvariantCertificate:
-    """Symbolic proof that a function is constant on every orbit."""
-
-    function: object  # Poly or ExpInvariant
-    n_elements: int
-
-
-@dataclass(frozen=True)
 class ExpInvariant:
     """Invariant of the form F(p) = L(p) * exp(-E(p)/scale) for covectors L, E.
 
@@ -197,7 +189,7 @@ class ExpInvariant:
         return sum(map(mul, self.level_cov, p))
 
 
-def invariant_function_check(h: Subalgebra, f) -> InvariantCertificate:
+def invariant_function_check(h: Subalgebra, f) -> None:
     """Certify L_X f = 0 for every basis element X, as a polynomial identity;
     for an :class:`ExpInvariant`, its identity.
 
@@ -208,7 +200,6 @@ def invariant_function_check(h: Subalgebra, f) -> InvariantCertificate:
         if not deriv.is_zero():
             point = deriv.nonzero_point()
             raise NotInvariantError(idx, deriv, point, deriv.eval(point))
-    return InvariantCertificate(function=f, n_elements=len(h.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -433,27 +424,14 @@ class OrbitSpaceSpec:
         return self.causal_at(self.gradient_norm.nonzero_point() or (0, 0, 0, 0))
 
 
-@dataclass(frozen=True)
-class OrbitSpaceReport:
-    kind: OrbitSpaceKind
-    singular: tuple | None
-    notes: tuple
-
-
 def _kernel_line(rows):
-    """The kernel of integer ``rows`` if it is a line, in coprime integers,
-    first nonzero entry positive; else None.  Free column f: v_f = L, the
-    lcm of the pivots, and pivot row d v_p + c v_f = 0 gives v_p."""
-    reduced, pivots = integer_rref(rows)
-    free = [c for c in range(len(rows[0])) if c not in pivots]
-    if len(free) != 1:
+    """The kernel of ``rows`` if it is a line, as a primitive integer vector
+    (in Fractions) with its first nonzero entry positive; else None."""
+    kernel = kernel_of(rows)
+    if len(kernel) != 1:
         return None
-    v = [0] * len(rows[0])
-    v[free[0]] = lcm = math.lcm(*(row[p] for row, p in zip(reduced, pivots)))
-    for row, p in zip(reduced, pivots):
-        v[p] = -row[free[0]] * (lcm // row[p])
-    g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
-    return tuple(x // g for x in v)
+    v, = kernel
+    return v if next(x for x in v if x) > 0 else tuple(-x for x in v)
 
 
 def _invariant_form(h: Subalgebra, monomials):
@@ -495,10 +473,10 @@ def _semi_invariant(h: Subalgebra):
         for b, rate in zip(h.basis, rates):
             root = rational_sqrt(lorentz_invariants(b.linear)[0] / 2)
             for s in (rate / root, -rate / root) if rate and root else ():
-                sigma = _kernel_line(integral(
+                sigma = _kernel_line(
                     [[x.linear[m][k] - w if m == k else x.linear[m][k] for m in range(4)]
                      for x, w in zip(h.basis, [r / s for r in rates]) for k in range(4)]
-                    + [x.trans for x in h.basis])[0])
+                    + [x.trans for x in h.basis])
                 if sigma:
                     return ExpInvariant(sigma, clock, s)
     return None
@@ -547,8 +525,8 @@ def orbit_space_spec(h: Subalgebra, strata=()) -> OrbitSpaceSpec:
 
 
 def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
-                       survey: CohomReport) -> OrbitSpaceReport:
-    """Run the evidence obligations for a declared orbit-space type.
+                       survey: CohomReport) -> OrbitSpaceSpec:
+    """Run the evidence obligations of ``spec`` and return it once they hold.
 
     Line: certified invariant, all orbits of ``survey`` (the instantiation's
     :func:`cohomogeneity` report) and of the transversal of dimension 3,
@@ -559,16 +537,11 @@ def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
     here.  Raises EvidenceFailedError on any breach.
     """
     surveyed = {rep.point: rep for rep in survey.strata}
-    notes = []
     invariant_function_check(h, spec.invariant)
-    notes.append("invariant certified (exponential form, exact identity)"
-                 if isinstance(spec.invariant, ExpInvariant)
-                 else "invariant certified (polynomial identity)")
 
     values = [spec.invariant.eval(p) for p in spec.transversal]
     if len(set(values)) != len(values):
         raise EvidenceFailedError("transversal does not separate orbit levels")
-    notes.append(f"transversal hits {len(values)} distinct invariant levels")
 
     if spec.kind is OrbitSpaceKind.LINE:
         probed = [*survey.strata, *(surveyed.get(p) or orbit_dimension(h, p)
@@ -577,9 +550,10 @@ def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
             if rep.dim != 3:
                 raise EvidenceFailedError(f"expected a 3-dimensional orbit at {rep.point}, "
                                           f"got {rep.dim}")
-        notes.append(f"all {len(probed)} probed orbits are hypersurfaces")
-        return OrbitSpaceReport(OrbitSpaceKind.LINE, None, tuple(notes))
+        return spec
 
+    if spec.singular is None:
+        raise EvidenceFailedError("no singular orbit at the boundary level")
     sing_dim, sing_kind = spec.singular
     for w in spec.singular_witnesses:
         rep = surveyed.get(w) or orbit_dimension(h, w)
@@ -590,7 +564,6 @@ def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
             )
         if spec.invariant.eval(w) != 0:
             raise EvidenceFailedError("singular witness is not at the boundary level")
-    notes.append(f"singular orbit verified: dim {sing_dim}, {sing_kind.value}")
 
     for rep in survey.strata:
         value = spec.invariant.eval(rep.point)
@@ -601,11 +574,8 @@ def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
             raise EvidenceFailedError(
                 f"orbit at {rep.point} has dim {rep.dim}, expected {expected}"
             )
-    if any(v == 0 for v in values):
-        notes.append("transversal includes the boundary orbit")
-    else:
+    if not any(v == 0 for v in values):
         raise EvidenceFailedError("transversal misses the boundary level")
     if any(v < 0 for v in values):
         raise EvidenceFailedError("transversal crosses the boundary level")
-    notes.append(f"off-boundary samples are hypersurfaces ({len(survey.strata)} checked)")
-    return OrbitSpaceReport(OrbitSpaceKind.HALFLINE, spec.singular, tuple(notes))
+    return spec

@@ -30,7 +30,7 @@ from itertools import repeat
 
 from .algebra import AlgebraElement, element
 from .group import Isometry, act, cayley, compose, exp_element, translation
-from .linalg import (ZERO4, echelon_basis, integral, kernel_of, mat_is_zero, matvec, reduce_mod,
+from .linalg import (ZERO4, echelon_basis, kernel_of, mat_is_zero, matvec, reduce_mod,
                      solve_linear, sylvester_signature, transpose, vadd, vec4, vsub)
 from .orbits import QuadraticPoint, clocks, killing_matrix, point_text
 from .subalgebra import (OneParamType, Subalgebra, _pfaffian_polar, _trace_product,
@@ -120,17 +120,14 @@ def fixed_point_nonproper_certificate(h: Subalgebra, points=()):
     :class:`~minkact.orbits.QuadraticPoint`), then the point of
     ``h.normal_form``, where a translation conjugate of a catalog build has
     its stabilizers.  The elements fixing p are one kernel, of the rational
-    :func:`~minkact.orbits.killing_matrix` at p.  The first kernel vector,
-    made primitive, that its own linear part types hyperbolic or parabolic
-    is returned.
+    :func:`~minkact.orbits.killing_matrix` at p.  The first kernel vector
+    (primitive, as :func:`~minkact.linalg.kernel_of` gives it) that its own
+    linear part types hyperbolic or parabolic is returned.
     """
     for p in (ZERO4, *points, None):  # None: the normal-form point, solved for last
         p = h.normal_form[0] if p is None else p
         d = p.d if isinstance(p, QuadraticPoint) else 0
         for c in kernel_of(killing_matrix(h, p)):
-            (row,), _ = integral([c])
-            g = math.gcd(*row)
-            c = tuple(x // g for x in row)
             kind = _stabilizer_type(h.basis, c, d)
             if kind in (OneParamType.HYPERBOLIC, OneParamType.PARABOLIC):
                 return FixedPointCert(c[:h.dim], kind, p, c[h.dim:])
@@ -321,12 +318,6 @@ def check_witness(witness: WitnessSequence, steps: int = 1024,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
-    kind: str
-    trials: int
-
-
 RECOVERY_TOL = 1e-9  # endpoint tolerance when the section is a float exponential
 
 
@@ -398,7 +389,7 @@ def recover_element(cert: ClockCertificate, x, y):
     return g
 
 
-def parameter_recovery_check(kind, params, trials: int = 100, seed: int = 777) -> RecoveryReport:
+def parameter_recovery_check(kind, params, trials: int = 100, seed: int = 777) -> None:
     """Run seeded recovery trials on one proper group.
 
     kind must be 'clock', with params {'basis': basis} for a subalgebra h
@@ -407,7 +398,8 @@ def parameter_recovery_check(kind, params, trials: int = 100, seed: int = 777) -
     k a random kernel element, pushes a random point x through g, and
     demands that :func:`recover_element` rebuild from (x, g . x) alone an
     element that reproduces the endpoint: exactly when Z is nilpotent, at
-    RECOVERY_TOL otherwise.
+    RECOVERY_TOL otherwise.  The first trial that fails raises
+    RecoveryMismatchError.
     """
     if kind != "clock":
         raise ValueError(f"unknown recovery kind: {kind}")
@@ -424,4 +416,3 @@ def parameter_recovery_check(kind, params, trials: int = 100, seed: int = 777) -
         s = _section(cert, [sum(r * c for r, c in zip(rates, a)) for _, rates in cert.clocks])
         k = _kernel_element(cert, [_sample_fraction(rng, -3, 3, 4) for _ in cert.kernel])
         recover_element(cert, x, act(k, _image(s, x)))
-    return RecoveryReport(kind=kind, trials=trials)

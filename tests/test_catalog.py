@@ -1,6 +1,7 @@
 """The classification catalog: shape, matching, and per-entry verification."""
 
 import importlib
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -22,10 +23,11 @@ from minkact.linalg import CausalKind, vec4
 from minkact.orbits import (ExpInvariant, OrbitSpaceKind, Poly, cohomogeneity, orbit_dimension,
                             orbit_space_report, orbit_space_spec)
 from minkact.properness import check_witness, fixed_point_nonproper_certificate
-from minkact.subalgebra import normalize_translations, require_closed
+from minkact.subalgebra import normalize_translations, recenter, require_closed
 
 ALL = catalog()
 ORBITS_MODULE = importlib.import_module("minkact.orbits")
+SUBALGEBRA_MODULE = importlib.import_module("minkact.subalgebra")
 SCALE_FAMILIES = {"T3:N-aK1bA-l", "T4:aK1bA-N"}
 PARAMETRISED = [e for e in ALL if e.params]
 
@@ -124,6 +126,26 @@ def test_every_record_matches_in_any_basis_of_a_translation_conjugate(entry, val
     matches = match_catalog(require_closed(change_basis(rng, conj)))
     assert [m.entry_id for m in matches] == [entry.entry_id]
     assert matches[0].params == expected_fit(entry, params)
+
+
+DEFAULTS = [(e, params) for e in ALL for params in e.defaults]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(DEFAULTS),
+       st.lists(small_rationals, min_size=4, max_size=4),
+       st.randoms(use_true_random=False))
+def test_translation_conjugates_share_profile_normal_form_and_match(instance, q, rng):
+    # the property the matching round trip rests on: recentring at any q, in
+    # any basis, keeps the profile and the normal-form rows, so the conjugate
+    # matches the record at the parameters h itself matches
+    entry, params = instance
+    h = require_closed(entry.build(params))
+    conj = require_closed(change_basis(rng, recenter(h, tuple(q)).basis))
+    assert conj.profile == h.profile
+    assert conj.normal_form[1] == h.normal_form[1]
+    assert [(m.entry_id, m.params) for m in match_catalog(conj)] \
+        == [(m.entry_id, m.params) for m in match_catalog(h)]
 
 
 def test_drift_zero_is_a_fit_not_a_scale():
@@ -296,6 +318,28 @@ def test_verify_reads_no_float(seed42_report, monkeypatch):
         for name in ("exp_element", "check_witness"):
             monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
     assert _masked(verify_all().to_dict()) == _masked(seed42_report.to_dict())
+
+
+def test_verify_draws_only_the_survey_and_profiles_each_instantiation_once(monkeypatch):
+    # --seed reaches no verify path but the sampled survey: one generator,
+    # drawn once per (seed, samples), and one profile per instantiation
+    counts = Counter()
+    real_invariants = SUBALGEBRA_MODULE.invariants
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args, **kwargs):
+            counts["random"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting_invariants(h):
+        counts["invariants"] += 1
+        return real_invariants(h)
+
+    monkeypatch.setattr("random.Random", CountingRandom)
+    monkeypatch.setattr("minkact.subalgebra.invariants", counting_invariants)
+    ORBITS_MODULE._samples.cache_clear()
+    verify_all()
+    assert counts == {"random": 1, "invariants": sum(len(e.defaults) for e in ALL)}
 
 
 @pytest.mark.parametrize("entry_id", ["T2:SO2xR11", "T3:SO3xRe4", "T3:K1A-l"])

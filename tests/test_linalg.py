@@ -255,6 +255,26 @@ def test_rref_matches_sympy(rows, limit):
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_dependent_rows())
+@example([[Fraction(2), Fraction(3), Fraction(0)], [Fraction(0), Fraction(5), Fraction(7)]])
+@example([[Fraction(1, 2), Fraction(-1, 3)]])
+def test_kernel_of_is_sympy_nullspace_made_primitive(rows):
+    # one vector per free column: a primitive integer multiple, positive
+    # there, of sympy's vector with a 1 there, so the spans agree
+    oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                           for row in rows]).nullspace()
+    pivots = _sympy_rref(rows)[1]
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    kernel = kernel_of(rows)
+    assert len(kernel) == len(oracle) == len(free)
+    for v, w, f in zip(kernel, oracle, free):
+        assert all(isinstance(x, Fraction) and x.denominator == 1 for x in v)
+        assert math.gcd(*(int(x) for x in v)) == 1
+        assert v[f] > 0
+        assert [v[f] * Fraction(int(x.p), int(x.q)) for x in w] == list(v)
+
+
 def _eigenvalue_signs(gram):
     """sympy oracle: signs of the (real) eigenvalues of a symmetric matrix."""
     lam = sympy.Symbol("lam")

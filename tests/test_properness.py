@@ -23,7 +23,6 @@ from minkact.linalg import (
 from minkact.properness import (
     FixedPointCert,
     RecoveryMismatchError,
-    RecoveryReport,
     WitnessFailedError,
     WitnessSequence,
     check_witness,
@@ -501,8 +500,7 @@ RECOVERY_CASES = [(e.entry_id, p) for e in catalog() if e.proper for p in e.defa
 def test_parameter_recovery_families(entry_id, params):
     h = require_closed(entry_by_id(entry_id).build(params))
     kind, kwargs = entry_by_id(entry_id).recovery
-    report = parameter_recovery_check(kind, kwargs(params, h.basis), trials=40)
-    assert report == RecoveryReport(kind="clock", trials=40)
+    assert parameter_recovery_check(kind, kwargs(params, h.basis), trials=40) is None
 
 
 def test_recovery_is_derived_for_proper_records_only():
