@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,9 +52,11 @@ from .orbits import (
     Poly,
     cohomogeneity,
     field_polys,
+    generic_orbit_dimension,
     orbit_dimension,
     orbit_space_report,
     orbit_space_spec,
+    point_text,
     quadratic_point,
 )
 from .properness import (
@@ -124,7 +127,6 @@ class CatalogEntry:
     expected_cohomogeneity: int
     strata_witnesses: object  # params -> ((point, dim), ...), a point rational or quadratic
     proper: bool
-    rank_identity: object | None = None  # params -> (coeff polys, note)
     errata: tuple = ()
 
     @property
@@ -196,18 +198,6 @@ def _screw_witnesses(params):
     lam, mu = params["lam"], params["mu"]
     return ((quadratic_point((0, 0, -mu / 2, 0), (0, 0, Fraction(1, 2), 0),
                              mu * mu + 4 * lam * lam), 2),)
-
-
-def _k1n_identity(_params):
-    # order matches basis (Yk1, Yn1, Yn2)
-    coeffs = (_SIGMA.scale(-1), Poly.var(1), Poly.var(0).scale(-1))
-    return coeffs, "p2*V[Yn1] - p1*V[Yn2] - (p3+p4)*V[Yk1] = 0 pointwise"
-
-
-def _so21_identity(_params):
-    # order matches basis (Yk3, Ya, Yn2)
-    coeffs = (_SIGMA.scale(-1), Poly.var(1).scale(-1), Poly.var(2))
-    return coeffs, "-(p3+p4)*V[Yk3] - p2*V[Ya] + p3*V[Yn2] = 0 pointwise"
 
 
 def _entry(**kw):
@@ -432,7 +422,6 @@ def builtin_catalog():
         expected_cohomogeneity=2,
         strata_witnesses=_const_witnesses(((5, 0, 0, 0), 0), ((0, 0, 0, 0), 0)),
         proper=False,
-        rank_identity=_so21_identity,
     ))
     add(_entry(
         entry_id="Excluded:SO3",
@@ -451,7 +440,6 @@ def builtin_catalog():
         expected_cohomogeneity=2,
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 0), ((0, 0, 1, -1), 0)),
         proper=False,
-        rank_identity=_k1n_identity,
     ))
     add(_entry(
         entry_id="Excluded:K1AN-l",
@@ -617,6 +605,12 @@ def _instantiations(entry):
     return [(params, closure_check(entry.build(params))) for params in entry.defaults]
 
 
+# what every check after closure reads: the record, its instantiations
+# (params, h), one survey per instantiation (``samples`` seeded points, then
+# the declared stratum points) and its derived orbit space or None
+_Replay = namedtuple("_Replay", "entry insts surveys samples spaces")
+
+
 def _fmt_params(params):
     return ",".join(f"{k}={params[k]}" for k in sorted(params)) or "-"
 
@@ -634,8 +628,9 @@ def _check_closure(entry, insts):
                        f"{len(insts)} instantiation(s) closed under the bracket")
 
 
-def _check_invariants(entry, insts):
-    for params, h in insts:
+def _check_invariants(run):
+    entry = run.entry
+    for params, h in run.insts:
         got = h.profile
         if got != entry.expected_invariants:
             return CheckResult("invariants", False,
@@ -644,30 +639,22 @@ def _check_invariants(entry, insts):
     return CheckResult("invariants", True, entry.expected_invariants.describe())
 
 
-def _check_rank_identity(entry, params, h):
-    coeffs, note = entry.rank_identity(params)
-    fields = [field_polys(b) for b in h.basis]
-    for k in range(4):
-        total = Poly()
-        for c, f in zip(coeffs, fields):
-            total = total + c * f[k]
-        if not total.is_zero():
-            return False, f"claimed dependency identity fails in component {k + 1}"
-    return True, note
-
-
-def _check_cohomogeneity(entry, insts, surveys, samples, spaces):
-    details = []
-    for (params, h), rep, space in zip(insts, surveys, spaces):
+def _check_cohomogeneity(run):
+    """The cohomogeneity is exact, from :func:`generic_orbit_dimension`; the
+    survey decides the strata, the declared points and the principal causal
+    types."""
+    entry = run.entry
+    for (params, h), rep, space in zip(run.insts, run.surveys, run.spaces):
         dims, expected_dims = rep.observed_dims(), entry.expected_strata(params)
-        if rep.cohomogeneity != entry.expected_cohomogeneity:
+        computed = 4 - generic_orbit_dimension(h)
+        if computed != entry.expected_cohomogeneity:
             return _failed("cohomogeneity", params,
-                           f"computed cohomogeneity {rep.cohomogeneity} (orbit dims {set(dims)}), "
+                           f"computed cohomogeneity {computed} (orbit dims {set(dims)}), "
                            f"table asserts {entry.expected_cohomogeneity}")
         if dims != expected_dims:
             return _failed("cohomogeneity", params, f"strata {dims} != expected {expected_dims}")
         # the declared witnesses were surveyed last, after the samples
-        for (pt, dim), got in zip(entry.strata_witnesses(params), rep.strata[samples:]):
+        for (pt, dim), got in zip(entry.strata_witnesses(params), rep.strata[run.samples:]):
             if got.dim != dim:
                 return _failed("cohomogeneity", params,
                                f"declared stratum point {pt} has dim {got.dim}, expected {dim}")
@@ -678,14 +665,9 @@ def _check_cohomogeneity(entry, insts, surveys, samples, spaces):
                 return _failed("cohomogeneity", params, f"principal orbit at {orbit.point} is "
                                                         f"{orbit.causal.kind.value}, expected "
                                                         f"{expect.value}")
-        if entry.rank_identity is not None:
-            ok, note = _check_rank_identity(entry, params, h)
-            if not ok:
-                return CheckResult("cohomogeneity", False, note)
-            details.append(f"symbolic rank bound: {note}")
     dims = ",".join(str(d) for d in entry.expected_strata(entry.defaults[0]))
-    details.insert(0, f"orbit dims {{{dims}}} over {samples} samples + declared loci")
-    return CheckResult("cohomogeneity", True, "; ".join(details))
+    return CheckResult("cohomogeneity", True,
+                       f"orbit dims {{{dims}}} over {run.samples} samples + declared loci")
 
 
 def nonproperness_witness(entry, params, h):
@@ -705,9 +687,9 @@ def nonproperness_witness(entry, params, h):
     return fixed_point_witness(cert.linear(h.basis), cert.point, cert.kind), cert.describe()
 
 
-def _check_properness(entry, insts):
-    notes = []
-    for params, h in insts:
+def _check_properness(run):
+    entry, notes = run.entry, []
+    for params, h in run.insts:
         label = _fmt_params(params)
         if entry.proper:
             cert = clock_certificate(h)
@@ -727,13 +709,13 @@ def _check_properness(entry, insts):
     return CheckResult("properness", True, "not proper: " + "; ".join(sorted(set(notes))))
 
 
-def _check_orbit_space(entry, insts, surveys, spaces):
-    for (params, h), survey, spec in zip(insts, surveys, spaces):
+def _check_orbit_space(run):
+    for (params, h), survey, spec in zip(run.insts, run.surveys, run.spaces):
         try:
             orbit_space_report(h, spec, survey)
         except (EvidenceFailedError, NotInvariantError) as err:
             return _failed("orbit_space", params, err)
-    spec = spaces[0]
+    spec = run.spaces[0]
     if spec.kind is OrbitSpaceKind.HALFLINE:
         dim, ck = spec.singular
         detail = (f"half-line: invariant certified, singular orbit "
@@ -743,7 +725,7 @@ def _check_orbit_space(entry, insts, surveys, spaces):
     return CheckResult("orbit_space", True, detail)
 
 
-def _check_roundtrip(entry, insts):
+def _check_roundtrip(run):
     """Re-identify each instantiation h, which settles every translation
     conjugate recenter(h, q) at once.  Recentring at q adds M q to the
     stacked decorations D, where column j of M is X_i e_j reduced modulo the
@@ -751,11 +733,11 @@ def _check_roundtrip(entry, insts):
     of M; the profile reads only the linear parts and the ideal, and the fit
     only the normal-form rows.  So every conjugate matches as h does.  The
     fitted build spans h's normal form, which must be h's own span."""
-    for params, h in insts:
+    for params, h in run.insts:
         matches = match_catalog(h)
         label = _fmt_params(params)
         ids = [m.entry_id for m in matches]
-        if ids != [entry.entry_id]:
+        if ids != [run.entry.entry_id]:
             return CheckResult("matching-roundtrip", False,
                                f"at {label}: matched {ids or 'nothing'}")
         if h.normal_form[1] != h.echelon_rows:
@@ -765,7 +747,7 @@ def _check_roundtrip(entry, insts):
     return CheckResult(
         "matching-roundtrip", True,
         f"unique re-identification after translation conjugation "
-        f"({len(insts)} instantiation(s))")
+        f"({len(run.insts)} instantiation(s))")
 
 
 # ---------------------------------------------------------------------------
@@ -773,23 +755,23 @@ def _check_roundtrip(entry, insts):
 # ---------------------------------------------------------------------------
 
 
-def _gradient_norm_check(name, insts, spaces, holds, claim, detail):
+def _gradient_norm_check(name, run, holds, claim, detail):
     """The erratum ``name``, decided by the invariant's gradient norm N at
     every instantiation: it passes with ``detail`` where ``holds(N)``, as
     ``claim`` states."""
-    for (params, _h), spec in zip(insts, spaces):
+    for (params, _h), spec in zip(run.insts, run.spaces):
         if not holds(spec.gradient_norm.terms):
             return _failed(name, params,
                            f"the invariant's gradient norm is {spec.gradient_norm}, not {claim}")
     return CheckResult(name, True, detail)
 
 
-def _erratum_deg_regime(entry, insts, spaces):
+def _erratum_deg_regime(run):
     """The decorated null-rotation family was tabulated with a degenerate
     orbit regime; the orbits are Lorentzian on both sides of the claimed
     boundary, as the invariant's gradient norm is a positive constant.  What
     does flip is the causal character of the generating velocity field."""
-    for params, h in insts:
+    for params, h in run.insts:
         mu = params["mu"]
         probes = ((vec4(0, 0, 0, 0), -mu * mu), (vec4(0, 0, 5 * mu, 0), 24 * mu * mu))
         for pt, want in probes:
@@ -799,19 +781,19 @@ def _erratum_deg_regime(entry, insts, spaces):
                 return CheckResult("erratum:deg-regime-lorentzian", False,
                                    f"velocity norm at {pt} is {d}, expected {want}")
     return _gradient_norm_check(
-        "erratum:deg-regime-lorentzian", insts, spaces,
+        "erratum:deg-regime-lorentzian", run,
         lambda n: set(n) == {(0, 0, 0, 0)} and n[(0, 0, 0, 0)] > 0, "a positive constant",
         "orbits are Lorentzian on both sides of the claimed degenerate regime; "
         "only the generator velocity flips causal character (norms -mu^2 and 24mu^2)")
 
 
-def _erratum_deg_locus(entry, insts, spaces):
+def _erratum_deg_locus(run):
     """The degenerate-orbit locus of the boost-with-drift family is
     p3 + p4 = 0, not p3 = p4: the invariant's gradient norm is a positive
     multiple of (p3 + p4)^2."""
     square = (_SIGMA * _SIGMA).terms
     return _gradient_norm_check(
-        "erratum:degenerate-locus", insts, spaces,
+        "erratum:degenerate-locus", run,
         lambda n: n.get((0, 0, 2, 0), 0) > 0
         and n == {mono: c * n[(0, 0, 2, 0)] for mono, c in square.items()},
         "a positive multiple of (p3+p4)^2",
@@ -819,14 +801,12 @@ def _erratum_deg_locus(entry, insts, spaces):
         "carries Lorentzian orbits)")
 
 
-def _erratum_not_closed(entry, insts, _spaces):
+def _erratum_not_closed(run):
     """The tabulated version of this family decorates the null rotations with
     a free parameter; closure forces that parameter to zero."""
-    for params, _h in insts:
-        a, b = params["a"], params["b"]
-        lam = Fraction(1)
-        printed = (YN1 + T2.scaled(lam), YN2 + T1.scaled(lam),
-                   YK1.scaled(a) + YA.scaled(b), TL)
+    for params, _h in run.insts:
+        a, b = params["a"], params["b"]  # the decoration at lam = 1
+        printed = (YN1 + T2, YN2 + T1, YK1.scaled(a) + YA.scaled(b), TL)
         verdict = closure_check(printed)
         if not isinstance(verdict, NotClosed):
             return CheckResult("erratum:printed-lambda-not-closed", False,
@@ -834,7 +814,7 @@ def _erratum_not_closed(entry, insts, _spaces):
                                f"a={a}, b={b}")
         rows = echelon_basis([coords10(x) for x in printed])
         residual = reduce_mod(rows, coords10(verdict.witness))
-        expected = coords10(T1.scaled(-2 * a * lam) + T2.scaled(-b * lam))
+        expected = coords10(T1.scaled(-2 * a) + T2.scaled(-b))
         if residual != expected:
             return CheckResult("erratum:printed-lambda-not-closed", False,
                                f"unexpected closure residual {residual}")
@@ -845,16 +825,29 @@ def _erratum_not_closed(entry, insts, _spaces):
         "lam=0; only the undecorated members are groups")
 
 
-def _erratum_dim4(entry, insts, _spaces):
-    for params, h in insts:
-        rep = orbit_dimension(h, vec4(1, 2, 3, 5))
-        if rep.dim != 4:
-            return CheckResult("erratum:dim4-off-W3", False,
-                               f"orbit dim at (1,2,3,5) is {rep.dim}")
-        low = orbit_dimension(h, vec4(1, 2, 1, -1))
-        if low.dim != 2:
-            return CheckResult("erratum:dim4-off-W3", False,
-                               f"orbit dim at (1,2,1,-1) is {low.dim}")
+def _det(rows):
+    """The determinant of a square matrix of Polys, by first-row cofactors."""
+    if not rows:
+        return Poly.const(1)
+    total = Poly()
+    for j, a in enumerate(rows[0]):
+        term = a * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _erratum_dim4(run):
+    """det of the four Killing fields = -b(p3+p4)^3, and the declared points
+    (1,2,3,5) and (1,2,1,-1) have the surveyed dims 4 and 2."""
+    for (params, h), survey in zip(run.insts, run.surveys):
+        det = _det([field_polys(b) for b in h.basis])
+        if det != (_SIGMA * _SIGMA * _SIGMA).scale(-params["b"]):
+            return _failed("erratum:dim4-off-W3", params, f"det of the four fields is {det}")
+        dims = {rep.point: rep.dim for rep in survey.strata[run.samples:]}
+        for pt, want in (((1, 2, 3, 5), 4), ((1, 2, 1, -1), 2)):
+            if dims[pt] != want:
+                return CheckResult("erratum:dim4-off-W3", False,
+                                   f"orbit dim at {point_text(pt)} is {dims[pt]}")
     return CheckResult(
         "erratum:dim4-off-W3", True,
         "orbits have dimension 4 off the null hyperplane p3+p4=0 (det of the "
@@ -862,7 +855,12 @@ def _erratum_dim4(entry, insts, _spaces):
         "cohomogeneity 0, not 1")
 
 
-_ERRATUM_CHECKS = {
+_CHECKS = {
+    "invariants": _check_invariants,
+    "cohomogeneity": _check_cohomogeneity,
+    "properness": _check_properness,
+    "orbit_space": _check_orbit_space,
+    "matching-roundtrip": _check_roundtrip,
     "erratum:deg-regime-lorentzian": _erratum_deg_regime,
     "erratum:degenerate-locus": _erratum_deg_locus,
     "erratum:printed-lambda-not-closed": _erratum_not_closed,
@@ -877,31 +875,24 @@ _ERRATUM_CHECKS = {
 
 def verify_entry(entry, seed=42, samples=32) -> VerificationReport:
     start = time.perf_counter()
-    checks = []
     insts = _instantiations(entry)
     closure = _check_closure(entry, insts)
-    checks.append(closure)
+    names = ("invariants", "cohomogeneity", "properness",
+             *(("orbit_space",) if entry.orbit_space else ()), "matching-roundtrip",
+             *entry.errata)  # the rows after closure, whether it holds or not
     if closure.passed:
-        checks.append(_check_invariants(entry, insts))
         surveys = [cohomogeneity(h, seed=seed, samples=samples,
                                  extra_points=entry.stratum_points(params))
                    for params, h in insts]
         # the orbit spaces read the declared stratum points off the surveys
         spaces = [entry.orbit_space and orbit_space_spec(h, survey.strata[samples:])
                   for (_, h), survey in zip(insts, surveys)]
-        checks.append(_check_cohomogeneity(entry, insts, surveys, samples, spaces))
-        checks.append(_check_properness(entry, insts))
-        if entry.orbit_space is not None:
-            checks.append(_check_orbit_space(entry, insts, surveys, spaces))
-        checks.append(_check_roundtrip(entry, insts))
-        for slug in entry.errata:
-            checks.append(_ERRATUM_CHECKS[slug](entry, insts, spaces))
+        run = _Replay(entry, insts, surveys, samples, spaces)
+        rows = [_CHECKS[name](run) for name in names]
     else:
-        for name in ("invariants", "cohomogeneity", "properness",
-                     "matching-roundtrip"):
-            checks.append(CheckResult(name, False, "skipped: closure failed"))
+        rows = [CheckResult(name, False, "skipped: closure failed") for name in names]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return VerificationReport(entry_id=entry.entry_id, checks=tuple(checks),
+    return VerificationReport(entry_id=entry.entry_id, checks=(closure, *rows),
                               seed=seed, elapsed_ms=elapsed_ms)
 
 

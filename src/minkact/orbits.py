@@ -1,5 +1,6 @@
-"""Orbit analysis: orbit dimension and causal type at a point, cohomogeneity
-via seeded exact sampling, symbolic invariant-function certification, orbit
+"""Orbit analysis: orbit dimension and causal type at a point, the generic
+orbit dimension at one integer point, cohomogeneity and the orbit strata via
+seeded exact sampling, symbolic invariant-function certification, orbit
 spaces derived from the Killing fields, and their evidence (line vs
 half-line with singular-orbit data).
 
@@ -72,9 +73,7 @@ class Poly:
 
     @staticmethod
     def var(k):
-        mono = [0, 0, 0, 0]
-        mono[k] = 1
-        return Poly({tuple(mono): Fraction(1)})
+        return Poly.covector([int(j == k) for j in range(4)])
 
     @staticmethod
     def covector(cov):
@@ -94,10 +93,7 @@ class Poly:
         return Poly(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) - c
-        return Poly(out)
+        return self + other.scale(-1)
 
     def __mul__(self, other):
         out = {}
@@ -121,14 +117,8 @@ class Poly:
         return Poly(out)
 
     def eval(self, p):
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            term = c
-            for k, e in enumerate(mono):
-                for _ in range(e):
-                    term *= p[k]
-            total += term
-        return total
+        return sum((c * math.prod(map(pow, p, mono)) for mono, c in self.terms.items()),
+                   Fraction(0))
 
     def nonzero_point(self):
         """A small integer point where the polynomial is nonzero (None if zero)."""
@@ -317,6 +307,22 @@ def orbit_dimension(h: Subalgebra, p) -> OrbitReport:
         return OrbitReport(p, rank_of(killing_matrix(h, p)) // 2, echelon=None)
     p = tuple(frac(x) for x in p)
     return _orbit_report(h, p, integral([(*p, 1)])[0][0])
+
+
+def generic_orbit_dimension(h: Subalgebra) -> int:
+    """The generic orbit dimension of h, exactly: the rank of its Killing
+    fields at p* = (T, T^5, T^25, T^125), T = 2 + 24 S^4, S the largest sum
+    of |entries| of a row of ``h.killing_rows``.  Proof: such a row dotted
+    with (p, 1) is a positive multiple of a field component, so a j x j minor
+    (j <= 4) has degree <= 4 in p and integer coefficients bounded by
+    j! S^j <= 24 S^4.  Under p_i = t^(5^(i-1)) distinct monomials go to
+    distinct powers of t (base-5 digits), so the coefficients do not change;
+    by Cauchy's bound every root of a nonzero minor is below 1 + 24 S^4 < T.
+    So a minor nonzero anywhere is nonzero at p*, and no sample is read."""
+    s = max((sum(map(abs, row)) for gen in h.killing_rows for row in gen), default=0)
+    t = 2 + 24 * s ** 4
+    p = (t, t ** 5, t ** 25, t ** 125)
+    return _orbit_report(h, p, (*p, 1)).dim
 
 
 _DENOMINATORS = (3, 4, 5, 7)

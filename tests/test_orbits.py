@@ -2,6 +2,7 @@
 
 import importlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ from minkact.algebra import (
 )
 from minkact.catalog import catalog, entry_by_id
 from minkact.group import cayley_so3, compose, rational_boost_34, translation
-from minkact.linalg import CausalKind, causal_type, echelon_basis, integral, vec4
+from minkact.linalg import CausalKind, causal_type, echelon_basis, integral, rank_of, vec4
 from minkact.orbits import (
     EvidenceFailedError,
     ExpInvariant,
@@ -26,7 +27,9 @@ from minkact.orbits import (
     OrbitSpaceSpec,
     Poly,
     cohomogeneity,
+    generic_orbit_dimension,
     invariant_function_check,
+    killing_matrix,
     lie_derivative,
     orbit_dimension,
     orbit_space_report,
@@ -283,6 +286,59 @@ def test_orbit_rank_at_a_q_sqrt_13_point_matches_sympy(rational, surd, rank):
     fields = [[sum(sympy.nsimplify(x) * c for x, c in zip(row, coords)) + sympy.nsimplify(t)
                for row, t in zip(b.linear, b.trans)] for b in SCREW_13.basis]
     assert orbit_dimension(SCREW_13, p).dim == sympy.Matrix(fields).rank(simplify=True) == rank
+
+
+# every minor of the Killing matrix has degree <= 4, and a polynomial of degree
+# <= 4 that vanishes on the principal lattice {q in N^4 : |q| <= 4} is zero
+# (unisolvence), so the largest rank there is the generic rank
+PRINCIPAL_LATTICE = [q for q in product(range(5), repeat=4) if sum(q) <= 4]
+small_entries = st.just(Fraction(0)) | st.fractions(min_value=-3, max_value=3,
+                                                    max_denominator=3)
+
+
+@st.composite
+def small_bases(draw):
+    """1-6 random elements with small rational entries, some of them dependent."""
+    basis = []
+    for _ in range(draw(st.integers(1, 6))):
+        if basis and draw(st.booleans()):
+            b1, b2 = draw(st.sampled_from(basis)), draw(st.sampled_from(basis))
+            basis.append(b1.scaled(draw(small_entries)) + b2.scaled(draw(small_entries)))
+        else:
+            coords = draw(st.lists(small_entries, min_size=6, max_size=6))
+            trans = draw(st.lists(small_entries, min_size=4, max_size=4))
+            basis.append(AlgebraElement(linear_from_coords(coords), vec4(*trans)))
+    return basis
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_bases())
+@example([YK1, YN1, YN2])  # Excluded:K1N, rank 2 everywhere
+@example([YN1, YN2, YK1.scaled(2) - YA, ELL])  # T3:N-aK1bA-l, rank 4 off sigma = 0
+def test_generic_orbit_dimension_is_the_principal_lattice_max(basis):
+    h = Subalgebra(tuple(basis), {})  # the rank reads only the basis
+    assert generic_orbit_dimension(h) == max(rank_of(killing_matrix(h, q))
+                                             for q in PRINCIPAL_LATTICE)
+
+
+@pytest.mark.parametrize("basis,rank", [
+    ((), 0),
+    ((E1, E2), 2),
+    ((YK1, YN1, YN2), 2),
+    ((standard_generator("Yk3"), YA, YN2), 2),
+    ((YK1, YA, YN1, YN2), 3),
+    ((YA + E1.scaled(Fraction(-2)), E2, ELL), 3),
+    ((YN1, YN2, YK1.scaled(2) - YA, ELL), 4),
+    ((YK1, YA, YN1, YN2, ELL), 4),
+], ids=["empty", "plane", "K1N", "SO21", "K1AN", "drifting-boost", "mixture", "K1AN-l"])
+def test_generic_orbit_dimension_matches_sympy_symbolic_rank(basis, rank):
+    import sympy
+
+    p = sympy.symbols("p1:5")
+    fields = [[sum(sympy.Rational(x.numerator, x.denominator) * c for x, c in zip(row, p))
+               + sympy.Rational(t.numerator, t.denominator)
+               for row, t in zip(b.linear, b.trans)] for b in basis]
+    assert generic_orbit_dimension(Subalgebra(basis, {})) == sympy.Matrix(fields).rank() == rank
 
 
 def test_cohomogeneity_of_rotation_boost_null_group():
