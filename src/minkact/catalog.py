@@ -156,11 +156,7 @@ class CatalogEntry:
         if not (self.proper and self.in_table):
             return None
 
-        def derive(params):
-            h = require_closed(self.build(params))
-            return orbit_space_spec(h, [orbit_dimension(h, p)
-                                        for p in self.stratum_points(params)])
-        return derive
+        return lambda params: orbit_space_spec(require_closed(self.build(params)))
 
     @property
     def principal_causal(self):
@@ -619,7 +615,7 @@ def _failed(name, params, message):
     return CheckResult(name, False, f"at {_fmt_params(params)}: {message}")
 
 
-def _check_closure(entry, insts):
+def _check_closure(insts):
     bad = [(_fmt_params(p), v.describe()) for p, v in insts if isinstance(v, NotClosed)]
     if bad:
         return CheckResult("closure", False,
@@ -653,11 +649,11 @@ def _check_cohomogeneity(run):
                            f"table asserts {entry.expected_cohomogeneity}")
         if dims != expected_dims:
             return _failed("cohomogeneity", params, f"strata {dims} != expected {expected_dims}")
-        # the declared witnesses were surveyed last, after the samples
-        for (pt, dim), got in zip(entry.strata_witnesses(params), rep.strata[run.samples:]):
-            if got.dim != dim:
+        for pt, dim in entry.strata_witnesses(params):
+            got = orbit_dimension(h, pt).dim
+            if got != dim:
                 return _failed("cohomogeneity", params,
-                               f"declared stratum point {pt} has dim {got.dim}, expected {dim}")
+                               f"declared stratum point {pt} has dim {got}, expected {dim}")
         # the Gram signature of each principal orbit against the sign of N
         for orbit in rep.strata if space else ():
             expect = orbit.dim == 3 and space.causal_at(orbit.point)
@@ -837,17 +833,17 @@ def _det(rows):
 
 
 def _erratum_dim4(run):
-    """det of the four Killing fields = -b(p3+p4)^3, and the declared points
-    (1,2,3,5) and (1,2,1,-1) have the surveyed dims 4 and 2."""
-    for (params, h), survey in zip(run.insts, run.surveys):
+    """det of the four Killing fields = -b(p3+p4)^3, and every declared point,
+    (1,2,3,5) off p3+p4=0 among them, has its declared dimension."""
+    for params, h in run.insts:
         det = _det([field_polys(b) for b in h.basis])
         if det != (_SIGMA * _SIGMA * _SIGMA).scale(-params["b"]):
             return _failed("erratum:dim4-off-W3", params, f"det of the four fields is {det}")
-        dims = {rep.point: rep.dim for rep in survey.strata[run.samples:]}
-        for pt, want in (((1, 2, 3, 5), 4), ((1, 2, 1, -1), 2)):
-            if dims[pt] != want:
+        for pt, want in run.entry.strata_witnesses(params):
+            got = orbit_dimension(h, pt).dim
+            if got != want:
                 return CheckResult("erratum:dim4-off-W3", False,
-                                   f"orbit dim at {point_text(pt)} is {dims[pt]}")
+                                   f"orbit dim at {point_text(pt)} is {got}")
     return CheckResult(
         "erratum:dim4-off-W3", True,
         "orbits have dimension 4 off the null hyperplane p3+p4=0 (det of the "
@@ -876,7 +872,7 @@ _CHECKS = {
 def verify_entry(entry, seed=42, samples=32) -> VerificationReport:
     start = time.perf_counter()
     insts = _instantiations(entry)
-    closure = _check_closure(entry, insts)
+    closure = _check_closure(insts)
     names = ("invariants", "cohomogeneity", "properness",
              *(("orbit_space",) if entry.orbit_space else ()), "matching-roundtrip",
              *entry.errata)  # the rows after closure, whether it holds or not
@@ -884,9 +880,7 @@ def verify_entry(entry, seed=42, samples=32) -> VerificationReport:
         surveys = [cohomogeneity(h, seed=seed, samples=samples,
                                  extra_points=entry.stratum_points(params))
                    for params, h in insts]
-        # the orbit spaces read the declared stratum points off the surveys
-        spaces = [entry.orbit_space and orbit_space_spec(h, survey.strata[samples:])
-                  for (_, h), survey in zip(insts, surveys)]
+        spaces = [entry.orbit_space and orbit_space_spec(h) for _, h in insts]
         run = _Replay(entry, insts, surveys, samples, spaces)
         rows = [_CHECKS[name](run) for name in names]
     else:

@@ -27,7 +27,8 @@ from operator import mul
 
 from .algebra import AlgebraElement, fundamental_field
 from .linalg import (CausalClass, CausalKind, causal_class, frac, integer_rref, integral,
-                     kernel_of, matvec, mink_inner, rank_of, sylvester_signature, transpose)
+                     kernel_of, matvec, mink_inner, rank_of, solve_linear, sylvester_signature,
+                     transpose)
 from .subalgebra import Subalgebra, lorentz_invariants
 
 
@@ -157,7 +158,8 @@ def lie_derivative(f: Poly, elt: AlgebraElement) -> Poly:
 
 @dataclass(frozen=True)
 class ExpInvariant:
-    """Invariant of the form F(p) = L(p) * exp(-E(p)/scale) for covectors L, E.
+    """Invariant of the form F(p) = L(p) * exp(-E(p)/scale) for the affine
+    level L(p) = level_cov . p + level_const and the covector E.
 
     Not polynomial, but its constancy along the action is still an exact
     polynomial identity: scale*L(v) - L(p)*E(v) = 0 for every generator field
@@ -167,16 +169,20 @@ class ExpInvariant:
     level_cov: tuple
     exp_cov: tuple
     scale: Fraction
+    level_const: Fraction = Fraction(0)
+
+    @property
+    def level(self) -> Poly:
+        return Poly.covector(self.level_cov) + Poly.const(self.level_const)
 
     def lie_identity(self, elt: AlgebraElement) -> Poly:
-        level = Poly.covector(self.level_cov)
-        return (lie_derivative(level, elt).scale(self.scale)
-                - level * lie_derivative(Poly.covector(self.exp_cov), elt))
+        return (lie_derivative(self.level, elt).scale(self.scale)
+                - self.level * lie_derivative(Poly.covector(self.exp_cov), elt))
 
     def eval(self, p):
         if sum(map(mul, self.exp_cov, p)) != 0:
             raise ValueError("exact value only available where the exponent vanishes")
-        return sum(map(mul, self.level_cov, p))
+        return sum(map(mul, self.level_cov, p)) + self.level_const
 
 
 def invariant_function_check(h: Subalgebra, f) -> None:
@@ -302,11 +308,16 @@ def orbit_dimension(h: Subalgebra, p) -> OrbitReport:
     Killing fields at p; its tangent basis and causal class follow on first
     read (see :class:`OrbitReport`).  At a :class:`QuadraticPoint` the rank is
     half that of the :func:`killing_matrix` realification, and the report has
-    no tangent basis or causal class."""
-    if isinstance(p, QuadraticPoint):
-        return OrbitReport(p, rank_of(killing_matrix(h, p)) // 2, echelon=None)
-    p = tuple(frac(x) for x in p)
-    return _orbit_report(h, p, integral([(*p, 1)])[0][0])
+    no tangent basis or causal class.  Each point's report is computed once
+    per subalgebra and kept in ``h.orbit_reports``."""
+    if not isinstance(p, QuadraticPoint):
+        p = tuple(frac(x) for x in p)
+    rep = h.orbit_reports.get(p)
+    if rep is None:
+        rep = h.orbit_reports[p] = (
+            OrbitReport(p, rank_of(killing_matrix(h, p)) // 2, echelon=None)
+            if isinstance(p, QuadraticPoint) else _orbit_report(h, p, integral([(*p, 1)])[0][0]))
+    return rep
 
 
 def generic_orbit_dimension(h: Subalgebra) -> int:
@@ -387,21 +398,20 @@ _KINDS = (CausalKind.DEGENERATE, CausalKind.LORENTZIAN, CausalKind.SPACELIKE)
 class OrbitSpaceSpec:
     """Orbit-space evidence obligations, as :func:`orbit_space_spec` derives
     them: ``transversal`` holds exact points meant to hit pairwise distinct
-    orbits; ``singular`` (half-line only) is (dim, CausalKind), realized at
-    the ``singular_witnesses``."""
+    orbits; ``singular`` (half-line only) is the (dim, CausalKind) of the
+    orbit at the invariant's boundary level 0."""
 
     kind: OrbitSpaceKind
     invariant: object  # Poly or ExpInvariant
     transversal: tuple
     singular: tuple | None = None  # (dim, CausalKind)
-    singular_witnesses: tuple = ()
 
     @cached_property
     def gradient_norm(self) -> Poly:
         """N = eta(grad f, grad f); for sigma exp(-E/s), eta of
         s grad sigma - sigma grad E, a positive multiple of its gradient's."""
         f = self.invariant
-        grad = ([Poly.const(f.scale * a) - Poly.covector(f.level_cov).scale(e)
+        grad = ([Poly.const(f.scale * a) - f.level.scale(e)
                  for a, e in zip(f.level_cov, f.exp_cov)] if isinstance(f, ExpInvariant)
                 else [f.diff(k) for k in range(4)])
         return mink_inner(grad, grad)
@@ -470,28 +480,30 @@ def clocks(h: Subalgebra):
 
 
 def _semi_invariant(h: Subalgebra):
-    """sigma exp(-E/s), for a clock E of rates r_b and a covector sigma with
-    sigma X_b = (r_b/s) sigma and sigma . x_b = 0 on each basis element
-    b = (X_b, x_b), so L_b sigma = (r_b/s) sigma; s = r_b / k for the rational
-    eigenvalue k = +-sqrt(tr(X_b^2)/2) of a boost part.  None unless a clock,
-    element and sign leave a line of sigma."""
+    """sigma exp(-E/s), for a clock E of rates r_b and an affine
+    sigma(p) = sigma . p + sigma0 with sigma X_b = (r_b/s) sigma and
+    sigma . x_b = (r_b/s) sigma0 on each basis element b = (X_b, x_b), so
+    L_b sigma = (r_b/s) sigma; s = r_b / k for the rational eigenvalue
+    k = +-sqrt(tr(X_b^2)/2) of a boost part.  None unless a clock, element
+    and sign leave a line of (sigma, sigma0)."""
     for clock, rates in clocks(h):
         for b, rate in zip(h.basis, rates):
             root = rational_sqrt(lorentz_invariants(b.linear)[0] / 2)
             for s in (rate / root, -rate / root) if rate and root else ():
                 sigma = _kernel_line(
-                    [[x.linear[m][k] - w if m == k else x.linear[m][k] for m in range(4)]
+                    [[*(x.linear[m][k] - w if m == k else x.linear[m][k] for m in range(4)), 0]
                      for x, w in zip(h.basis, [r / s for r in rates]) for k in range(4)]
-                    + [x.trans for x in h.basis])
+                    + [[*x.trans, -r / s] for x, r in zip(h.basis, rates)])
                 if sigma:
-                    return ExpInvariant(sigma, clock, s)
+                    return ExpInvariant(sigma[:4], clock, s, sigma[4])
     return None
 
 
-def _transversal(invariant, ts):
-    """The points t e_k, t in ``ts``, on the first axis where the invariant's
+def _transversal(invariant):
+    """The points t e_k, t = -2..2, on the first axis where the invariant's
     restriction, a polynomial in t, takes distinct levels (for sigma
     exp(-E/s), one along which E vanishes, with levels sigma)."""
+    ts = range(-2, 3)
     for k in range(4):
         if isinstance(invariant, ExpInvariant):
             powers = {} if invariant.exp_cov[k] else {1: invariant.level_cov[k]}
@@ -506,82 +518,69 @@ _LINEAR = tuple((k,) for k in range(4))
 _QUADRATIC = tuple((i, j) for i in range(4) for j in range(i, 4))
 
 
-def orbit_space_spec(h: Subalgebra, strata=()) -> OrbitSpaceSpec:
+def orbit_space_spec(h: Subalgebra) -> OrbitSpaceSpec:
     """The orbit space of a proper cohomogeneity-one action, derived from h.
 
-    The invariant is the line of invariant linear forms, else of forms of
-    degree at most two, else :func:`_semi_invariant`.  A quadratic form with
-    no negative square (Sylvester, on twice its Gram matrix) makes a
-    half-line, whose singular orbit is that of the lower-dimensional
-    ``strata`` (OrbitReports of declared points) at level 0; anything else
-    a line.  Raises EvidenceFailedError without an invariant.
+    The invariant f is the line of invariant linear forms, else of forms of
+    degree at most two, else :func:`_semi_invariant`.  A polynomial f whose
+    quadratic part has no negative square (Sylvester, on twice its Gram
+    matrix G) and which has a critical point c, G c = -(its linear part),
+    makes a half-line: the invariant is f - f(c) >= 0, the singular orbit is
+    the orbit through c, and the transversal is c + t e_k, t = 0, 1, 2, on the
+    first axis with G[k][k] != 0.  Anything else makes a line.  So moving the
+    origin moves c and nothing else.  Raises EvidenceFailedError without an
+    invariant.
     """
     f = (_invariant_form(h, _LINEAR) or _invariant_form(h, _QUADRATIC + _LINEAR)
          or _semi_invariant(h))
     if f is None:
         raise EvidenceFailedError("no invariant form or exponential semi-invariant")
-    gram = [[f.terms.get(tuple((k == i) + (k == j) for k in range(4)), 0) * (1 + (i == j))
-             for j in range(4)] for i in range(4)] if isinstance(f, Poly) else None
-    if not gram or any(sum(mono) != 2 for mono in f.terms) or sylvester_signature(gram)[1]:
-        return OrbitSpaceSpec(OrbitSpaceKind.LINE, f, _transversal(f, (-2, -1, 0, 1, 2)))
-    singular = [rep for rep in strata if rep.dim < 3 and f.eval(rep.point) == 0]
-    return OrbitSpaceSpec(OrbitSpaceKind.HALFLINE, f, _transversal(f, (0, 1, 2)),
-                          (singular[0].dim, singular[0].causal.kind) if singular else None,
-                          tuple(rep.point for rep in singular))
+    if isinstance(f, Poly):
+        gram = [[f.terms.get(tuple((k == i) + (k == j) for k in range(4)), 0) * (1 + (i == j))
+                 for j in range(4)] for i in range(4)]
+        minus_linear = [-f.terms.get(tuple(int(j == k) for j in range(4)), 0) for k in range(4)]
+        c = None if sylvester_signature(gram)[1] else solve_linear(gram, minus_linear).particular
+        if c is not None:
+            k = next(k for k in range(4) if gram[k][k])
+            rep = orbit_dimension(h, c)
+            return OrbitSpaceSpec(OrbitSpaceKind.HALFLINE, f - Poly.const(f.eval(c)),
+                                  tuple(tuple(x + t * (j == k) for j, x in enumerate(c))
+                                        for t in (0, 1, 2)),
+                                  (rep.dim, rep.causal.kind))
+    return OrbitSpaceSpec(OrbitSpaceKind.LINE, f, _transversal(f))
 
 
 def orbit_space_report(h: Subalgebra, spec: OrbitSpaceSpec,
                        survey: CohomReport) -> OrbitSpaceSpec:
     """Run the evidence obligations of ``spec`` and return it once they hold.
 
-    Line: certified invariant, all orbits of ``survey`` (the instantiation's
-    :func:`cohomogeneity` report) and of the transversal of dimension 3,
-    invariant separating the transversal.  Half-line: additionally one singular
-    orbit with the declared dimension and causal class at the boundary level
-    0 of the invariant, every off-boundary surveyed orbit three-dimensional and
-    the invariant nonnegative.  Declared points the survey lacks are evaluated
-    here.  Raises EvidenceFailedError on any breach.
+    The invariant is certified and separates the transversal.  The probes are
+    the orbits of ``survey`` (the instantiation's :func:`cohomogeneity`
+    report) and of the transversal.  Line: every probe is a hypersurface.
+    Half-line: the invariant is nonnegative at every probe, a probe at level 0
+    is the ``singular`` orbit (dimension and causal kind), every other probe
+    is a hypersurface, and the transversal meets level 0.  Raises
+    EvidenceFailedError on any breach.
     """
-    surveyed = {rep.point: rep for rep in survey.strata}
     invariant_function_check(h, spec.invariant)
-
     values = [spec.invariant.eval(p) for p in spec.transversal]
     if len(set(values)) != len(values):
         raise EvidenceFailedError("transversal does not separate orbit levels")
-
-    if spec.kind is OrbitSpaceKind.LINE:
-        probed = [*survey.strata, *(surveyed.get(p) or orbit_dimension(h, p)
-                                   for p in spec.transversal)]
-        for rep in probed:
-            if rep.dim != 3:
-                raise EvidenceFailedError(f"expected a 3-dimensional orbit at {rep.point}, "
-                                          f"got {rep.dim}")
-        return spec
-
-    if spec.singular is None:
+    half = spec.kind is OrbitSpaceKind.HALFLINE
+    if half and spec.singular is None:
         raise EvidenceFailedError("no singular orbit at the boundary level")
-    sing_dim, sing_kind = spec.singular
-    for w in spec.singular_witnesses:
-        rep = surveyed.get(w) or orbit_dimension(h, w)
-        if rep.dim != sing_dim or rep.causal.kind is not sing_kind:
-            raise EvidenceFailedError(
-                f"singular witness {w}: got dim {rep.dim} {rep.causal.kind.value}, "
-                f"expected dim {sing_dim} {sing_kind.value}"
-            )
-        if spec.invariant.eval(w) != 0:
-            raise EvidenceFailedError("singular witness is not at the boundary level")
-
-    for rep in survey.strata:
-        value = spec.invariant.eval(rep.point)
-        if value < 0:
-            raise EvidenceFailedError("invariant is not one-sided")
-        expected = sing_dim if value == 0 else 3
-        if rep.dim != expected:
-            raise EvidenceFailedError(
-                f"orbit at {rep.point} has dim {rep.dim}, expected {expected}"
-            )
-    if not any(v == 0 for v in values):
+    if half and 0 not in values:
         raise EvidenceFailedError("transversal misses the boundary level")
-    if any(v < 0 for v in values):
-        raise EvidenceFailedError("transversal crosses the boundary level")
+    for rep in (*survey.strata, *(orbit_dimension(h, p) for p in spec.transversal)):
+        level = spec.invariant.eval(rep.point) if half else 1  # a line has no boundary
+        if level < 0:
+            raise EvidenceFailedError(f"invariant is negative at {point_text(rep.point)}")
+        if level == 0 and (rep.dim, rep.causal.kind) != spec.singular:
+            raise EvidenceFailedError(
+                f"boundary orbit at {point_text(rep.point)} has dim {rep.dim} "
+                f"{rep.causal.kind.value}, expected the singular dim {spec.singular[0]} "
+                f"{spec.singular[1].value}")
+        if level and rep.dim != 3:
+            raise EvidenceFailedError(
+                f"expected a 3-dimensional orbit at {point_text(rep.point)}, got {rep.dim}")
     return spec

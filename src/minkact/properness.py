@@ -246,7 +246,7 @@ def fixed_point_witness(linear, point, kind: OneParamType) -> WitnessSequence:
         V = exp_element(unit, math.log(1.0 + n) if hyperbolic else float(n)).V
         return V, vsub(pt, matvec(V, pt))
 
-    def point_at(n):
+    def point_at(_n):
         return pt
 
     label = "hyperbolic" if hyperbolic else "parabolic"

@@ -7,7 +7,7 @@ invariant profile used for catalog matching.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -53,6 +53,9 @@ class Subalgebra:
 
     basis: tuple
     structure: dict
+    # point -> its orbits.orbit_dimension report, filled there, so that each
+    # point's orbit is computed once per subalgebra
+    orbit_reports: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:

@@ -433,7 +433,7 @@ EXACT_INVARIANTS = {"T2:SO2xR11", "T3:SO3xRe4"}  # criterion 5 pins these unscal
 def _derive(entry, params, seed=42):
     h = require_closed(entry.build(params))
     survey = cohomogeneity(h, seed=seed, extra_points=entry.stratum_points(params))
-    return h, survey, orbit_space_spec(h, survey.strata[32:])
+    return h, survey, orbit_space_spec(h)
 
 
 def _same_up_to_scale(derived, declared):
@@ -498,3 +498,43 @@ def test_null_drift_orbits_are_lorentzian_at_every_level(mu, seed):
     norm = spec.gradient_norm
     assert set(norm.terms) == {(0, 0, 0, 0)} and norm.terms[(0, 0, 0, 0)] > 0
     assert all(orbit.causal.kind is CausalKind.LORENTZIAN for orbit in survey.strata)
+
+
+PROPER_INSTANTIATIONS = [(eid, params) for eid in DECLARED_ORBIT_SPACES
+                         for params in entry_by_id(eid).defaults]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PROPER_INSTANTIATIONS),
+       st.tuples(*[st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))] * 4),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(-2, 2).filter(bool)),
+                min_size=3, max_size=3))
+def test_orbit_spaces_are_translation_invariant(inst, q, moves):
+    # a rational translation, then three unimodular moves b_i += m b_j of the
+    # basis: the same group, so the same orbit space, derived from the
+    # conjugate alone and certified on its own survey
+    entry_id, params = inst
+    entry = entry_by_id(entry_id)
+    record = entry.orbit_space(params)
+    basis = list(recenter(require_closed(entry.build(params)), q).basis)
+    for i, off, m in moves:
+        i %= len(basis)
+        j = (i + 1 + off % (len(basis) - 1)) % len(basis)
+        basis[i] = basis[i] + basis[j].scaled(m)
+    conj = require_closed(basis)
+    spec = orbit_space_spec(conj)
+    assert (spec.kind, spec.singular, spec.principal_causal) == (
+        record.kind, record.singular, record.principal_causal)
+    moved = [tuple(x - y for x, y in zip(pt, q)) for pt in entry.stratum_points(params)]
+    assert orbit_space_report(conj, spec, cohomogeneity(conj, extra_points=moved)) is spec
+
+
+@pytest.mark.parametrize("entry_id, singular", [("T2:SO2xR11", (2, _LOR)),
+                                                ("T3:SO3xRe4", (1, CausalKind.TIMELIKE))])
+def test_the_orbit_space_reads_no_declared_point(entry_id, singular):
+    entry = dataclasses.replace(entry_by_id(entry_id), strata_witnesses=lambda _p: ())
+    params = entry.defaults[0]
+    spec = entry.orbit_space(params)
+    assert spec.singular == singular
+    h = require_closed(entry.build(params))
+    assert orbit_space_report(h, spec, cohomogeneity(h)) is spec

@@ -386,7 +386,6 @@ def test_halfline_evidence_for_rotation_cylinder():
         invariant=P1 * P1 + P2 * P2,
         transversal=(vec4(0, 0, 0, 0), vec4(1, 0, 0, 0), vec4(2, 0, 0, 0)),
         singular=(2, CausalKind.LORENTZIAN),
-        singular_witnesses=(vec4(0, 0, 0, 0), vec4(0, 0, 5, -1)),
     )
     assert orbit_space_report(h, spec, cohomogeneity(h)) is spec
 
@@ -409,15 +408,14 @@ def test_wrong_singular_class_fails():
         invariant=P1 * P1 + P2 * P2,
         transversal=(vec4(0, 0, 0, 0), vec4(1, 0, 0, 0)),
         singular=(2, CausalKind.SPACELIKE),  # really Lorentzian
-        singular_witnesses=(vec4(0, 0, 0, 0),),
     )
     with pytest.raises(EvidenceFailedError):
         orbit_space_report(h, spec, cohomogeneity(h))
 
 
 def test_halfline_without_singular_orbit_fails():
-    # a derived half-line spec has no singular orbit when no declared stratum
-    # point lies at level 0; that is a failed obligation, not a crash
+    # a half-line spec without a singular orbit is a failed obligation, not a
+    # crash
     h = require_closed((YK1, E3, E4))
     spec = OrbitSpaceSpec(
         kind=OrbitSpaceKind.HALFLINE,
@@ -435,7 +433,6 @@ def test_transversal_missing_boundary_fails():
         invariant=P1 * P1 + P2 * P2,
         transversal=(vec4(1, 0, 0, 0), vec4(2, 0, 0, 0)),
         singular=(2, CausalKind.LORENTZIAN),
-        singular_witnesses=(vec4(0, 0, 0, 0),),
     )
     with pytest.raises(EvidenceFailedError):
         orbit_space_report(h, spec, cohomogeneity(h))

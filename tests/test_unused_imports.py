@@ -105,3 +105,30 @@ def test_every_catalog_entry_field_is_read_in_the_package():
     fields = dataclass_fields(ast.parse((SRC / "catalog.py").read_text()), "CatalogEntry")
     assert "build" in fields
     assert unread_fields(fields, sources) == []
+
+
+def unread_parameters(source):
+    """(line, function, parameter) for each parameter of a ``def`` that its
+    body never loads; ``_`` names and lambdas (record callbacks) are exempt."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out.extend((node.lineno, node.name, a.arg) for a in params
+                       if not a.arg.startswith("_") and a.arg not in loaded)
+    return sorted(out)
+
+
+def test_the_check_sees_an_unread_parameter():
+    source = ("def scale(x, factor, _hint, unused=0):\n    return x * factor\n\n"
+              "def pick(point_at):\n    return lambda n: point_at(0)\n")
+    assert unread_parameters(source) == [(1, "scale", "unused")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
