@@ -41,6 +41,7 @@ from .group import (
     NumericIsometry,
     compose,
     exp_element,
+    exp_map,
     invert,
     lorentz_ok,
     translation,

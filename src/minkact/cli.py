@@ -32,7 +32,7 @@ from .catalog import (
     verify_all,
     verify_entry,
 )
-from .group import act, exp_element
+from .group import act, exp_map
 from .linalg import DependentBasisError
 from .orbits import cohomogeneity, orbit_dimension, point_text
 from .properness import WitnessFailedError, check_witness
@@ -340,11 +340,11 @@ def cmd_export(args):
         triples = [tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
                    for _ in range(args.samples)]
 
-    # one exponential per distinct t_k, one action per distinct (t_k, ..., t3)
+    # one map per generator, evaluated per distinct t_k; one action per (t_k, ..., t3)
     points = {(): base_f}
     for k in (2, 1, 0):
-        tails = {ts[k:] for ts in triples}
-        exps = {t: exp_element(basis[k], t) for t in {tail[0] for tail in tails}}
+        exp_k, tails = exp_map(basis[k]), {ts[k:] for ts in triples}
+        exps = {t: exp_k(t) for t in {tail[0] for tail in tails}}
         points = {tail: act(exps[tail[0]], points[tail[1:]]) for tail in tails}
     if not all(math.isfinite(c) for x in points.values() for c in x):
         raise OverflowError("the orbit patch leaves the float range")

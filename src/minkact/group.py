@@ -3,20 +3,21 @@ the affine action on points, and exponentials of algebra elements.
 
 Isometries are exact, over Fractions, everywhere the classification logic
 touches them.  Exponentials exp(tX) come from one closed form on the 4x4
-blocks driven by the two Lorentz invariants tr(X^2) and Pf(eta X): exact for
-nilpotent X and an exact t, plain Python floats otherwise (boosts, rotations
-by generic angles, properness sequences, orbit patches).  Float isometries
-are the same tuples, so composition and the action serve both.  Exact
-rational rotations and boosts come from half-angle/half-velocity
-parameterizations and from the Cayley transform of a compact linear part
-about a point, which the properness recovery map and its trials use to stay
-in the rationals.
+blocks driven by the two Lorentz invariants tr(X^2) and Pf(eta X), one map per
+algebra element evaluated per t: exact for nilpotent X and an exact t, plain
+Python floats otherwise (boosts, rotations by generic angles, properness
+sequences, orbit patches).  Float isometries are the same tuples, so
+composition and the action serve both.  Exact rational rotations and boosts
+come from half-angle/half-velocity parameterizations and from the Cayley
+transform of a compact linear part about a point, which the properness
+recovery map and its trials use to stay in the rationals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from operator import add, mul
 
@@ -125,57 +126,59 @@ def exp_coefficients(trace_sq, pfaffian, t):
 _FLOAT_IDENTITY = tuple(tuple(map(float, row)) for row in IDENTITY4)
 
 
-def _exp_blocks(a: AlgebraElement, t, trace_sq, pfaffian):
-    """exp(t a) from the invariants of a = (X, x): the powers of M are
-    [[X^k, X^(k-1) x], [0, 0]], and X^4 = (tr(X^2)/2) X^2 + Pf(eta X)^2 I
-    (Cayley-Hamilton on so(3,1)) folds c4 X^4 into I and X^2; the powers
-    stop at the first that vanishes, X^3 for a nilpotent X.  The identity
-    enters as a diagonal coefficient and x itself, never through a product.
-    Exact coefficients keep the Fractions; float ones convert X and x once."""
-    c1, c2, c3, c4 = exp_coefficients(trace_sq, pfaffian, t)
-    one, x, p, kind = IDENTITY4, a.linear, a.trans, Isometry
-    if isinstance(c1, float):
-        # float() of a Fraction makes this division through a slower hook
-        one, x = _FLOAT_IDENTITY, tuple(tuple(e.numerator / e.denominator for e in row)
-                                        for row in x)
-        p = tuple(e.numerator / e.denominator for e in p)
-        trace_sq, pfaffian, kind = float(trace_sq), float(pfaffian), NumericIsometry
-    powers = [] if mat_is_zero(x) else [x, matmul(x, x)]
-    if trace_sq or pfaffian:
-        powers.append(matmul(x, powers[1]))
-    c0, *linear = (1 + c4 * pfaffian * pfaffian, c1, c2 + c4 * trace_sq / 2, c3)
-    # each entry sums from the identity's, c0 on the diagonal, then over X, X^2, X^3
-    acc = [row[:i] + (c0,) + row[i + 1:] for i, row in enumerate(one)]
-    for c, m in zip(linear, powers):
-        acc = [tuple(map(add, ra, map(mul, repeat(c), rm))) for ra, rm in zip(acc, m)]
-    return kind(tuple(acc),
-                tuple(sum(map(mul, (c1, c2, c3, c4), entries))
-                      for entries in zip(p, *(matvec(m, p) for m in powers))))
+def exp_map(a: AlgebraElement, exact: bool = False):
+    """t -> exp(t a), with all that does not depend on t computed once: the
+    invariants, exact and then rounded once, and, in floats or (nilpotent X,
+    exact t) in Fractions, the powers X, X^2, X^3 of M = [[X, x], [0, 0]]
+    (they stop at the first that vanishes) with their images of x.
+    X^4 = (tr(X^2)/2) X^2 + Pf(eta X)^2 I (Cayley-Hamilton on so(3,1)) folds
+    c4 X^4 into I and X^2, so each t costs one :func:`exp_coefficients` and
+    one linear combination, the identity entering as a diagonal coefficient.
+    ``exact=True`` raises ValueError unless X is nilpotent."""
+    trace_sq, pfaffian = lorentz_invariants(a.linear)
+    nilpotent = trace_sq == 0 and pfaffian == 0
+    if exact and not nilpotent:
+        raise ValueError("exponential series does not terminate; use the numeric variant")
+
+    def blocks(kind, one, x, p, tr, pf):
+        powers = [] if mat_is_zero(x) else [x, matmul(x, x)]
+        if tr or pf:
+            powers.append(matmul(x, powers[1]))
+        images = tuple(zip(p, *(matvec(m, p) for m in powers)))
+
+        def at(t):
+            c1, c2, c3, c4 = coefficients = exp_coefficients(tr, pf, t)
+            c0, *linear = (1 + c4 * pf * pf, c1, c2 + c4 * tr / 2, c3)
+            # each entry sums from the identity's, c0 on the diagonal, then over X, X^2, X^3
+            acc = [row[:i] + (c0,) + row[i + 1:] for i, row in enumerate(one)]
+            for c, m in zip(linear, powers):
+                acc = [tuple(map(add, ra, map(mul, repeat(c), rm))) for ra, rm in zip(acc, m)]
+            return kind(tuple(acc), tuple(sum(map(mul, coefficients, e)) for e in images))
+        return at
+
+    # each half is built at its first t; n / d converts faster than float(Fraction)
+    floats = cache(lambda: blocks(
+        NumericIsometry, _FLOAT_IDENTITY,
+        tuple(tuple(e.numerator / e.denominator for e in row) for row in a.linear),
+        tuple(e.numerator / e.denominator for e in a.trans), float(trace_sq), float(pfaffian)))
+    fractions = cache(lambda: blocks(Isometry, IDENTITY4, a.linear, a.trans, trace_sq, pfaffian))
+    return lambda t: (fractions()(frac(t)) if nilpotent and not isinstance(t, float)
+                      else floats()(float(t)))
 
 
 def exp_element_exact(a: AlgebraElement, t) -> Isometry:
-    """Exact exponential of t*a; only defined when the linear part is
-    nilpotent (null rotations, pure translations)."""
-    trace_sq, pfaffian = lorentz_invariants(a.linear)
-    if trace_sq != 0 or pfaffian != 0:
-        raise ValueError("exponential series does not terminate; use the numeric variant")
-    return _exp_blocks(a, frac(t), trace_sq, pfaffian)
+    """Exact exp(t a); only for a nilpotent linear part (null rotations, translations)."""
+    return exp_map(a, exact=True)(frac(t))
 
 
 def exp_element_numeric(a: AlgebraElement, t: float) -> NumericIsometry:
-    """Float exponential of t*a from the closed form of :func:`exp_coefficients`."""
-    return _exp_blocks(a, float(t), *lorentz_invariants(a.linear))
+    """Float exp(t a) from the closed form of :func:`exp_coefficients`."""
+    return exp_map(a)(float(t))
 
 
 def exp_element(a: AlgebraElement, t):
-    """Exponential of t*a: exact when the series terminates, numeric otherwise.
-
-    A float t always selects the numeric variant; exact scalars stay exact
-    whenever the linear part is nilpotent and fall back to floats if not.
-    """
-    trace_sq, pfaffian = lorentz_invariants(a.linear)
-    exact = not isinstance(t, float) and trace_sq == 0 and pfaffian == 0
-    return _exp_blocks(a, frac(t) if exact else float(t), trace_sq, pfaffian)
+    """exp(t a): exact when the series terminates and t is exact, else floats."""
+    return exp_map(a)(t)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .algebra import AlgebraElement, fundamental_field
 from .linalg import (CausalClass, CausalKind, causal_class, frac, integer_rref, integral,
                      kernel_of, matvec, mink_inner, rank_of, solve_linear, sylvester_signature,
                      transpose)
-from .subalgebra import Subalgebra, lorentz_invariants
+from .subalgebra import Subalgebra, lorentz_invariants, split_parts
 
 
 class EvidenceFailedError(AssertionError):
@@ -484,9 +484,12 @@ def _semi_invariant(h: Subalgebra):
     sigma(p) = sigma . p + sigma0 with sigma X_b = (r_b/s) sigma and
     sigma . x_b = (r_b/s) sigma0 on each basis element b = (X_b, x_b), so
     L_b sigma = (r_b/s) sigma; s = r_b / k for the rational eigenvalue
-    k = +-sqrt(tr(X_b^2)/2) of a boost part.  None unless a clock, element
-    and sign leave a line of (sigma, sigma0)."""
-    for clock, rates in clocks(h):
+    k = +-sqrt(tr(X_b^2)/2) of a boost part.  The clocks are one kernel of the
+    linear parts and the translation ideal, so each rate vanishes on the
+    ideal.  None unless a clock, element and sign leave a line of (sigma, sigma0)."""
+    ideal = split_parts(h)[0]
+    for clock in kernel_of([col for b in h.basis for col in transpose(b.linear)] + ideal):
+        rates = [sum(map(mul, clock, b.trans)) for b in h.basis]
         for b, rate in zip(h.basis, rates):
             root = rational_sqrt(lorentz_invariants(b.linear)[0] / 2)
             for s in (rate / root, -rate / root) if rate and root else ():

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .algebra import AlgebraElement, element
-from .group import Isometry, act, cayley, compose, exp_element, translation
+from .group import Isometry, act, cayley, compose, exp_element, exp_map, translation
 from .linalg import (ZERO4, echelon_basis, kernel_of, mat_is_zero, matvec, reduce_mod,
                      solve_linear, sylvester_signature, transpose, vadd, vec4, vsub)
 from .orbits import QuadraticPoint, clocks, killing_matrix, point_text
@@ -238,12 +238,13 @@ def fixed_point_witness(linear, point, kind: OneParamType) -> WitnessSequence:
     hyperbolic = kind is OneParamType.HYPERBOLIC
     x = tuple(tuple(map(float, row)) for row in linear)
     speed = math.sqrt(_trace_product(x, x) / 2) if hyperbolic else max(map(abs, sum(x, ())))
-    unit = AlgebraElement(tuple(tuple(Fraction(v / speed) for v in row) for row in x), ZERO4)
+    exp_unit = exp_map(AlgebraElement(tuple(tuple(Fraction(v / speed) for v in row) for row in x),
+                                      ZERO4))
     pt = (tuple(map(_surd_float, point.rational, point.surd, repeat(point.d)))
           if isinstance(point, QuadraticPoint) else tuple(map(float, point)))
 
     def group_at(n):
-        V = exp_element(unit, math.log(1.0 + n) if hyperbolic else float(n)).V
+        V = exp_unit(math.log(1.0 + n) if hyperbolic else float(n)).V
         return V, vsub(pt, matvec(V, pt))
 
     def point_at(_n):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from minkact.algebra import adjoint, coords10, standard_generator
@@ -21,7 +21,7 @@ from minkact.catalog import (
     verify_all,
     verify_entry,
 )
-from minkact.group import translation
+from minkact.group import act, cayley_so3, compose, rational_boost_34, translation
 from minkact.linalg import CausalKind, integral, vec4
 from minkact.orbits import (ExpInvariant, OrbitSpaceKind, Poly, cohomogeneity, orbit_dimension,
                             orbit_space_report, orbit_space_spec)
@@ -354,13 +354,13 @@ def test_verify_all_covers_every_entry_once(seed42_report):
 
 def test_verify_reads_no_float(seed42_report, monkeypatch):
     # every verdict, the non-proper ones included, stands on exact
-    # certificates: with the float ladder and the group exponential gone,
-    # the replay prints the same report
+    # certificates: with the float ladder and the group exponential (the map
+    # and its one-shot wrapper) gone, the replay prints the same report
     def refuse(*_args, **_kwargs):
         raise AssertionError("verify evaluated a float witness")
 
     for module in ("minkact.group", "minkact.properness", "minkact.catalog"):
-        for name in ("exp_element", "check_witness"):
+        for name in ("exp_map", "exp_element", "check_witness"):
             monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
     assert _masked(verify_all().to_dict()) == _masked(seed42_report.to_dict())
 
@@ -526,6 +526,35 @@ def test_orbit_spaces_are_translation_invariant(inst, q, moves):
     assert (spec.kind, spec.singular, spec.principal_causal) == (
         record.kind, record.singular, record.principal_causal)
     moved = [tuple(x - y for x, y in zip(pt, q)) for pt in entry.stratum_points(params)]
+    assert orbit_space_report(conj, spec, cohomogeneity(conj, extra_points=moved)) is spec
+
+
+def _small_rationals(bound, den):
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, den))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PROPER_INSTANTIATIONS),
+       st.tuples(*[_small_rationals(6, 5)] * 3),
+       _small_rationals(4, 5).filter(lambda tau: abs(tau) < 1),
+       st.tuples(*[_small_rationals(20, 7)] * 4))
+@example(("T2:Ya+le1-W2", {"lam": Fraction(1)}),
+         (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), Fraction(1, 3), (0, 0, 0, 0))
+@example(("T2:Ya+le1-W2", {"lam": Fraction(-2)}),
+         (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), Fraction(1, 3), (0, 0, 0, 0))
+def test_orbit_spaces_are_lorentz_invariant(inst, rotation, tau, q):
+    # Ad of translation o Cayley rotation o boost mixes the basis with the
+    # translation ideal, so a semi-invariant's clock must be read off the
+    # span, not off whichever kernel basis the conjugate's basis gives
+    entry_id, params = inst
+    entry = entry_by_id(entry_id)
+    record = entry.orbit_space(params)
+    g = compose(translation(q), compose(cayley_so3(*rotation), rational_boost_34(tau)))
+    conj = require_closed([adjoint(g, b) for b in entry.build(params)])
+    spec = orbit_space_spec(conj)
+    assert (spec.kind, spec.singular, spec.principal_causal) == (
+        record.kind, record.singular, record.principal_causal)
+    moved = [act(g, pt) for pt in entry.stratum_points(params)]
     assert orbit_space_report(conj, spec, cohomogeneity(conj, extra_points=moved)) is spec
 
 

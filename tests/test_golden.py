@@ -27,17 +27,23 @@ holds the file's lines, the exit code and either the printed report or the
 error line.  Regenerate a case by writing its lines to a file and running
 ``classify FILE --json`` on it.
 
-``witness_cases.json`` pins the text output and exit code of ``witness`` on
-every non-proper default instantiation: each case holds the arguments after
-``witness``, the exit code and the printed lines.  Regenerate a case by
-running ``python -m minkact.cli witness`` with those arguments and pasting
-its output as the case's ``output``.
+``witness_cases.json`` pins the exit code and output of ``witness`` on every
+non-proper default instantiation, twice: as text, rounded to 4 digits, and
+with ``--json``, whose ``group_norms``, ``point_gap`` and ``image_gap`` carry
+every bit of the float ladder (the form the benchmark's explore workload
+prints).  Each case holds the arguments after ``witness``, the exit code and
+the printed lines.  Regenerate a case by running ``python -m minkact.cli
+witness`` with those arguments and pasting its output as the case's
+``output``.
 
 ``export_cases.json`` pins the CSV that ``export --out -`` prints: every
-record's first default on a 2^3 grid at the point 1/3,2/5,-3/7,5/4, and three
-seeded samples on an elliptic, a hyperbolic and a mixed record.  Each case
-holds the arguments after ``export``, the exit code and the printed CSV.
-Regenerate a case by running ``python -m minkact.cli export`` with those
+record's first default on a 2^3 grid at the point 1/3,2/5,-3/7,5/4; a 4^3
+grid, four values of t per generator as in the explore workload, at the same
+point on ``T2:SO11xR2`` (a boost and two translations), ``T4:SO31`` (three
+rotations) and ``T3:nilpotent-pair`` (null rotations with translation parts);
+and three seeded samples on an elliptic, a hyperbolic and a mixed record.
+Each case holds the arguments after ``export``, the exit code and the printed
+CSV.  Regenerate a case by running ``python -m minkact.cli export`` with those
 arguments and pasting its output as the case's ``output``.
 """
 

@@ -21,6 +21,7 @@ from minkact.group import (
     exp_element,
     exp_element_exact,
     exp_element_numeric,
+    exp_map,
     invert,
     lorentz_ok,
     rational_boost_34,
@@ -162,6 +163,40 @@ def test_mixed_generator_exponential_is_still_lorentz():
     g = exp_element_numeric(mix, 0.5)
     assert lorentz_ok_numeric(g.V, tol=1e-9)
     assert all(math.isfinite(c) for row in g.V for c in row)
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+# a nilpotent, a boost, a rotation and a mixed linear part, scaled and conjugated below
+_LINEAR_KINDS = {
+    "nilpotent": standard_generator("Yn1"),
+    "boost": standard_generator("Ya"),
+    "rotation": standard_generator("Yk3"),
+    "mixed": standard_generator("Ya") + standard_generator("Yk1").scaled(Fraction(2, 3)),
+}
+
+
+def _bits(g):
+    """An isometry's kind and entries, repr'd: equal exactly when the bits are."""
+    return type(g).__name__, repr(g.V), repr(g.v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_LINEAR_KINDS)), _FRACTIONS.filter(bool),
+       st.tuples(*[_FRACTIONS] * 3), _FRACTIONS.filter(lambda tau: abs(tau) < 1),
+       st.one_of(st.just((0, 0, 0, 0)), st.tuples(*[_FRACTIONS] * 4)),
+       st.lists(st.one_of(st.floats(-3, 3), _FRACTIONS, st.integers(-3, 3)),
+                min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+def test_one_map_matches_a_fresh_exponential_at_every_t_in_any_order(
+        kind, scale, rotation, tau, trans, ts, rng):
+    # what the map computes once per element may not depend on which t came first
+    g = compose(cayley_so3(*rotation), rational_boost_34(tau))
+    linear = adjoint(g, _LINEAR_KINDS[kind].scaled(scale)).linear
+    elt = AlgebraElement(linear, vec4(*trans))
+    fresh = {repr(t): _bits(exp_element(elt, t)) for t in ts}
+    exp_elt = exp_map(elt)
+    for order in (ts, rng.sample(ts, len(ts))):
+        assert [_bits(exp_elt(t)) for t in order] == [fresh[repr(t)] for t in order]
 
 
 def embed5(a):

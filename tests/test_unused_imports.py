@@ -1,6 +1,7 @@
 """Every name a ``minkact`` module imports is used in that module, every
-module-level private name is used somewhere in the package, and every
-``CatalogEntry`` field is read somewhere in the package.
+module-level private name is used somewhere in the package, every
+``CatalogEntry`` field is read somewhere in the package, and no loop calls a
+one-shot group exponential.
 
 Stdlib ``ast`` checks standing in for a linter's unused-import and dead-code
 rules.  ``__init__`` modules are skipped by the import check: their imports are
@@ -132,3 +133,40 @@ def test_the_check_sees_an_unread_parameter():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
+
+
+ONE_SHOT_EXPONENTIALS = {"exp_element", "exp_element_numeric", "exp_element_exact"}
+LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def exponentials_in_loops(source):
+    """(line, name) for each call of a one-shot exponential placed lexically
+    inside a ``for`` loop or a comprehension: each call recomputes the
+    element's invariants and powers, which ``exp_map`` computes once."""
+    found = set()
+    for loop in ast.walk(ast.parse(source)):
+        if isinstance(loop, LOOPS):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ONE_SHOT_EXPONENTIALS:
+                        found.add((node.lineno, name))
+    return sorted(found)
+
+
+def test_the_check_sees_an_exponential_per_t():
+    # the orbit-patch loop as cmd_export once wrote it, one call per distinct t
+    source = ("for k in (2, 1, 0):\n"
+              "    tails = {ts[k:] for ts in triples}\n"
+              "    exps = {t: exp_element(basis[k], t) for t in {tail[0] for tail in tails}}\n"
+              "    points = {tail: act(exps[tail[0]], points[tail[1:]]) for tail in tails}\n"
+              "for n in ladder:\n"
+              "    V = group.exp_element_numeric(unit, float(n)).V\n")
+    assert exponentials_in_loops(source) == [(3, "exp_element"), (6, "exp_element_numeric")]
+    assert exponentials_in_loops("exp_k = exp_map(a)\nexps = [exp_k(t) for t in ts]\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_loop_calls_a_one_shot_exponential(path):
+    assert exponentials_in_loops(path.read_text()) == []
