@@ -16,7 +16,6 @@ from .algebra import (
     NotClosedError,
     adjoint,
     bracket,
-    cartan_involution,
     coords10,
     element,
     fundamental_field,
@@ -57,7 +56,6 @@ from .orbits import (
     orbit_dimension,
     orbit_space_report,
     orbit_space_spec,
-    sample_points,
 )
 from .properness import (
     check_witness,

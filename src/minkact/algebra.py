@@ -137,11 +137,6 @@ def adjoint(g, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(conj, tr)
 
 
-def cartan_involution(x):
-    """theta(X) = -X^t; fixes the rotation span, negates the boost/null span."""
-    return mat_scale(-1, transpose(x))
-
-
 def structure_constants(basis) -> dict:
     """Coordinates of each bracket [basis_i, basis_j], i < j, in ``basis``.
 

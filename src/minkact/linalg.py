@@ -4,9 +4,9 @@ Nothing in this module makes a float.  Vectors are 4-tuples of
 ``fractions.Fraction``, matrices are tuples of row tuples (the products and
 sums serve float tuples alike).  Elimination and signatures run on Python
 ints: :func:`integral` clears the denominators and :func:`integer_rref` is
-the one Gauss-Jordan kernel, under :func:`rref` and every solve built on it.
-The signature convention is (+, +, +, -) with ``eta`` the diagonal form
-matrix.
+the one Gauss-Jordan kernel, under :func:`rref` and every solve built on it;
+a reader of a rank alone uses the forward-only :func:`integer_rank`.  The
+signature convention is (+, +, +, -) with ``eta`` the diagonal form matrix.
 """
 
 from __future__ import annotations
@@ -184,6 +184,26 @@ def integer_rref(rows, pivot_limit=None):
     return [tuple(row) for row in work if any(row)], pivots
 
 
+def integer_rank(rows) -> int:
+    """Rank of integer rows by forward-only fraction-free elimination (Bareiss,
+    Math. Comp. 22 (1968) 565-578): a pivot row with first entry d leaves, with
+    its column, and each other row becomes (d*row - row[0]*pivot) / (previous
+    pivot), an exact division.  Zero rows and columns are dropped as they arise."""
+    work = [row for row in rows if any(row)]
+    rank, prev = 0, 1
+    while work:
+        prow = next((row for row in work if row[0]), None)
+        if prow is None:
+            work = [row[1:] for row in work]
+            continue
+        work.remove(prow)
+        d, tail = prow[0], prow[1:]
+        work = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in work]
+        work = [row for row in work if any(row)]
+        prev, rank = d, rank + 1
+    return rank
+
+
 def integral(rows):
     """``rows`` times the least common denominator d > 0 of their entries.
 
@@ -195,7 +215,7 @@ def integral(rows):
 
 
 def rank_of(rows) -> int:
-    return len(integer_rref(integral(list(rows))[0])[1])
+    return integer_rank(integral(list(rows))[0])
 
 
 def echelon_basis(vectors):
@@ -391,6 +411,6 @@ def causal_type(basis: Sequence) -> CausalClass:
     the Gram by its square and so keeps the signature.
     """
     rows, _ = integral(list(basis))
-    if len(integer_rref(rows)[1]) != len(rows):
+    if integer_rank(rows) != len(rows):
         raise DependentBasisError("causal_type requires an independent basis")
     return causal_class(rows)

@@ -9,9 +9,9 @@ come from exact integer elimination (never a numerical threshold), and
 invariance of a function along the action is certified by polynomial
 identities, not by numerical quadrature.
 
-The cohomogeneity survey computes ranks only: one integer elimination per
-shared, pre-scaled sample point.  A point's tangent basis and causal class are
-derived from that elimination when first read, which few checks do.
+The cohomogeneity survey computes ranks only: one forward-only integer rank
+per shared, pre-scaled sample point, of the fields modulo the translations.
+A point's tangent basis and causal class are derived when first read.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from itertools import product, repeat
 from operator import mul
 
 from .algebra import AlgebraElement, fundamental_field
-from .linalg import (CausalClass, CausalKind, causal_class, frac, integer_rref, integral,
-                     kernel_of, matvec, mink_inner, rank_of, solve_linear, sylvester_signature,
-                     transpose)
+from .linalg import (CausalClass, CausalKind, causal_class, frac, integer_rank, integer_rref,
+                     integral, kernel_of, matvec, mink_inner, rank_of, solve_linear,
+                     sylvester_signature, transpose)
 from .subalgebra import Subalgebra, lorentz_invariants, split_parts
 
 
@@ -265,15 +265,20 @@ class OrbitReport:
     """The orbit through ``point``: its ``dim``, reduced echelon (Fraction)
     ``tangent_basis`` and ``causal`` class, equal when all four are.  Unless
     given, the last two are derived on first read from ``echelon``, the
-    :func:`integer_rref` of the Killing fields at the point.
+    :func:`integer_rref` of the Killing fields at the point, or from a function
+    that computes it then (a survey report's, whose rank needs no echelon).
     """
 
     def __init__(self, point, dim, tangent_basis=None, causal=None, *, echelon=((), ())):
-        self.point, self.dim, self._echelon = point, dim, echelon
+        self.point, self.dim, self._source = point, dim, echelon
         if tangent_basis is not None:
             self.tangent_basis = tangent_basis
         if causal is not None:
             self.causal = causal
+
+    @cached_property
+    def _echelon(self):
+        return self._source() if callable(self._source) else self._source
 
     @cached_property
     def tangent_basis(self):
@@ -295,12 +300,29 @@ class OrbitReport:
             *self._fields())
 
 
+def _at(gens, scaled):
+    """Each generator's integer rows dotted with ``scaled`` = (D*p, D): from
+    ``h.killing_rows``, the Killing fields at p, each times an integer > 0."""
+    return [[sum(map(mul, row, scaled)) for row in gen] for gen in gens]
+
+
+def _quotient_rank(h: Subalgebra, scaled) -> int:
+    """The rank of the Killing fields at p, ``scaled`` = (D*p, D): t plus the
+    rank of the ``h.quotient_rows`` fields, those modulo the t translations."""
+    t, rows = h.quotient_rows
+    return t + integer_rank(_at(rows, scaled))
+
+
 def _orbit_report(h: Subalgebra, p, scaled) -> OrbitReport:
-    """Rank at p from ``h.killing_rows`` dotted with ``scaled`` = (D*p, D): the
-    Killing fields at p, each scaled by a positive integer."""
-    fields = [[sum(map(mul, row, scaled)) for row in gen] for gen in h.killing_rows]
-    echelon = integer_rref(fields)
+    """Rank and echelon at p from one :func:`integer_rref` of the fields."""
+    echelon = integer_rref(_at(h.killing_rows, scaled))
     return OrbitReport(p, len(echelon[0]), echelon=echelon)
+
+
+def _survey_report(h: Subalgebra, p, scaled) -> OrbitReport:
+    """A sample's report: its rank by :func:`_quotient_rank`, its echelon on first read."""
+    return OrbitReport(p, _quotient_rank(h, scaled),
+                       echelon=lambda: integer_rref(_at(h.killing_rows, scaled)))
 
 
 def orbit_dimension(h: Subalgebra, p) -> OrbitReport:
@@ -329,11 +351,12 @@ def generic_orbit_dimension(h: Subalgebra) -> int:
     j! S^j <= 24 S^4.  Under p_i = t^(5^(i-1)) distinct monomials go to
     distinct powers of t (base-5 digits), so the coefficients do not change;
     by Cauchy's bound every root of a nonzero minor is below 1 + 24 S^4 < T.
-    So a minor nonzero anywhere is nonzero at p*, and no sample is read."""
+    So a minor nonzero anywhere is nonzero at p*, and no sample is read.
+    The rank at p* is t + the quotient rank (:func:`_quotient_rank`)."""
     s = max((sum(map(abs, row)) for gen in h.killing_rows for row in gen), default=0)
     t = 2 + 24 * s ** 4
     p = (t, t ** 5, t ** 25, t ** 125)
-    return _orbit_report(h, p, (*p, 1)).dim
+    return _quotient_rank(h, (*p, 1))
 
 
 _DENOMINATORS = (3, 4, 5, 7)
@@ -341,21 +364,13 @@ _DENOMINATORS = (3, 4, 5, 7)
 
 @lru_cache(maxsize=8)
 def _samples(seed: int, n: int):
+    """(points, scaled): n rational points in [-10, 10]^4 from seed, with
+    distinct small prime-ish denominators per coordinate, and their integer
+    forms (D*p, D), drawn once per (seed, n) and shared by every survey."""
     rng = random.Random(seed)
     points = tuple(tuple(Fraction(rng.randint(-10 * d, 10 * d), d) for d in _DENOMINATORS)
                    for _ in range(n))
     return points, tuple(integral([(*p, 1)])[0][0] for p in points)
-
-
-def sample_points(seed: int, n: int):
-    """n pseudo-random rational points in [-10, 10]^4, reproducible from seed.
-
-    Per-coordinate denominators are distinct small primes-ish so that the
-    samples rarely strike thin degenerate loci by accident.  Drawn once per
-    (seed, n) with their integer forms (D*p, D) into a small bounded cache, so
-    every caller shares one tuple of tuples.
-    """
-    return _samples(seed, n)[0]
 
 
 @dataclass(frozen=True)
@@ -372,9 +387,10 @@ def cohomogeneity(h: Subalgebra, seed: int = 42, samples: int = 32,
                   extra_points=()) -> CohomReport:
     """Max orbit dimension over seeded samples plus declared special points,
     with every point's OrbitReport kept for the checks that reuse the survey.
-    Only ranks are computed; a report derives the rest if a check reads it."""
+    A sample's rank is t plus a forward-only rank of (k-t) x (4-t) quotient
+    fields, and its report eliminates the fields only if a check reads them."""
     points, scaled = _samples(seed, samples)
-    strata = (*(_orbit_report(h, p, s) for p, s in zip(points, scaled)),
+    strata = (*(_survey_report(h, p, s) for p, s in zip(points, scaled)),
               *(orbit_dimension(h, p) for p in extra_points))
     best = max((rep.dim for rep in strata), default=0)
     return CohomReport(max_orbit_dim=best, cohomogeneity=4 - best, strata=strata)

@@ -70,6 +70,25 @@ class Subalgebra:
                      for b in self.basis)
 
     @functools.cached_property
+    def quotient_rows(self):
+        """(t, rows): the translation ideal's dimension t and, per linear echelon
+        row, the rows d*r_q - sum_j T_j[q] r_(P_j) of its integer (d*X | d*x) for
+        each column q that no ideal row T_j (pivot P_j) pivots on.  Dotted with
+        (D*p, D), they give its field at p modulo the ideal's constant fields."""
+        ints, d = integral(self.echelon_rows)  # the ideal rows' pivots become d
+        k = sum(1 for row in ints if any(row[:6]))  # echelon order: linear rows first
+        ideal = [row[6:] for row in ints[k:]]
+        pivots = [next(c for c, x in enumerate(row) if x) for row in ideal]
+        rows = []
+        for row in ints[:k]:
+            aff = [[x.numerator for x in (*r, t)]
+                   for r, t in zip(linear_from_coords(row[:6]), row[6:])]
+            rows.append(tuple([d * a - sum(t[q] * aff[p][i] for t, p in zip(ideal, pivots))
+                               for i, a in enumerate(aff[q])]
+                              for q in range(4) if q not in pivots))
+        return len(ideal), tuple(rows)
+
+    @functools.cached_property
     def profile(self):
         """The :func:`invariants` profile, computed once per subalgebra."""
         return invariants(self)

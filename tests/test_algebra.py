@@ -20,7 +20,6 @@ from minkact.algebra import (
     adjoint,
     bracket,
     bracket10,
-    cartan_involution,
     coords10,
     element,
     eta_skew_ok,
@@ -133,16 +132,6 @@ def test_coords10_roundtrip():
     assert from_coords10(coords10(elt)) == elt
     lin = linear_from_coords(linear_coords(elt.linear))
     assert lin == elt.linear
-
-
-def test_cartan_involution_fixes_rotations_negates_boosts():
-    for name in ("Yk1", "Yk2", "Yk3"):
-        assert cartan_involution(GENERATOR_MATRICES[name]) == GENERATOR_MATRICES[name]
-    ya = GENERATOR_MATRICES["Ya"]
-    assert cartan_involution(ya) == tuple(tuple(-x for x in row) for row in ya)
-    # theta is an involutive automorphism on the nilpotent span too
-    n1 = GENERATOR_MATRICES["Yn1"]
-    assert cartan_involution(cartan_involution(n1)) == n1
 
 
 def test_adjoint_of_translation_shifts_translation_part():

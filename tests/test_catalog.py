@@ -394,13 +394,15 @@ def test_verify_entry_surveys_each_point_once(entry_id, monkeypatch):
     # generic dimension reads one point of its own
     entry = entry_by_id(entry_id)
     calls = Counter()
-    real = ORBITS_MODULE._orbit_report
 
-    def counting(h, p, scaled):  # builds every orbit report, surveyed or not
-        calls[tuple(coords10(b) for b in h.basis), p] += 1
-        return real(h, p, scaled)
+    def counting(real):  # together the two build every orbit report
+        def build(h, p, scaled):
+            calls[tuple(coords10(b) for b in h.basis), p] += 1
+            return real(h, p, scaled)
+        return build
 
-    monkeypatch.setattr(ORBITS_MODULE, "_orbit_report", counting)
+    for name in ("_orbit_report", "_survey_report"):
+        monkeypatch.setattr(ORBITS_MODULE, name, counting(getattr(ORBITS_MODULE, name)))
     failed = [c.name for c in verify_entry(entry).checks if not c.passed]
     assert failed == (["cohomogeneity"] if entry_id == "T3:N-aK1bA-l" else [])
     repeated = {key: n for key, n in calls.items() if n > 1}

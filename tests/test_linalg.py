@@ -16,6 +16,7 @@ from minkact.linalg import (
     classify_signature,
     echelon_basis,
     frac,
+    integer_rank,
     integer_rref,
     integral,
     kernel_of,
@@ -204,6 +205,41 @@ def test_integer_rref_gives_the_rref_rows_at_content_one(rows, repeats):
     assert all(math.gcd(*row) == 1 for row in ints)
     assert [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(ints, pivots)] \
         == reduced[:len(pivots)]
+
+
+# entries of more than 500 bits, of either sign
+huge = st.integers(2 ** 500, 2 ** 520) | st.integers(-2 ** 520, -2 ** 500)
+int_entries = st.just(0) | st.integers(-9, 9) | huge
+
+
+@st.composite
+def integer_matrices_with_repeats(draw):
+    """0-12 integer rows of 1-10 columns: drawn rows, zero rows, repeated
+    rows and integer combinations of drawn rows, in a random order."""
+    cols = draw(st.integers(1, 10))
+    free = draw(st.lists(st.lists(int_entries, min_size=cols, max_size=cols), max_size=8))
+    extra = []
+    for _ in range(draw(st.integers(0, 12 - len(free)))):
+        kind = draw(st.sampled_from(("zero", "repeat", "combination")))
+        if kind == "zero" or not free:
+            extra.append([0] * cols)
+        elif kind == "repeat":
+            extra.append(list(draw(st.sampled_from(free))))
+        else:
+            weights = draw(st.lists(st.integers(-5, 5), min_size=len(free), max_size=len(free)))
+            extra.append([sum(w * row[c] for w, row in zip(weights, free)) for c in range(cols)])
+    return draw(st.permutations(free + extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices_with_repeats())
+@example([])
+@example([[0]])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[2, 4, 6], [1, 2, 3], [-3, -6, -9]])
+@example([[0, 2 ** 600, 1], [0, 2 ** 600 + 1, -1], [0, 1, -2]])
+def test_integer_rank_is_the_rref_pivot_count(rows):
+    assert integer_rank(rows) == len(integer_rref(rows)[1])
 
 
 @st.composite

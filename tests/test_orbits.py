@@ -16,8 +16,9 @@ from minkact.algebra import (
     standard_generator,
 )
 from minkact.catalog import catalog, entry_by_id
-from minkact.group import cayley_so3, compose, rational_boost_34, translation
-from minkact.linalg import CausalKind, causal_type, echelon_basis, integral, rank_of, vec4
+from minkact.group import act, cayley_so3, compose, rational_boost_34, translation
+from minkact.linalg import (CausalKind, causal_type, echelon_basis, integral, matvec, rank_of,
+                            vec4)
 from minkact.orbits import (
     EvidenceFailedError,
     ExpInvariant,
@@ -26,6 +27,7 @@ from minkact.orbits import (
     OrbitReport,
     OrbitSpaceSpec,
     Poly,
+    QuadraticPoint,
     cohomogeneity,
     generic_orbit_dimension,
     invariant_function_check,
@@ -34,7 +36,6 @@ from minkact.orbits import (
     orbit_dimension,
     orbit_space_report,
     quadratic_point,
-    sample_points,
 )
 from minkact.subalgebra import Subalgebra, closure_check, require_closed
 
@@ -159,7 +160,7 @@ def test_orbit_dimension_matches_the_fraction_path(basis, p, seed):
     assert rep == fraction_path_report(basis, p)
     assert all(type(x) is Fraction for row in rep.tangent_basis for x in row)
     survey = cohomogeneity(h, seed=seed, samples=4)
-    assert [s.point for s in survey.strata] == list(sample_points(seed, 4))
+    assert [s.point for s in survey.strata] == list(ORBITS_MODULE._samples(seed, 4)[0])
     for s in survey.strata:
         assert s == fraction_path_report(basis, s.point)
 
@@ -229,6 +230,9 @@ def test_exp_invariant_rejects_wrong_scale():
 
 
 def test_sample_points_deterministic_and_bounded():
+    def sample_points(seed, n):
+        return ORBITS_MODULE._samples(seed, n)[0]
+
     pts = sample_points(42, 8)
     assert pts == sample_points(42, 8)
     assert len(pts) == 8
@@ -264,6 +268,60 @@ def test_survey_reports_derive_what_orbit_dimension_computes(seed):
             got = rep.dim, rep.tangent_basis, rep.causal
             want = orbit_dimension(h, rep.point)
             assert got == (want.dim, want.tangent_basis, want.causal), entry.entry_id
+
+
+# translation (1,2,3,5) after a rotation and a boost: moves the translation
+# ideal off the coordinate axes, so its echelon rows carry fractions
+CONJUGATOR = compose(translation(vec4(1, 2, 3, 5)),
+                     compose(cayley_so3(Fraction(1, 2), Fraction(1, 3), Fraction(-1, 5)),
+                             rational_boost_34(Fraction(1, 3))))
+
+
+def _moved(g, p):
+    """p under the isometry g, for a rational or a quadratic point."""
+    if isinstance(p, QuadraticPoint):
+        return QuadraticPoint(act(g, p.rational), matvec(g.V, p.surd), p.d)
+    return act(g, p)
+
+
+def _surveyed_instantiations():
+    """Every closed catalog default and its CONJUGATOR conjugate, with the
+    declared stratum points moved along."""
+    for entry in catalog():
+        for i, params in enumerate(entry.defaults):
+            h = closure_check(entry.build(params))
+            if isinstance(h, Subalgebra):
+                points = entry.stratum_points(params)
+                yield pytest.param(entry, h, points, id=f"{entry.entry_id}-{i}")
+                conj = Subalgebra(tuple(adjoint(CONJUGATOR, b) for b in h.basis), h.structure)
+                yield pytest.param(entry, conj, [_moved(CONJUGATOR, p) for p in points],
+                                   id=f"{entry.entry_id}-{i}-conjugate")
+
+
+SURVEYED = list(_surveyed_instantiations())
+
+
+def test_surveyed_instantiations_cover_every_quotient_shape():
+    cases = [case.values for case in SURVEYED]
+    shapes = {(entry.entry_id, h.quotient_rows[0], len(h.quotient_rows[1]))
+              for entry, h, _ in cases}
+    assert len(cases) == 68
+    assert sum(entry.orbit_space is not None for entry, _, _ in cases) == 2 * 8
+    assert ("T1:R3", 3, 0) in shapes  # t = 3, an empty quotient
+    assert any(eid.startswith("T4:") and t == 0 for eid, t, _ in shapes)
+    assert any(eid == "T3:N-aK1bA-l" for eid, _, _ in shapes)
+
+
+@pytest.mark.parametrize("entry,h,points", SURVEYED)
+def test_survey_rank_on_the_translation_quotient_is_the_killing_rank(entry, h, points):
+    survey = cohomogeneity(h, seed=42, extra_points=points)
+    assert len(survey.strata) == 32 + len(points)
+    for rep in survey.strata:
+        half = 2 if isinstance(rep.point, QuadraticPoint) else 1  # the realification
+        assert rep.dim == rank_of(killing_matrix(h, rep.point)) // half
+    if entry.orbit_space is not None:  # reads each lazily derived echelon
+        for rep in survey.strata:
+            assert rep == orbit_dimension(h, rep.point)
 
 
 SCREW_13 = require_closed(entry_by_id("T3:nilpotent-pair").build(
