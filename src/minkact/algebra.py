@@ -9,8 +9,8 @@ pairwise brackets stay inside the lifted span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import (
     ETA,
@@ -67,8 +67,7 @@ GENERATOR_MATRICES = dict(zip(GENERATOR_ORDER, map(mat, (YK1, YK2, YK3, YA, YN1,
 TRANSLATION_VECTORS = {f"e{m}": e for m, e in enumerate(IDENTITY4, 1)}
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(NamedTuple):
     """Pair (linear, trans): eta-skew matrix plus translation vector."""
 
     linear: tuple
@@ -117,13 +116,6 @@ def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(lin, tr)
 
 
-def _group_parts(g):
-    """Accept an isometry-like object: (V, v) tuple or attributes .V/.v."""
-    if isinstance(g, tuple):
-        return g
-    return g.V, g.v
-
-
 def lorentz_inverse(v):
     """Inverse of a Lorentz matrix via eta V^t eta (exact, no elimination)."""
     return matmul(ETA, matmul(transpose(v), ETA))
@@ -131,7 +123,7 @@ def lorentz_inverse(v):
 
 def adjoint(g, a: AlgebraElement) -> AlgebraElement:
     """Ad(V,v)(X+x) = VXV^{-1} + (Vx - VXV^{-1} v)."""
-    v_mat, v_vec = _group_parts(g)
+    v_mat, v_vec = g  # an Isometry or a (V, v) pair
     conj = matmul(v_mat, matmul(a.linear, lorentz_inverse(v_mat)))
     tr = vsub(matvec(v_mat, a.trans), matvec(conj, v_vec))
     return AlgebraElement(conj, tr)
@@ -187,11 +179,12 @@ def linear_coords(x) -> tuple:
     return (k1, k2, k3, a, n1, n2)
 
 
-def linear_from_coords(c):
+def linear_from_coords(c, number=frac):
     """The eta-skew matrix with generator coefficients ``c``, written entry by
-    entry as the inverse of :func:`linear_coords`."""
-    k1, k2, k3, a, n1, n2 = map(frac, c)
-    r, s, z = k2 + n1, k3 + n2, Fraction(0)
+    entry as the inverse of :func:`linear_coords`, in the type ``number``
+    makes of them: Fractions, or ints for integer coefficients."""
+    k1, k2, k3, a, n1, n2 = map(number, c)
+    r, s, z = k2 + n1, k3 + n2, number(0)
     return ((z, k1, r, n1), (-k1, z, s, n2), (-r, -s, z, a), (n1, n2, a, z))
 
 
@@ -237,8 +230,7 @@ def bracket10(u, v):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftFamily:
+class LiftFamily(NamedTuple):
     """Solution space of translation decorations for a linear subalgebra.
 
     Each basis entry assigns one translation 4-vector per projected basis
@@ -248,7 +240,6 @@ class LiftFamily:
     n_elements: int
     basis: tuple  # tuple of assignments; each assignment is a tuple of 4-vectors
     rank: int
-    translation_span: tuple
 
     @property
     def dim(self):
@@ -299,4 +290,4 @@ def lift_constraints(proj_basis, translation_span=()) -> LiftFamily:
     assignments = tuple(
         tuple(tuple(v[4 * i + m] for m in range(4)) for i in range(k)) for v in sol.kernel
     )
-    return LiftFamily(k, assignments, sol.rank, tuple(translation_span))
+    return LiftFamily(k, assignments, sol.rank)

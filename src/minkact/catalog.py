@@ -32,8 +32,8 @@ from __future__ import annotations
 import functools
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import coords10, fundamental_field, standard_generator
 from .linalg import (
@@ -116,8 +116,7 @@ def _inv(dim, tdim, tcausal, pdim, profile):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     entry_id: str  # "<family>:<name>"
     summary: str
     build: object  # params dict -> basis tuple
@@ -483,8 +482,7 @@ def entry_by_id(entry_id):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     entry_id: str
     params: dict
     normalization: tuple  # translation vector that canonicalized the input
@@ -552,15 +550,13 @@ def match_catalog(h: Subalgebra):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     entry_id: str
     checks: tuple
     seed: int
@@ -580,8 +576,7 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class CatalogReport:
+class CatalogReport(NamedTuple):
     seed: int
     reports: tuple
 

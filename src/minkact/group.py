@@ -16,10 +16,10 @@ recovery map and its trials use to stay in the rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from operator import add, mul
+from typing import NamedTuple
 
 from .algebra import AlgebraElement, lorentz_inverse
 from .linalg import (
@@ -40,16 +40,14 @@ from .linalg import (
 from .subalgebra import lorentz_invariants
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(NamedTuple):
     """Exact isometry (V, v): Lorentz matrix plus translation."""
 
     V: tuple
     v: tuple
 
 
-@dataclass(frozen=True)
-class NumericIsometry:
+class NumericIsometry(NamedTuple):
     """Float isometry for sequence evaluation: the same tuples, of floats."""
 
     V: tuple

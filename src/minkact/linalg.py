@@ -12,11 +12,10 @@ signature convention is (+, +, +, -) with ``eta`` the diagonal form matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class DependentBasisError(ValueError):
@@ -245,8 +244,7 @@ def spans_equal(vs, ws) -> bool:
     return echelon_basis(list(vs)) == echelon_basis(list(ws))
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(NamedTuple):
     """Exact affine solution set of A x = b.
 
     ``particular`` is None when the system is inconsistent; otherwise
@@ -331,8 +329,7 @@ class CausalKind(Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class CausalClass:
+class CausalClass(NamedTuple):
     kind: CausalKind
     n_plus: int
     n_minus: int

@@ -18,18 +18,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import AlgebraElement, fundamental_field
 from .linalg import (CausalClass, CausalKind, causal_class, frac, integer_rank, integer_rref,
                      integral, kernel_of, matvec, mink_inner, rank_of, solve_linear,
                      sylvester_signature, transpose)
-from .subalgebra import Subalgebra, lorentz_invariants, split_parts
+from .subalgebra import Subalgebra, _Record, lorentz_invariants, split_parts
 
 
 class EvidenceFailedError(AssertionError):
@@ -156,8 +156,7 @@ def lie_derivative(f: Poly, elt: AlgebraElement) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class ExpInvariant:
+class ExpInvariant(NamedTuple):
     """Invariant of the form F(p) = L(p) * exp(-E(p)/scale) for the affine
     level L(p) = level_cov . p + level_const and the covector E.
 
@@ -208,15 +207,17 @@ def _surd_text(a, b, d):
     return f"{a}{'+' if b > 0 else ''}{b}*sqrt({d})" if b else str(a)
 
 
-@dataclass(frozen=True)
-class QuadraticPoint:
+class QuadraticPoint(_Record):
     """The point ``rational`` + sqrt(d) ``surd`` of Q(sqrt d)^4, for a rational
     d > 0 that is no square, as :func:`quadratic_point` builds it; readers
-    work on its two rational halves."""
+    work on its two rational halves.  Not a tuple, unlike a rational point."""
 
     rational: tuple
     surd: tuple
     d: Fraction
+
+    def __init__(self, rational, surd, d):
+        vars(self).update(rational=rational, surd=surd, d=d)
 
     def __str__(self):
         return "(" + ",".join(map(_surd_text, self.rational, self.surd, repeat(self.d))) + ")"
@@ -373,8 +374,7 @@ def _samples(seed: int, n: int):
     return points, tuple(integral([(*p, 1)])[0][0] for p in points)
 
 
-@dataclass(frozen=True)
-class CohomReport:
+class CohomReport(NamedTuple):
     max_orbit_dim: int
     cohomogeneity: int
     strata: tuple  # one OrbitReport per evaluated point: samples, then extras
@@ -410,8 +410,7 @@ class OrbitSpaceKind(Enum):
 _KINDS = (CausalKind.DEGENERATE, CausalKind.LORENTZIAN, CausalKind.SPACELIKE)
 
 
-@dataclass(frozen=True)
-class OrbitSpaceSpec:
+class OrbitSpaceSpec(_Record):
     """Orbit-space evidence obligations, as :func:`orbit_space_spec` derives
     them: ``transversal`` holds exact points meant to hit pairwise distinct
     orbits; ``singular`` (half-line only) is the (dim, CausalKind) of the
@@ -420,7 +419,11 @@ class OrbitSpaceSpec:
     kind: OrbitSpaceKind
     invariant: object  # Poly or ExpInvariant
     transversal: tuple
-    singular: tuple | None = None  # (dim, CausalKind)
+    singular: tuple | None  # (dim, CausalKind)
+
+    def __init__(self, kind, invariant, transversal, singular=None):
+        vars(self).update(kind=kind, invariant=invariant, transversal=transversal,
+                          singular=singular)
 
     @cached_property
     def gradient_norm(self) -> Poly:

@@ -24,9 +24,9 @@ import functools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from typing import NamedTuple
 
 from .algebra import AlgebraElement, element
 from .group import Isometry, act, cayley, compose, exp_element, exp_map, translation
@@ -67,8 +67,7 @@ def _surd_float(a, b, d):
     return float(a * a - b * b * d) / far if far else 0.0
 
 
-@dataclass(frozen=True)
-class FixedPointCert:
+class FixedPointCert(NamedTuple):
     """A hyperbolic or parabolic element sum_b c_b basis_b fixing ``point``,
     with c = ``coefficients`` + sqrt(d) ``surd`` (empty at a rational point)
     primitive over both integer halves.  Such a subgroup is closed and
@@ -146,8 +145,7 @@ def _linear_form(cov):
     return "".join(terms).lstrip("+")
 
 
-@dataclass(frozen=True)
-class ClockCertificate:
+class ClockCertificate(NamedTuple):
     """For the basis x_b of h: clocks (covector, rates) with
     rates[b] = c . x_b, the basis of their kernel ideal, its kind
     ('translations' or 'compact') and, when compact, a point the kernel
@@ -206,8 +204,7 @@ def clock_certificate(h: Subalgebra):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessSequence:
+class WitnessSequence(NamedTuple):
     """Sequence n -> (g_n, x_n) meant to violate properness.
 
     ``group_at(n)`` returns (V, v) as float tuples; ``point_at(n)`` a float
@@ -258,8 +255,7 @@ def fixed_point_witness(linear, point, kind: OneParamType) -> WitnessSequence:
     )
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     steps: tuple
     group_norms: tuple
     point_gap: float

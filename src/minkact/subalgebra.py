@@ -7,9 +7,9 @@ invariant profile used for catalog matching.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraElement,
@@ -40,8 +40,29 @@ class OneParamType(Enum):
     MIXED = "Mixed"
 
 
-@dataclass(frozen=True, eq=False)
-class Subalgebra:
+class _Record:
+    """A record that must not be a tuple: the fields its class annotates are
+    set once, through ``vars(self)``, and give its equality, hash and repr;
+    no attribute can be assigned (``cached_property`` writes to ``vars``)."""
+
+    def _values(self):
+        return tuple(vars(self)[name] for name in type(self).__annotations__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, type(self).__annotations__, self._values())
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+
+class Subalgebra(_Record):
     """A closed subalgebra: independent basis plus cached structure constants.
 
     ``structure[(i, j)]`` holds the coordinates of [basis_i, basis_j] in the
@@ -49,13 +70,19 @@ class Subalgebra:
     ``Subalgebra(new_basis, h.structure)`` when ``new_basis`` is h's basis under
     an automorphism such as Ad of an isometry: [Ad b_i, Ad b_j] =
     sum_k c^k_ij Ad b_k, so the structure constants carry over unchanged.
+    Equal only to itself.
     """
 
     basis: tuple
     structure: dict
-    # point -> its orbits.orbit_dimension report, filled there, so that each
-    # point's orbit is computed once per subalgebra
-    orbit_reports: dict = field(default_factory=dict, repr=False)
+
+    # orbit_reports: point -> its orbits.orbit_dimension report, filled there,
+    # so that each point's orbit is computed once per subalgebra
+    def __init__(self, basis, structure, orbit_reports=None):
+        vars(self).update(basis=basis, structure=structure,
+                          orbit_reports={} if orbit_reports is None else orbit_reports)
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @property
     def dim(self) -> int:
@@ -81,8 +108,7 @@ class Subalgebra:
         pivots = [next(c for c, x in enumerate(row) if x) for row in ideal]
         rows = []
         for row in ints[:k]:
-            aff = [[x.numerator for x in (*r, t)]
-                   for r, t in zip(linear_from_coords(row[:6]), row[6:])]
+            aff = [(*r, t) for r, t in zip(linear_from_coords(row[:6], int), row[6:])]
             rows.append(tuple([d * a - sum(t[q] * aff[p][i] for t, p in zip(ideal, pivots))
                                for i, a in enumerate(aff[q])]
                               for q in range(4) if q not in pivots))
@@ -105,8 +131,7 @@ class Subalgebra:
         return tuple(echelon_basis([coords10(b) for b in self.basis]))
 
 
-@dataclass(frozen=True)
-class NotClosed:
+class NotClosed(NamedTuple):
     """Failed closure verdict with the witness bracket."""
 
     i: int
@@ -267,8 +292,7 @@ def invariant_forms(linears):
     return trace_form, pf_form
 
 
-@dataclass(frozen=True)
-class SubalgebraInvariants:
+class SubalgebraInvariants(NamedTuple):
     """Cheap conjugation-invariant profile used to pre-filter catalog matches."""
 
     dim: int

@@ -1,6 +1,5 @@
 """The classification catalog: shape, matching, and per-entry verification."""
 
-import dataclasses
 import importlib
 import importlib.util
 import random
@@ -208,7 +207,7 @@ def test_closure_failure_prints_the_same_rows():
     # the orbit space and the erratum included, each skipped
     real = entry_by_id("T2:Ya+le1-W2")
     ya, e1, e2, e3 = map(standard_generator, ("Ya", "e1", "e2", "e3"))
-    broken = dataclasses.replace(real, build=lambda p: (ya + e1.scaled(p["lam"]), e2, e3))
+    broken = real._replace(build=lambda p: (ya + e1.scaled(p["lam"]), e2, e3))
     report = verify_entry(broken)
     assert [c.name for c in report.checks] == [c.name for c in verify_entry(real).checks]
     assert len(report.checks) == 7
@@ -220,7 +219,7 @@ def test_generic_dimension_reads_no_sample(monkeypatch):
     # a copy of T2:SO2xR11 claiming cohomogeneity 2, with every sample on the
     # axis p1 = p2 = 0 where the rotation vanishes: the survey sees only
     # 2-dimensional orbits, and the exact generic dimension 3 refutes the claim
-    entry = dataclasses.replace(entry_by_id("T2:SO2xR11"), expected_cohomogeneity=2)
+    entry = entry_by_id("T2:SO2xR11")._replace(expected_cohomogeneity=2)
     points = tuple((Fraction(0), Fraction(0), Fraction(k, 3), Fraction(5 - k, 7))
                    for k in range(32))
     monkeypatch.setattr(ORBITS_MODULE, "_samples", lambda seed, n: (
@@ -563,7 +562,7 @@ def test_orbit_spaces_are_lorentz_invariant(inst, rotation, tau, q):
 @pytest.mark.parametrize("entry_id, singular", [("T2:SO2xR11", (2, _LOR)),
                                                 ("T3:SO3xRe4", (1, CausalKind.TIMELIKE))])
 def test_the_orbit_space_reads_no_declared_point(entry_id, singular):
-    entry = dataclasses.replace(entry_by_id(entry_id), strata_witnesses=lambda _p: ())
+    entry = entry_by_id(entry_id)._replace(strata_witnesses=lambda _p: ())
     params = entry.defaults[0]
     spec = entry.orbit_space(params)
     assert spec.singular == singular

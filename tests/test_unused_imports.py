@@ -1,7 +1,8 @@
 """Every name a ``minkact`` module imports is used in that module, every
-module-level private name is used somewhere in the package, every
-``CatalogEntry`` field is read somewhere in the package, and no loop calls a
-one-shot group exponential.
+module-level private name is used somewhere in the package, every record
+field is read somewhere in the package, its demos or its tests (every
+``CatalogEntry`` field in the package itself), and no loop calls a one-shot
+group exponential.
 
 Stdlib ``ast`` checks standing in for a linter's unused-import and dead-code
 rules.  ``__init__`` modules are skipped by the import check: their imports are
@@ -106,6 +107,24 @@ def test_every_catalog_entry_field_is_read_in_the_package():
     fields = dataclass_fields(ast.parse((SRC / "catalog.py").read_text()), "CatalogEntry")
     assert "build" in fields
     assert unread_fields(fields, sources) == []
+
+
+def record_types(tree):
+    """Names of the classes that declare annotated fields: the package's
+    record types, NamedTuples and the plain classes that must not be tuples."""
+    return sorted(node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  and any(isinstance(stmt, ast.AnnAssign) for stmt in node.body))
+
+
+def test_every_record_field_is_read():
+    root = SRC.parents[1]
+    readers = [p.read_text() for d in (SRC, root / "demos", root / "tests")
+               for p in sorted(d.glob("*.py"))]
+    trees = [ast.parse(p.read_text()) for p in MODULES]
+    records = {name: tree for tree in trees for name in record_types(tree)}
+    assert len(records) == 22
+    assert {name: unread_fields(dataclass_fields(tree, name), readers)
+            for name, tree in records.items()} == dict.fromkeys(records, [])
 
 
 def unread_parameters(source):
