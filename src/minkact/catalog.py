@@ -1,18 +1,17 @@
 """The classification catalog for cohomogeneity-one isometry groups of
 Minkowski 4-space, with machine-checkable evidence per entry.
 
-Each record carries the generators (possibly decorated by parameters), the
-expected conjugation invariants, explicit witness points for every
-non-generic orbit stratum, and the properness verdict together with its
-certificate mechanism.  Each fact is stated once: the family is the id's
-prefix, the parameter names are the defaults' keys, the cohomogeneity is 1
-unless a record says otherwise, the expected strata are the generic
-dimension plus those of the witness points, and the orbit space of a proper
-table record (invariant, transversal, singular orbit, principal causal
-types) is derived from its Killing fields.  `verify_entry` replays all of
-it; `match_catalog` re-identifies an arbitrary closed subalgebra against the
-table: on the span's translation normal form, one exact linear solve fits a
-record's parameters, which every record's generators depend on affinely.
+Each record is affine data: generators, plus per parameter a decoration that
+is added to them scaled by its value; then the expected conjugation
+invariants, explicit witness points for every non-generic orbit stratum, and
+the properness verdict.  Each fact is stated once: the family is the id's
+prefix, the parameter names are the decorations' keys, admissibility is the
+names that must not vanish, the cohomogeneity is 1 unless a record says
+otherwise, the expected strata are the generic dimension plus those of the
+witness points, and the orbit space of a proper table record is derived from
+its Killing fields.  `verify_entry` replays all of it; `match_catalog`
+re-identifies an arbitrary closed subalgebra against the table: one exact
+linear solve on the span's translation normal form fits a record's parameters.
 
 Six `Excluded:*` records document the near-miss groups whose orbit
 stratification disqualifies them (wrong maximal dimension, or homogeneous
@@ -84,6 +83,7 @@ T2 = standard_generator("e2")
 T3 = standard_generator("e3")
 T4 = standard_generator("e4")
 TL = T3 - T4  # translation along the null line e3 - e4
+O = T1.scaled(0)  # the zero element: a generator slot a parameter leaves alone
 
 _E = OneParamType.ELLIPTIC
 _H = OneParamType.HYPERBOLIC
@@ -116,16 +116,21 @@ def _inv(dim, tdim, tcausal, pdim, profile):
 # ---------------------------------------------------------------------------
 
 
+def _const_witnesses(*pairs):
+    return lambda _p: pairs
+
+
 class CatalogEntry(NamedTuple):
     entry_id: str  # "<family>:<name>"
     summary: str
-    build: object  # params dict -> basis tuple
-    admissible: object  # params dict -> bool
-    defaults: tuple  # instantiations the verifier exercises
+    generators: tuple  # the basis at every parameter zero
     expected_invariants: SubalgebraInvariants
-    expected_cohomogeneity: int
-    strata_witnesses: object  # params -> ((point, dim), ...), a point rational or quadratic
     proper: bool
+    decorations: dict = {}  # parameter -> one addend per generator, or O for none
+    nonzero: tuple = ()  # parameters no admissible instantiation sets to zero
+    defaults: tuple = ({},)  # instantiations the verifier exercises
+    expected_cohomogeneity: int = 1
+    strata_witnesses: object = _const_witnesses()  # params -> ((point, dim), ...)
     errata: tuple = ()
 
     @property
@@ -140,7 +145,21 @@ class CatalogEntry(NamedTuple):
     @property
     def params(self) -> tuple:
         """Parameter names, in the order every default lists them."""
-        return tuple(self.defaults[0])
+        return tuple(self.decorations)
+
+    def build(self, params):
+        """The basis at ``params``: the generators plus the scaled decorations."""
+        basis = list(self.generators)
+        for name, decoration in self.decorations.items():
+            for i, d in enumerate(decoration):
+                if d is not O:
+                    term = d.scaled(params[name])
+                    basis[i] = term if basis[i] is O else basis[i] + term
+        return tuple(basis)
+
+    def admissible(self, params) -> bool:
+        """Whether every parameter named in ``nonzero`` is nonzero."""
+        return all(params[name] != 0 for name in self.nonzero)
 
     @property
     def recovery(self):
@@ -177,10 +196,6 @@ class CatalogEntry(NamedTuple):
         return tuple(sorted(dims, reverse=True))
 
 
-def _no_params(_):
-    return True
-
-
 _SIGMA = Poly.var(2) + Poly.var(3)  # p3 + p4, the null level
 
 
@@ -195,18 +210,6 @@ def _screw_witnesses(params):
                              mu * mu + 4 * lam * lam), 2),)
 
 
-def _entry(**kw):
-    kw.setdefault("admissible", _no_params)
-    kw.setdefault("defaults", ({},))
-    kw.setdefault("expected_cohomogeneity", 1)
-    kw.setdefault("strata_witnesses", lambda _p: ())
-    return CatalogEntry(**kw)
-
-
-def _const_witnesses(*pairs):
-    return lambda _p: tuple(pairs)
-
-
 def builtin_catalog():
     """All 27 records: 21 classified group entries (19 printed families, with
     both degenerate-decoration families split into their proper and nonproper
@@ -215,131 +218,131 @@ def builtin_catalog():
     add = entries.append
 
     # ----- three translation groups -------------------------------------
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T1:R3",
         summary="translations of a spacelike 3-plane",
-        build=lambda p: (T1, T2, T3),
+        generators=(T1, T2, T3),
         expected_invariants=_inv(3, 3, _sp(3), 0, ()),
         proper=True,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T1:R21",
         summary="translations of a timelike 3-plane",
-        build=lambda p: (T2, T3, T4),
+        generators=(T2, T3, T4),
         expected_invariants=_inv(3, 3, _lor(3), 0, ()),
         proper=True,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T1:W3",
         summary="translations of the degenerate 3-plane x3+x4=0",
-        build=lambda p: (T1, T2, TL),
+        generators=(T1, T2, TL),
         expected_invariants=_inv(3, 3, _deg(3), 0, ()),
         proper=True,
     ))
 
     # ----- one linear generator plus a translation plane -----------------
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T2:SO11xR2",
         summary="boost of the (e3,e4) plane times spacelike translations",
-        build=lambda p: (YA, T1, T2),
+        generators=(YA, T1, T2),
         expected_invariants=_inv(3, 2, _sp(2), 1, (_H,)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 2)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T2:SO2xR11",
         summary="rotation of the (e1,e2) plane times timelike-plane translations",
-        build=lambda p: (YK1, T3, T4),
+        generators=(YK1, T3, T4),
         expected_invariants=_inv(3, 2, _lor(2), 1, (_E,)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 2), ((0, 0, 3, 5), 2)),
         proper=True,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T2:Ya+le1-W2",
         summary="boost with spacelike drift, extended by the degenerate plane W2",
-        build=lambda p: (YA + T1.scaled(p["lam"]), T2, TL),
-        admissible=lambda p: p["lam"] != 0,
+        generators=(YA, T2, TL),
+        decorations={"lam": (T1, O, O)}, nonzero=("lam",),
         defaults=({"lam": Fraction(1)}, {"lam": Fraction(-2)}),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_H,)),
         proper=True,
         errata=("erratum:degenerate-locus",),
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T2:Ya-W2",
         summary="pure boost extended by the degenerate plane W2 (drift 0)",
-        build=lambda p: (YA, T2, TL),
+        generators=(YA, T2, TL),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_H,)),
         strata_witnesses=_const_witnesses(((0, 0, 1, -1), 2), ((0, 0, 0, 0), 2)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T2:Yn1+me4-W2",
         summary="null rotation with timelike drift, extended by W2",
-        build=lambda p: (YN1 + T4.scaled(p["mu"]), T2, TL),
-        admissible=lambda p: p["mu"] != 0,
+        generators=(YN1, T2, TL),
+        decorations={"mu": (T4, O, O)}, nonzero=("mu",),
         defaults=({"mu": Fraction(3)},),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_P,)),
         proper=True,
         errata=("erratum:deg-regime-lorentzian",),
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T2:Yn1-W2",
         summary="pure null rotation extended by W2 (drift 0)",
-        build=lambda p: (YN1, T2, TL),
+        generators=(YN1, T2, TL),
         expected_invariants=_inv(3, 2, _deg(2), 1, (_P,)),
         strata_witnesses=_const_witnesses(((1, 0, 0, 0), 2), ((0, 0, 0, 0), 2)),
         proper=False,
     ))
 
     # ----- larger linear parts -------------------------------------------
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T3:SO21xRe1",
         summary="Lorentz group of the (e2,e3,e4) summand times the e1 line",
-        build=lambda p: (YK3, YA, YN2, T1),
+        generators=(YK3, YA, YN2, T1),
         expected_invariants=_inv(4, 1, _sp(1), 3, (_E, _H, _P)),
         strata_witnesses=_const_witnesses(((1, 0, 0, 0), 1)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T3:AN2xRe1",
         summary="solvable boost+null-rotation plane group times the e1 line",
-        build=lambda p: (YA, YN2, T1),
+        generators=(YA, YN2, T1),
         expected_invariants=_inv(3, 1, _sp(1), 2, (_H, _P)),
         strata_witnesses=_const_witnesses(((0, 1, 1, -1), 2), ((5, 0, 0, 0), 1)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T3:SO3xRe4",
         summary="spatial rotations times time translations",
-        build=lambda p: (YK1, YK2, YK3, T4),
+        generators=(YK1, YK2, YK3, T4),
         expected_invariants=_inv(4, 1, _TIME1, 3, (_E, _E, _E)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 3), 1)),
         proper=True,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T3:K1A-l",
         summary="rotation+boost pair extended by the null line",
-        build=lambda p: (YK1, YA, TL),
+        generators=(YK1, YA, TL),
         expected_invariants=_inv(3, 1, _LIGHT1, 2, (_E, _H)),
         strata_witnesses=_const_witnesses(
             ((0, 0, 1, 0), 2), ((1, 1, 1, -1), 2), ((0, 0, 1, -1), 1)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T3:Ya+le2-N1-l",
         summary="boost with spacelike drift plus a null rotation, over the null line",
-        build=lambda p: (YA + T2.scaled(p["lam"]), YN1, TL),
+        generators=(YA, YN1, TL),
+        decorations={"lam": (T2, O, O)},
         defaults=({"lam": Fraction(1)}, {"lam": Fraction(-2)}),
         expected_invariants=_inv(3, 1, _LIGHT1, 2, (_H, _P)),
         strata_witnesses=_const_witnesses(((1, 0, 1, -1), 2)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T3:nilpotent-pair",
         summary="two decorated null rotations over the null line (screw family)",
-        build=lambda p: (YN1 + T2.scaled(p["lam"]),
-                         YN2 + T1.scaled(p["lam"]) + T2.scaled(p["mu"]), TL),
-        admissible=lambda p: p["lam"] != 0,
+        generators=(YN1, YN2, TL),
+        decorations={"lam": (T2, T1, O), "mu": (O, T2, O)}, nonzero=("lam",),
         defaults=({"lam": Fraction(1), "mu": Fraction(0)},
                   {"lam": Fraction(1), "mu": Fraction(3)},
                   {"lam": Fraction(-2), "mu": Fraction(0)},
@@ -348,19 +351,19 @@ def builtin_catalog():
         strata_witnesses=_screw_witnesses,
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T3:K1N-l",
         summary="rotation plus both null rotations, over the null line",
-        build=lambda p: (YK1, YN1, YN2, TL),
+        generators=(YK1, YN1, YN2, TL),
         expected_invariants=_inv(4, 1, _LIGHT1, 3, (_E, _P, _P)),
         strata_witnesses=_const_witnesses(((1, 2, 1, -1), 2), ((0, 0, 1, -1), 1)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T3:N-aK1bA-l",
         summary="both null rotations plus a rotation/boost mixture, over the null line",
-        build=lambda p: (YN1, YN2, YK1.scaled(p["a"]) + YA.scaled(p["b"]), TL),
-        admissible=lambda p: p["a"] != 0 and p["b"] != 0,
+        generators=(YN1, YN2, O, TL),
+        decorations={"a": (O, O, YK1, O), "b": (O, O, YA, O)}, nonzero=("a", "b"),
         defaults=({"a": Fraction(1), "b": Fraction(1)},
                   {"a": Fraction(2), "b": Fraction(-1)}),
         expected_invariants=_inv(4, 1, _LIGHT1, 3, (_M, _P, _P)),
@@ -372,93 +375,93 @@ def builtin_catalog():
     ))
 
     # ----- full point-stabilizer subgroups --------------------------------
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T4:SO31",
         summary="the full connected Lorentz group (origin fixed)",
-        build=lambda p: (YK1, YK2, YK3, YA, YN1, YN2),
+        generators=(YK1, YK2, YK3, YA, YN1, YN2),
         expected_invariants=_inv(6, 0, _sp(0), 6, (_E, _E, _E, _H, _P, _P)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 0)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T4:K1AN",
         summary="rotation, boost, and both null rotations (origin fixed)",
-        build=lambda p: (YK1, YA, YN1, YN2),
+        generators=(YK1, YA, YN1, YN2),
         expected_invariants=_inv(4, 0, _sp(0), 4, (_E, _H, _P, _P)),
         strata_witnesses=_const_witnesses(((0, 0, 1, -1), 1), ((0, 0, 0, 0), 0)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T4:aK1bA-N",
         summary="a rotation/boost mixture with both null rotations (origin fixed)",
-        build=lambda p: (YK1.scaled(p["a"]) + YA.scaled(p["b"]), YN1, YN2),
-        admissible=lambda p: p["a"] != 0 and p["b"] != 0,
+        generators=(O, YN1, YN2),
+        decorations={"a": (YK1, O, O), "b": (YA, O, O)}, nonzero=("a", "b"),
         defaults=({"a": Fraction(1), "b": Fraction(1)},
                   {"a": Fraction(2), "b": Fraction(-1)}),
         expected_invariants=_inv(3, 0, _sp(0), 3, (_M, _P, _P)),
         strata_witnesses=_const_witnesses(((1, 2, 1, -1), 2), ((0, 0, 0, 0), 0)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="T4:AN",
         summary="boost and both null rotations (origin fixed)",
-        build=lambda p: (YA, YN1, YN2),
+        generators=(YA, YN1, YN2),
         expected_invariants=_inv(3, 0, _sp(0), 3, (_H, _P, _P)),
         strata_witnesses=_const_witnesses(((1, 2, 1, -1), 1), ((0, 0, 0, 0), 0)),
         proper=False,
     ))
 
     # ----- excluded near misses -------------------------------------------
-    add(_entry(
+    add(CatalogEntry(
         entry_id="Excluded:SO21",
         summary="Lorentz group of a 3-summand alone: orbits never exceed dim 2",
-        build=lambda p: (YK3, YA, YN2),
+        generators=(YK3, YA, YN2),
         expected_invariants=_inv(3, 0, _sp(0), 3, (_E, _H, _P)),
         expected_cohomogeneity=2,
         strata_witnesses=_const_witnesses(((5, 0, 0, 0), 0), ((0, 0, 0, 0), 0)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="Excluded:SO3",
         summary="spatial rotations alone: orbits are spheres (max dim 2)",
-        build=lambda p: (YK1, YK2, YK3),
+        generators=(YK1, YK2, YK3),
         expected_invariants=_inv(3, 0, _sp(0), 3, (_E, _E, _E)),
         expected_cohomogeneity=2,
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 0)),
         proper=True,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="Excluded:K1N",
         summary="rotation plus both null rotations without translations: max dim 2",
-        build=lambda p: (YK1, YN1, YN2),
+        generators=(YK1, YN1, YN2),
         expected_invariants=_inv(3, 0, _sp(0), 3, (_E, _P, _P)),
         expected_cohomogeneity=2,
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 0), ((0, 0, 1, -1), 0)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="Excluded:K1AN-l",
         summary="point stabilizer extended by the null line: dim-4 orbits appear",
-        build=lambda p: (YK1, YA, YN1, YN2, TL),
+        generators=(YK1, YA, YN1, YN2, TL),
         expected_invariants=_inv(5, 1, _LIGHT1, 4, (_E, _H, _P, _P)),
         expected_cohomogeneity=0,
         strata_witnesses=_const_witnesses(
             ((1, 2, 3, 5), 4), ((1, 2, 3, -3), 2), ((0, 0, 0, 0), 1)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="Excluded:AN-l",
         summary="boost and null rotations over the null line: dim-4 orbits appear",
-        build=lambda p: (YA, YN1, YN2, TL),
+        generators=(YA, YN1, YN2, TL),
         expected_invariants=_inv(4, 1, _LIGHT1, 3, (_H, _P, _P)),
         expected_cohomogeneity=0,
         strata_witnesses=_const_witnesses(((1, 2, 3, -3), 1), ((0, 0, 0, 0), 1)),
         proper=False,
     ))
-    add(_entry(
+    add(CatalogEntry(
         entry_id="Excluded:AN1-W2",
         summary="boost and one null rotation over W2: dim-4 orbits appear",
-        build=lambda p: (YA, YN1, T2, TL),
+        generators=(YA, YN1, T2, TL),
         expected_invariants=_inv(4, 2, _deg(2), 2, (_H, _P)),
         expected_cohomogeneity=0,
         strata_witnesses=_const_witnesses(((1, 2, 3, -3), 2)),
@@ -496,23 +499,19 @@ def _fit_parameters(entry, target):
     """The parameters at which ``entry.build`` spans exactly the echelon rows
     ``target``, or None.
 
-    Every record's generators are affine in its parameters, so their
-    remainders modulo ``target`` are too: they are read off at zero and at
-    each unit parameter, and one exact solve makes them all vanish.  A unique
+    The basis is affine in the parameters, generators plus decorations, so
+    its remainder modulo ``target`` is too: one exact solve makes the
+    generators' remainders cancel against the decorations'.  A unique
     solution is the fit.  A line of solutions through zero is a homogeneous
     family, fixed only up to scale (the rotation/boost mixtures); it is
     normalized to first parameter 1.  Anything else fits nothing.
     """
-    n = len(entry.params)
-
-    def remainders(values):
-        basis = entry.build(dict(zip(entry.params, values)))
+    def remainders(basis):
         return [x for b in basis for x in reduce_mod(target, coords10(b))]
 
-    base = remainders([Fraction(0)] * n)
-    units = [remainders([Fraction(i == j) for j in range(n)]) for i in range(n)]
-    sol = solve_linear([[u[r] - z for u in units] for r, z in enumerate(base)],
-                       [-z for z in base])
+    base = remainders(entry.generators)
+    units = [remainders(d) for d in entry.decorations.values()]
+    sol = solve_linear([[u[r] for u in units] for r in range(len(base))], [-z for z in base])
     if sol.particular is None or len(sol.kernel) > 1:
         return None
     values = sol.particular
@@ -590,10 +589,6 @@ class CatalogReport(NamedTuple):
             "pass": self.passed,
             "entries": [r.to_dict() for r in self.reports],
         }
-
-
-def _instantiations(entry):
-    return [(params, closure_check(entry.build(params))) for params in entry.defaults]
 
 
 # what every check after closure reads: the record, its instantiations
@@ -866,7 +861,7 @@ _CHECKS = {
 
 def verify_entry(entry, seed=42, samples=32) -> VerificationReport:
     start = time.perf_counter()
-    insts = _instantiations(entry)
+    insts = [(params, closure_check(entry.build(params))) for params in entry.defaults]
     closure = _check_closure(insts)
     names = ("invariants", "cohomogeneity", "properness",
              *(("orbit_space",) if entry.orbit_space else ()), "matching-roundtrip",

@@ -268,14 +268,16 @@ class OrbitReport:
     given, the last two are derived on first read from ``echelon``, the
     :func:`integer_rref` of the Killing fields at the point, or from a function
     that computes it then (a survey report's, whose rank needs no echelon).
+    No attribute can be assigned: :func:`orbit_dimension` hands out the report
+    it caches.
     """
 
     def __init__(self, point, dim, tangent_basis=None, causal=None, *, echelon=((), ())):
-        self.point, self.dim, self._source = point, dim, echelon
-        if tangent_basis is not None:
-            self.tangent_basis = tangent_basis
-        if causal is not None:
-            self.causal = causal
+        given = {"tangent_basis": tangent_basis, "causal": causal}
+        vars(self).update({k: v for k, v in given.items() if v is not None},
+                          point=point, dim=dim, _source=echelon)
+
+    __setattr__ = _Record.__setattr__
 
     @cached_property
     def _echelon(self):

@@ -66,8 +66,13 @@ def test_every_entry_has_summary_and_admissible_defaults():
         assert e.summary
         assert e.defaults
         for params in e.defaults:
-            assert set(params) == set(e.params)
+            assert tuple(params) == e.params
             assert e.admissible(params)
+        # one addend per generator: zip would drop the rest silently
+        assert all(len(d) == len(e.generators) for d in e.decorations.values())
+        assert set(e.nonzero) <= set(e.params)
+        # records are data; only the witnesses may depend on the parameters
+        assert [f for f in e._fields if callable(getattr(e, f))] == ["strata_witnesses"]
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +211,8 @@ def test_closure_failure_prints_the_same_rows():
     # a record that does not close prints every row the real one prints,
     # the orbit space and the erratum included, each skipped
     real = entry_by_id("T2:Ya+le1-W2")
-    ya, e1, e2, e3 = map(standard_generator, ("Ya", "e1", "e2", "e3"))
-    broken = real._replace(build=lambda p: (ya + e1.scaled(p["lam"]), e2, e3))
+    ya, e2, e3 = map(standard_generator, ("Ya", "e2", "e3"))
+    broken = real._replace(generators=(ya, e2, e3))  # builds ya + lam e1, e2, e3
     report = verify_entry(broken)
     assert [c.name for c in report.checks] == [c.name for c in verify_entry(real).checks]
     assert len(report.checks) == 7

@@ -116,6 +116,21 @@ def test_translation_orbit_is_everywhere_three_dim_spacelike():
     assert rep.causal.kind is CausalKind.SPACELIKE
 
 
+def test_cached_orbit_report_cannot_be_assigned():
+    # orbit_dimension hands out the report it caches, so a write would change
+    # every later answer for that subalgebra and point
+    entry = entry_by_id("T2:SO2xR11")
+    h = require_closed(entry.build(entry.defaults[0]))
+    rep = orbit_dimension(h, (1, 2, 3, 5))
+    for name, value in (("dim", 0), ("point", (0, 0, 0, 0)), ("causal", None)):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, value)
+    again = orbit_dimension(h, (1, 2, 3, 5))
+    assert again is rep
+    assert (again.dim, again.point) == (3, (1, 2, 3, 5))
+    assert again.causal.kind is CausalKind.LORENTZIAN
+
+
 def fraction_path_report(basis, p):
     """The Fraction route: fields, then echelon_basis, then causal_type."""
     p = tuple(Fraction(x) for x in p)
