@@ -48,11 +48,10 @@ from .orbits import (
     EvidenceFailedError,
     NotInvariantError,
     OrbitSpaceKind,
+    OrbitSpaceSpec,
     Poly,
     cohomogeneity,
     field_polys,
-    generic_orbit_dimension,
-    orbit_dimension,
     orbit_space_report,
     orbit_space_spec,
     point_text,
@@ -593,7 +592,8 @@ class CatalogReport(NamedTuple):
 
 # what every check after closure reads: the record, its instantiations
 # (params, h), one survey per instantiation (``samples`` seeded points, then
-# the declared stratum points) and its derived orbit space or None
+# the declared stratum points) and its orbit space: the spec, None off the
+# proper table records, or the EvidenceFailedError its derivation raised
 _Replay = namedtuple("_Replay", "entry insts surveys samples spaces")
 
 
@@ -625,27 +625,31 @@ def _check_invariants(run):
     return CheckResult("invariants", True, entry.expected_invariants.describe())
 
 
+def _declared_mismatch(run, params, survey):
+    """The first declared (point, dim) whose orbit, one of the survey's extra
+    points, has another dimension, as (point, got, want); else None."""
+    return next(((pt, rep.dim, want) for (pt, want), rep
+                 in zip(run.entry.strata_witnesses(params), survey.strata[run.samples:])
+                 if rep.dim != want), None)
+
+
 def _check_cohomogeneity(run):
-    """The cohomogeneity is exact, from :func:`generic_orbit_dimension`; the
-    survey decides the strata, the declared points and the principal causal
-    types."""
+    """The survey's cohomogeneity is exact; its points decide the strata, the
+    declared points and the principal causal types."""
     entry = run.entry
-    for (params, h), rep, space in zip(run.insts, run.surveys, run.spaces):
+    for (params, _h), rep, space in zip(run.insts, run.surveys, run.spaces):
         dims, expected_dims = rep.observed_dims(), entry.expected_strata(params)
-        computed = 4 - generic_orbit_dimension(h)
-        if computed != entry.expected_cohomogeneity:
+        if rep.cohomogeneity != entry.expected_cohomogeneity:
             return _failed("cohomogeneity", params,
-                           f"computed cohomogeneity {computed} (orbit dims {set(dims)}), "
+                           f"computed cohomogeneity {rep.cohomogeneity} (orbit dims {set(dims)}), "
                            f"table asserts {entry.expected_cohomogeneity}")
         if dims != expected_dims:
             return _failed("cohomogeneity", params, f"strata {dims} != expected {expected_dims}")
-        for pt, dim in entry.strata_witnesses(params):
-            got = orbit_dimension(h, pt).dim
-            if got != dim:
-                return _failed("cohomogeneity", params,
-                               f"declared stratum point {pt} has dim {got}, expected {dim}")
+        if mismatch := _declared_mismatch(run, params, rep):
+            return _failed("cohomogeneity", params,
+                           "declared stratum point {} has dim {}, expected {}".format(*mismatch))
         # the Gram signature of each principal orbit against the sign of N
-        for orbit in rep.strata if space else ():
+        for orbit in rep.strata if isinstance(space, OrbitSpaceSpec) else ():
             expect = orbit.dim == 3 and space.causal_at(orbit.point)
             if expect and orbit.causal.kind is not expect:
                 return _failed("cohomogeneity", params, f"principal orbit at {orbit.point} is "
@@ -697,6 +701,8 @@ def _check_properness(run):
 
 def _check_orbit_space(run):
     for (params, h), survey, spec in zip(run.insts, run.surveys, run.spaces):
+        if not isinstance(spec, OrbitSpaceSpec):
+            return _failed("orbit_space", params, spec)
         try:
             orbit_space_report(h, spec, survey)
         except (EvidenceFailedError, NotInvariantError) as err:
@@ -744,8 +750,11 @@ def _check_roundtrip(run):
 def _gradient_norm_check(name, run, holds, claim, detail):
     """The erratum ``name``, decided by the invariant's gradient norm N at
     every instantiation: it passes with ``detail`` where ``holds(N)``, as
-    ``claim`` states."""
-    for (params, _h), spec in zip(run.insts, run.spaces):
+    ``claim`` states.  A record without an orbit space derives its own."""
+    for (params, h), spec in zip(run.insts, run.spaces):
+        spec = spec or _derive_space(h)
+        if not isinstance(spec, OrbitSpaceSpec):
+            return _failed(name, params, spec)
         if not holds(spec.gradient_norm.terms):
             return _failed(name, params,
                            f"the invariant's gradient norm is {spec.gradient_norm}, not {claim}")
@@ -825,15 +834,13 @@ def _det(rows):
 def _erratum_dim4(run):
     """det of the four Killing fields = -b(p3+p4)^3, and every declared point,
     (1,2,3,5) off p3+p4=0 among them, has its declared dimension."""
-    for params, h in run.insts:
+    for (params, h), survey in zip(run.insts, run.surveys):
         det = _det([field_polys(b) for b in h.basis])
         if det != (_SIGMA * _SIGMA * _SIGMA).scale(-params["b"]):
             return _failed("erratum:dim4-off-W3", params, f"det of the four fields is {det}")
-        for pt, want in run.entry.strata_witnesses(params):
-            got = orbit_dimension(h, pt).dim
-            if got != want:
-                return CheckResult("erratum:dim4-off-W3", False,
-                                   f"orbit dim at {point_text(pt)} is {got}")
+        if mismatch := _declared_mismatch(run, params, survey):
+            return CheckResult("erratum:dim4-off-W3", False,
+                               f"orbit dim at {point_text(mismatch[0])} is {mismatch[1]}")
     return CheckResult(
         "erratum:dim4-off-W3", True,
         "orbits have dimension 4 off the null hyperplane p3+p4=0 (det of the "
@@ -859,6 +866,14 @@ _CHECKS = {
 # ---------------------------------------------------------------------------
 
 
+def _derive_space(h):
+    """h's orbit space, or the EvidenceFailedError that fails the rows reading it."""
+    try:
+        return orbit_space_spec(h)
+    except EvidenceFailedError as err:
+        return err
+
+
 def verify_entry(entry, seed=42, samples=32) -> VerificationReport:
     start = time.perf_counter()
     insts = [(params, closure_check(entry.build(params))) for params in entry.defaults]
@@ -870,7 +885,7 @@ def verify_entry(entry, seed=42, samples=32) -> VerificationReport:
         surveys = [cohomogeneity(h, seed=seed, samples=samples,
                                  extra_points=entry.stratum_points(params))
                    for params, h in insts]
-        spaces = [entry.orbit_space and orbit_space_spec(h) for _, h in insts]
+        spaces = [entry.orbit_space and _derive_space(h) for _, h in insts]
         run = _Replay(entry, insts, surveys, samples, spaces)
         rows = [_CHECKS[name](run) for name in names]
     else:

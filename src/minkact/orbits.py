@@ -1,17 +1,18 @@
 """Orbit analysis: orbit dimension and causal type at a point, the generic
-orbit dimension at one integer point, cohomogeneity and the orbit strata via
-seeded exact sampling, symbolic invariant-function certification, orbit
-spaces derived from the Killing fields, and their evidence (line vs
-half-line with singular-orbit data).
+orbit dimension at one integer point and with it the exact cohomogeneity,
+the orbit strata via seeded exact sampling, symbolic invariant-function
+certification, orbit spaces derived from the Killing fields, and their
+evidence (line vs half-line with singular-orbit data).
 
 Everything here is exact: sample points are rational, ranks and causal types
 come from exact integer elimination (never a numerical threshold), and
 invariance of a function along the action is certified by polynomial
 identities, not by numerical quadrature.
 
-The cohomogeneity survey computes ranks only: one forward-only integer rank
-per shared, pre-scaled sample point, of the fields modulo the translations.
-A point's tangent basis and causal class are derived when first read.
+One routine builds every rational point's report: one forward-only integer
+rank of the fields modulo the translations, at the point's pre-scaled
+integer form; its tangent basis and causal class are derived when first
+read.  The survey's samples share their integer forms.
 """
 
 from __future__ import annotations
@@ -263,25 +264,21 @@ def killing_matrix(h: Subalgebra, p):
 
 
 class OrbitReport:
-    """The orbit through ``point``: its ``dim``, reduced echelon (Fraction)
-    ``tangent_basis`` and ``causal`` class, equal when all four are.  Unless
-    given, the last two are derived on first read from ``echelon``, the
-    :func:`integer_rref` of the Killing fields at the point, or from a function
-    that computes it then (a survey report's, whose rank needs no echelon).
-    No attribute can be assigned: :func:`orbit_dimension` hands out the report
-    it caches.
-    """
+    """The orbit through ``point``: its ``dim``, and its reduced echelon
+    (Fraction) ``tangent_basis`` and ``causal`` class, derived on first read
+    from ``echelon()``, the :func:`integer_rref` of the Killing fields at the
+    point (``echelon`` is None at a :class:`QuadraticPoint`, which has
+    neither).  No attribute can be assigned: :func:`orbit_dimension` hands
+    out the report it caches."""
 
-    def __init__(self, point, dim, tangent_basis=None, causal=None, *, echelon=((), ())):
-        given = {"tangent_basis": tangent_basis, "causal": causal}
-        vars(self).update({k: v for k, v in given.items() if v is not None},
-                          point=point, dim=dim, _source=echelon)
+    def __init__(self, point, dim, echelon):
+        vars(self).update(point=point, dim=dim, _source=echelon)
 
     __setattr__ = _Record.__setattr__
 
     @cached_property
     def _echelon(self):
-        return self._source() if callable(self._source) else self._source
+        return self._source()
 
     @cached_property
     def tangent_basis(self):
@@ -292,16 +289,6 @@ class OrbitReport:
     def causal(self) -> CausalClass:
         return causal_class(self._echelon[0])
 
-    def _fields(self):
-        return self.point, self.dim, self.tangent_basis, self.causal
-
-    def __eq__(self, other):
-        return isinstance(other, OrbitReport) and self._fields() == other._fields()
-
-    def __repr__(self):
-        return "OrbitReport(point={!r}, dim={!r}, tangent_basis={!r}, causal={!r})".format(
-            *self._fields())
-
 
 def _at(gens, scaled):
     """Each generator's integer rows dotted with ``scaled`` = (D*p, D): from
@@ -309,57 +296,59 @@ def _at(gens, scaled):
     return [[sum(map(mul, row, scaled)) for row in gen] for gen in gens]
 
 
-def _quotient_rank(h: Subalgebra, scaled) -> int:
-    """The rank of the Killing fields at p, ``scaled`` = (D*p, D): t plus the
-    rank of the ``h.quotient_rows`` fields, those modulo the t translations."""
+def _report(h: Subalgebra, p, scaled) -> OrbitReport:
+    """The report at a rational p, ``scaled`` = (D*p, D): its rank is t plus
+    the rank of the ``h.quotient_rows`` fields, those modulo the t
+    translations; its echelon is computed when a check first reads it."""
     t, rows = h.quotient_rows
-    return t + integer_rank(_at(rows, scaled))
-
-
-def _orbit_report(h: Subalgebra, p, scaled) -> OrbitReport:
-    """Rank and echelon at p from one :func:`integer_rref` of the fields."""
-    echelon = integer_rref(_at(h.killing_rows, scaled))
-    return OrbitReport(p, len(echelon[0]), echelon=echelon)
-
-
-def _survey_report(h: Subalgebra, p, scaled) -> OrbitReport:
-    """A sample's report: its rank by :func:`_quotient_rank`, its echelon on first read."""
-    return OrbitReport(p, _quotient_rank(h, scaled),
-                       echelon=lambda: integer_rref(_at(h.killing_rows, scaled)))
+    return OrbitReport(p, t + integer_rank(_at(rows, scaled)),
+                       lambda: integer_rref(_at(h.killing_rows, scaled)))
 
 
 def orbit_dimension(h: Subalgebra, p) -> OrbitReport:
-    """Exact rank of the orbit through p, from integer elimination on the
-    Killing fields at p; its tangent basis and causal class follow on first
-    read (see :class:`OrbitReport`).  At a :class:`QuadraticPoint` the rank is
-    half that of the :func:`killing_matrix` realification, and the report has
-    no tangent basis or causal class.  Each point's report is computed once
-    per subalgebra and kept in ``h.orbit_reports``."""
+    """Exact rank of the orbit through p (:func:`_report`); its tangent basis
+    and causal class follow on first read.  At a :class:`QuadraticPoint` the
+    rank is half that of the :func:`killing_matrix` realification, and the
+    report has no tangent basis or causal class.  Each point's report is
+    computed once per subalgebra and kept in ``h.orbit_reports``."""
     if not isinstance(p, QuadraticPoint):
         p = tuple(frac(x) for x in p)
     rep = h.orbit_reports.get(p)
     if rep is None:
         rep = h.orbit_reports[p] = (
-            OrbitReport(p, rank_of(killing_matrix(h, p)) // 2, echelon=None)
-            if isinstance(p, QuadraticPoint) else _orbit_report(h, p, integral([(*p, 1)])[0][0]))
+            OrbitReport(p, rank_of(killing_matrix(h, p)) // 2, None)
+            if isinstance(p, QuadraticPoint) else _report(h, p, integral([(*p, 1)])[0][0]))
     return rep
 
 
-def generic_orbit_dimension(h: Subalgebra) -> int:
-    """The generic orbit dimension of h, exactly: the rank of its Killing
-    fields at p* = (T, T^5, T^25, T^125), T = 2 + 24 S^4, S the largest sum
-    of |entries| of a row of ``h.killing_rows``.  Proof: such a row dotted
-    with (p, 1) is a positive multiple of a field component, so a j x j minor
-    (j <= 4) has degree <= 4 in p and integer coefficients bounded by
-    j! S^j <= 24 S^4.  Under p_i = t^(5^(i-1)) distinct monomials go to
-    distinct powers of t (base-5 digits), so the coefficients do not change;
-    by Cauchy's bound every root of a nonzero minor is below 1 + 24 S^4 < T.
-    So a minor nonzero anywhere is nonzero at p*, and no sample is read.
-    The rank at p* is t + the quotient rank (:func:`_quotient_rank`)."""
-    s = max((sum(map(abs, row)) for gen in h.killing_rows for row in gen), default=0)
-    t = 2 + 24 * s ** 4
-    p = (t, t ** 5, t ** 25, t ** 125)
-    return _quotient_rank(h, (*p, 1))
+def generic_orbit_dimension(h: Subalgebra, seen: int = 0) -> int:
+    """The generic orbit dimension of h, exactly.  ``seen``, a rank at some
+    real point, is a lower bound and the answer where it meets an upper
+    bound: d = min(k, 4), or 3 where h fixes a point q (its translation
+    normal form has no translation part), as each field X (p - q) is then
+    eta-orthogonal to p - q.  Else it is the :func:`_report` rank at p*: 0
+    on the pivot coordinates of the translation ideal V if X V lies in V for
+    every X (as in a closed h; the rank then depends on p only modulo V), and
+    T^((d+1)^i) on the i-th other coordinate, T = 2 + d! S^d, S the largest
+    |entries| sum of a row of ``h.killing_rows`` on those coordinates and the
+    constant.  Such a row dotted with (p, 1) is a positive multiple of a
+    field component, so a j x j minor (j <= d) has degree <= d and integer
+    coefficients of at most j! S^j <= d! S^d.  Base-(d+1) exponents keep
+    distinct monomials at distinct powers of T, and by Cauchy's bound no
+    root of a nonzero minor reaches T, so a minor nonzero anywhere is
+    nonzero at p*."""
+    d = min(h.dim, 4)
+    if seen == d or seen == 3 and not any(x for row in h.normal_form[1] for x in row[6:]):
+        return seen
+    ideal = [row[6:] for row in h.echelon_rows if not any(row[:6])]
+    pivots = {next(c for c, x in enumerate(v) if x) for v in ideal}
+    if any(sum(map(mul, r, v)) for gen in h.quotient_rows[1] for r in gen for v in ideal):
+        pivots = set()  # X V is not in V: every coordinate stays free
+    s = max((sum(abs(x) for c, x in enumerate(r) if c not in pivots)
+             for gen in h.killing_rows for r in gen), default=0)
+    powers = ((2 + math.factorial(d) * s ** d) ** (d + 1) ** i for i in range(4))
+    p = tuple(0 if c in pivots else next(powers) for c in range(4))
+    return _report(h, p, (*p, 1)).dim
 
 
 _DENOMINATORS = (3, 4, 5, 7)
@@ -377,24 +366,25 @@ def _samples(seed: int, n: int):
 
 
 class CohomReport(NamedTuple):
-    max_orbit_dim: int
+    max_orbit_dim: int  # the exact generic orbit dimension
     cohomogeneity: int
     strata: tuple  # one OrbitReport per evaluated point: samples, then extras
 
     def observed_dims(self):
-        return tuple(sorted({rep.dim for rep in self.strata}, reverse=True))
+        """The generic dimension and every surveyed point's, descending."""
+        return tuple(sorted({self.max_orbit_dim, *(r.dim for r in self.strata)}, reverse=True))
 
 
 def cohomogeneity(h: Subalgebra, seed: int = 42, samples: int = 32,
                   extra_points=()) -> CohomReport:
-    """Max orbit dimension over seeded samples plus declared special points,
-    with every point's OrbitReport kept for the checks that reuse the survey.
-    A sample's rank is t plus a forward-only rank of (k-t) x (4-t) quotient
-    fields, and its report eliminates the fields only if a check reads them."""
+    """The exact cohomogeneity, 4 - :func:`generic_orbit_dimension`, and the
+    OrbitReport of each seeded sample and declared special point, kept for
+    the checks that reuse the survey; seed and samples move only the latter.
+    The samples share their integer forms and bypass ``h.orbit_reports``."""
     points, scaled = _samples(seed, samples)
-    strata = (*(_survey_report(h, p, s) for p, s in zip(points, scaled)),
+    strata = (*map(_report, repeat(h), points, scaled),
               *(orbit_dimension(h, p) for p in extra_points))
-    best = max((rep.dim for rep in strata), default=0)
+    best = generic_orbit_dimension(h, max((rep.dim for rep in strata), default=0))
     return CohomReport(max_orbit_dim=best, cohomogeneity=4 - best, strata=strata)
 
 

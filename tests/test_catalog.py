@@ -224,6 +224,7 @@ def test_generic_dimension_reads_no_sample(monkeypatch):
     # a copy of T2:SO2xR11 claiming cohomogeneity 2, with every sample on the
     # axis p1 = p2 = 0 where the rotation vanishes: the survey sees only
     # 2-dimensional orbits, and the exact generic dimension 3 refutes the claim
+    # and joins the listed dimensions
     entry = entry_by_id("T2:SO2xR11")._replace(expected_cohomogeneity=2)
     points = tuple((Fraction(0), Fraction(0), Fraction(k, 3), Fraction(5 - k, 7))
                    for k in range(32))
@@ -232,7 +233,22 @@ def test_generic_dimension_reads_no_sample(monkeypatch):
     check = next(c for c in verify_entry(entry).checks if c.name == "cohomogeneity")
     assert not check.passed
     assert check.detail.endswith(
-        "computed cohomogeneity 1 (orbit dims {2}), table asserts 2")
+        "computed cohomogeneity 1 (orbit dims {2, 3}), table asserts 2")
+
+
+@pytest.mark.parametrize("entry_id", ["T4:SO31", "T2:Ya+le1-W2", "T2:Yn1+me4-W2"])
+def test_a_wrong_proper_flag_fails_rows_instead_of_raising(entry_id):
+    # marked proper, a non-proper group derives no orbit space; marked
+    # non-proper, a record with errata derives its invariant for them
+    entry = entry_by_id(entry_id)
+    rows = {c.name: c for c in verify_entry(entry._replace(proper=not entry.proper)).checks}
+    failed = {name for name, c in rows.items() if not c.passed}
+    if entry.proper:
+        assert failed == {"properness"}
+    else:
+        assert failed == {"properness", "orbit_space"}
+        assert rows["orbit_space"].detail == (
+            "at -: no coordinate axis separates the invariant's levels")
 
 
 def test_verify_rows_are_the_benchmark_oracle_rows(monkeypatch):
@@ -399,14 +415,13 @@ def test_verify_entry_surveys_each_point_once(entry_id, monkeypatch):
     entry = entry_by_id(entry_id)
     calls = Counter()
 
-    def counting(real):  # together the two build every orbit report
-        def build(h, p, scaled):
-            calls[tuple(coords10(b) for b in h.basis), p] += 1
-            return real(h, p, scaled)
-        return build
+    real = ORBITS_MODULE._report  # builds every rational orbit report
 
-    for name in ("_orbit_report", "_survey_report"):
-        monkeypatch.setattr(ORBITS_MODULE, name, counting(getattr(ORBITS_MODULE, name)))
+    def build(h, p, scaled):
+        calls[tuple(coords10(b) for b in h.basis), p] += 1
+        return real(h, p, scaled)
+
+    monkeypatch.setattr(ORBITS_MODULE, "_report", build)
     failed = [c.name for c in verify_entry(entry).checks if not c.passed]
     assert failed == (["cohomogeneity"] if entry_id == "T3:N-aK1bA-l" else [])
     repeated = {key: n for key, n in calls.items() if n > 1}

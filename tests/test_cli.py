@@ -192,6 +192,16 @@ def test_classify_closed_but_not_cohomogeneity_one(tmp_path, capsys):
     assert "match: Excluded:K1N:" in out
 
 
+def test_classify_cohomogeneity_does_not_follow_the_samples(tmp_path, capsys):
+    # T4:AN: the one sample at seed 66 lies on a 1-dimensional orbit
+    path = write_generators(tmp_path, "an.txt", ["Ya", "Yn1", "Yn2"])
+    assert main(["classify", path, "--seed", "66", "--samples", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "cohomogeneity 1 (orbit dims {3,1} over 1 samples)" in out
+    assert "note:" not in out
+    assert "match: T4:AN:" in out
+
+
 def test_classify_identifies_conjugated_family(tmp_path, capsys):
     # the drifting-boost family at lam=1/2, moved off the origin by (0,0,-2,3)
     path = write_generators(tmp_path, "conj.txt", [

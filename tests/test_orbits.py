@@ -24,7 +24,6 @@ from minkact.orbits import (
     ExpInvariant,
     NotInvariantError,
     OrbitSpaceKind,
-    OrbitReport,
     OrbitSpaceSpec,
     Poly,
     QuadraticPoint,
@@ -132,11 +131,15 @@ def test_cached_orbit_report_cannot_be_assigned():
 
 
 def fraction_path_report(basis, p):
-    """The Fraction route: fields, then echelon_basis, then causal_type."""
+    """The Fraction route: fields, then echelon_basis, then causal_type; as
+    the (point, dim, tangent_basis, causal) that :func:`report_fields` reads."""
     p = tuple(Fraction(x) for x in p)
     tangent = echelon_basis([fundamental_field(b, p) for b in basis])
-    return OrbitReport(point=p, dim=len(tangent), tangent_basis=tuple(tangent),
-                       causal=causal_type(tangent))
+    return p, len(tangent), tuple(tangent), causal_type(tangent)
+
+
+def report_fields(rep):
+    return rep.point, rep.dim, rep.tangent_basis, rep.causal
 
 
 big_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10**6)
@@ -172,18 +175,18 @@ def test_orbit_dimension_matches_the_fraction_path(basis, p, seed):
     # orbit_dimension and the survey read only the basis, so a non-closed one serves here
     h = Subalgebra(tuple(basis), {})
     rep = orbit_dimension(h, p)
-    assert rep == fraction_path_report(basis, p)
+    assert report_fields(rep) == fraction_path_report(basis, p)
     assert all(type(x) is Fraction for row in rep.tangent_basis for x in row)
     survey = cohomogeneity(h, seed=seed, samples=4)
     assert [s.point for s in survey.strata] == list(ORBITS_MODULE._samples(seed, 4)[0])
     for s in survey.strata:
-        assert s == fraction_path_report(basis, s.point)
+        assert report_fields(s) == fraction_path_report(basis, s.point)
 
 
 def test_conjugates_build_their_own_killing_rows():
     h = require_closed((YA + E1.scaled(Fraction(5, 2)), E2, ELL))
     p = (Fraction(1, 3), 2, Fraction(-5, 7), 1)
-    assert orbit_dimension(h, p) == fraction_path_report(h.basis, p)
+    assert report_fields(orbit_dimension(h, p)) == fraction_path_report(h.basis, p)
     assert "killing_rows" in vars(h)
     g = compose(translation(vec4(1, Fraction(-1, 2), 3, 0)),
                 compose(cayley_so3(1, Fraction(1, 2), 0), rational_boost_34(Fraction(1, 3))))
@@ -192,7 +195,7 @@ def test_conjugates_build_their_own_killing_rows():
     assert conj.killing_rows != h.killing_rows
     assert conj.killing_rows == tuple(
         integral([(*row, t) for row, t in zip(b.linear, b.trans)])[0] for b in conj.basis)
-    assert orbit_dimension(conj, p) == fraction_path_report(conj.basis, p)
+    assert report_fields(orbit_dimension(conj, p)) == fraction_path_report(conj.basis, p)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ def test_survey_rank_on_the_translation_quotient_is_the_killing_rank(entry, h, p
         assert rep.dim == rank_of(killing_matrix(h, rep.point)) // half
     if entry.orbit_space is not None:  # reads each lazily derived echelon
         for rep in survey.strata:
-            assert rep == orbit_dimension(h, rep.point)
+            assert report_fields(rep) == report_fields(orbit_dimension(h, rep.point))
 
 
 SCREW_13 = require_closed(entry_by_id("T3:nilpotent-pair").build(
@@ -403,7 +406,9 @@ def test_generic_orbit_dimension_is_the_principal_lattice_max(basis):
     ((YA + E1.scaled(Fraction(-2)), E2, ELL), 3),
     ((YN1, YN2, YK1.scaled(2) - YA, ELL), 4),
     ((YK1, YA, YN1, YN2, ELL), 4),
-], ids=["empty", "plane", "K1N", "SO21", "K1AN", "drifting-boost", "mixture", "K1AN-l"])
+    ((YK1, E1), 2),  # not closed: the rotation moves e1, so p1 is no free coordinate to drop
+], ids=["empty", "plane", "K1N", "SO21", "K1AN", "drifting-boost", "mixture", "K1AN-l",
+        "not-closed"])
 def test_generic_orbit_dimension_matches_sympy_symbolic_rank(basis, rank):
     import sympy
 
@@ -412,6 +417,16 @@ def test_generic_orbit_dimension_matches_sympy_symbolic_rank(basis, rank):
                + sympy.Rational(t.numerator, t.denominator)
                for row, t in zip(b.linear, b.trans)] for b in basis]
     assert generic_orbit_dimension(Subalgebra(basis, {})) == sympy.Matrix(fields).rank() == rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_bases(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+@example([YK1, YA, YN1, YN2], [1, 2, 3, 5])  # fixes the origin, so rank 3 is generic
+@example([YA, E1, E2, E3], [1, 2, 0, 3])  # rank 3 on p3 = 0 only, and no fixed point
+def test_a_rank_seen_at_a_point_leaves_the_generic_dimension(basis, point):
+    h = Subalgebra(tuple(basis), {})
+    seen = orbit_dimension(h, point).dim
+    assert generic_orbit_dimension(h, seen) == generic_orbit_dimension(h) >= seen
 
 
 def test_cohomogeneity_of_rotation_boost_null_group():
@@ -430,11 +445,26 @@ def test_cohomogeneity_strata_record_every_point():
     assert rep.cohomogeneity == 2
 
 
-def test_empty_survey_reports_cohomogeneity_four():
+def test_empty_survey_reports_the_exact_cohomogeneity():
     rep = cohomogeneity(require_closed((E1, E2)), samples=0)
     assert rep.strata == ()
-    assert rep.max_orbit_dim == 0
-    assert rep.cohomogeneity == 4
+    assert rep.max_orbit_dim == 2
+    assert rep.cohomogeneity == 2
+    assert rep.observed_dims() == (2,)
+
+
+def test_one_sample_reports_the_exact_cohomogeneity():
+    # one sample can sit on a lower stratum (T4:AN at seed 66 has a
+    # 1-dimensional orbit there); the cohomogeneity must not follow it
+    insts = [closure_check(entry.build(params)) for entry in catalog()
+             for params in entry.defaults]
+    insts = [h for h in insts if isinstance(h, Subalgebra)]
+    assert len(insts) == 34
+    for seed in range(200):
+        for h in insts:
+            rep = cohomogeneity(h, seed=seed, samples=1)
+            assert rep.cohomogeneity == 4 - generic_orbit_dimension(h), seed
+            assert max(rep.observed_dims()) == rep.max_orbit_dim, seed
 
 
 # ---------------------------------------------------------------------------
