@@ -41,7 +41,6 @@ from .group import (
     compose,
     exp_element,
     exp_map,
-    invert,
     lorentz_ok,
     translation,
 )

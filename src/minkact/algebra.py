@@ -22,7 +22,6 @@ from .linalg import (
     frac,
     integer_rref,
     integral,
-    is_zero_vec,
     mat,
     mat_add,
     mat_is_zero,
@@ -42,11 +41,11 @@ from .linalg import (
 class NotClosedError(ValueError):
     """A supposed subalgebra failed bracket closure; carries a witness."""
 
-    def __init__(self, i, j, residual, message=None):
+    def __init__(self, i, j, residual):
         self.i = i
         self.j = j
         self.residual = residual
-        super().__init__(message or f"bracket of basis elements {i} and {j} leaves the span")
+        super().__init__(f"bracket of basis elements {i} and {j} leaves the span")
 
 
 def _eij(i, j):
@@ -79,14 +78,8 @@ class AlgebraElement(NamedTuple):
     def __sub__(self, other):
         return AlgebraElement(mat_sub(self.linear, other.linear), vsub(self.trans, other.trans))
 
-    def __neg__(self):
-        return AlgebraElement(mat_scale(-1, self.linear), vscale(-1, self.trans))
-
     def scaled(self, c):
         return AlgebraElement(mat_scale(c, self.linear), vscale(c, self.trans))
-
-    def is_zero(self):
-        return mat_is_zero(self.linear) and is_zero_vec(self.trans)
 
 
 def element(linear=None, trans=None) -> AlgebraElement:

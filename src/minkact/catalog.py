@@ -40,6 +40,7 @@ from .linalg import (
     CausalKind,
     echelon_basis,
     mink_inner,
+    rank_of,
     reduce_mod,
     solve_linear,
     vec4,
@@ -490,10 +491,6 @@ class MatchResult(NamedTuple):
     normalization: tuple  # translation vector that canonicalized the input
 
 
-def _canon(basis):
-    return tuple(echelon_basis([coords10(b) for b in basis]))
-
-
 def _fit_parameters(entry, target):
     """The parameters at which ``entry.build`` spans exactly the echelon rows
     ``target``, or None.
@@ -503,7 +500,9 @@ def _fit_parameters(entry, target):
     generators' remainders cancel against the decorations'.  A unique
     solution is the fit.  A line of solutions through zero is a homogeneous
     family, fixed only up to scale (the rotation/boost mixtures); it is
-    normalized to first parameter 1.  Anything else fits nothing.
+    normalized to first parameter 1.  Anything else fits nothing.  Every
+    fitted build vector then lies in the span of ``target``, so the build
+    spans it exactly when its rank is ``len(target)``.
     """
     def remainders(basis):
         return [x for b in basis for x in reduce_mod(target, coords10(b))]
@@ -520,7 +519,7 @@ def _fit_parameters(entry, target):
             return None
         values = tuple(x / line[0] for x in line)
     params = dict(zip(entry.params, values))
-    return params if _canon(entry.build(params)) == target else None
+    return params if rank_of([coords10(b) for b in entry.build(params)]) == len(target) else None
 
 
 def match_catalog(h: Subalgebra):

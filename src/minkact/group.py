@@ -1,5 +1,5 @@
-"""The isometry group O(3,1) x R^{3,1} (semidirect): composition, inversion,
-the affine action on points, and exponentials of algebra elements.
+"""The isometry group O(3,1) x R^{3,1} (semidirect): composition, the affine
+action on points, and exponentials of algebra elements.
 
 Isometries are exact, over Fractions, everywhere the classification logic
 touches them.  Exponentials exp(tX) come from one closed form on the 4x4
@@ -21,7 +21,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, lorentz_inverse
+from .algebra import AlgebraElement
 from .linalg import (
     ETA,
     IDENTITY4,
@@ -34,7 +34,6 @@ from .linalg import (
     rref,
     transpose,
     vadd,
-    vneg,
     vsub,
 )
 from .subalgebra import lorentz_invariants
@@ -63,12 +62,6 @@ def compose(g, h):
     """(V,v)(U,u) = (VU, v + V u), in floats when either factor is."""
     kind = NumericIsometry if NumericIsometry in (type(g), type(h)) else Isometry
     return kind(matmul(g.V, h.V), vadd(g.v, matvec(g.V, h.v)))
-
-
-def invert(g):
-    """(V,v)^{-1} = (V^{-1}, -V^{-1} v) with V^{-1} = eta V^t eta."""
-    vinv = lorentz_inverse(g.V)
-    return type(g)(vinv, vneg(matvec(vinv, g.v)))
 
 
 def act(g, p):
@@ -124,19 +117,16 @@ def exp_coefficients(trace_sq, pfaffian, t):
 _FLOAT_IDENTITY = tuple(tuple(map(float, row)) for row in IDENTITY4)
 
 
-def exp_map(a: AlgebraElement, exact: bool = False):
+def exp_map(a: AlgebraElement):
     """t -> exp(t a), with all that does not depend on t computed once: the
     invariants, exact and then rounded once, and, in floats or (nilpotent X,
     exact t) in Fractions, the powers X, X^2, X^3 of M = [[X, x], [0, 0]]
     (they stop at the first that vanishes) with their images of x.
     X^4 = (tr(X^2)/2) X^2 + Pf(eta X)^2 I (Cayley-Hamilton on so(3,1)) folds
     c4 X^4 into I and X^2, so each t costs one :func:`exp_coefficients` and
-    one linear combination, the identity entering as a diagonal coefficient.
-    ``exact=True`` raises ValueError unless X is nilpotent."""
+    one linear combination, the identity entering as a diagonal coefficient."""
     trace_sq, pfaffian = lorentz_invariants(a.linear)
     nilpotent = trace_sq == 0 and pfaffian == 0
-    if exact and not nilpotent:
-        raise ValueError("exponential series does not terminate; use the numeric variant")
 
     def blocks(kind, one, x, p, tr, pf):
         powers = [] if mat_is_zero(x) else [x, matmul(x, x)]
@@ -166,7 +156,9 @@ def exp_map(a: AlgebraElement, exact: bool = False):
 
 def exp_element_exact(a: AlgebraElement, t) -> Isometry:
     """Exact exp(t a); only for a nilpotent linear part (null rotations, translations)."""
-    return exp_map(a, exact=True)(frac(t))
+    if any(lorentz_invariants(a.linear)):
+        raise ValueError("exponential series does not terminate; use the numeric variant")
+    return exp_map(a)(frac(t))
 
 
 def exp_element_numeric(a: AlgebraElement, t: float) -> NumericIsometry:

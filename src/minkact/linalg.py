@@ -27,12 +27,10 @@ class DimensionMismatchError(ValueError):
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
+    """Coerce ints and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 
@@ -55,14 +53,6 @@ def vsub(u, v):
 def vscale(c, u):
     c = frac(c)
     return tuple(c * a for a in u)
-
-
-def vneg(u):
-    return tuple(-a for a in u)
-
-
-def is_zero_vec(u) -> bool:
-    return all(a == 0 for a in u)
 
 
 def mat(rows) -> tuple:

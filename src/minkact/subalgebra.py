@@ -78,9 +78,8 @@ class Subalgebra(_Record):
 
     # orbit_reports: point -> its orbits.orbit_dimension report, filled there,
     # so that each point's orbit is computed once per subalgebra
-    def __init__(self, basis, structure, orbit_reports=None):
-        vars(self).update(basis=basis, structure=structure,
-                          orbit_reports={} if orbit_reports is None else orbit_reports)
+    def __init__(self, basis, structure):
+        vars(self).update(basis=basis, structure=structure, orbit_reports={})
 
     __eq__, __hash__ = object.__eq__, object.__hash__
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from minkact.algebra import adjoint, coords10, standard_generator
 from minkact.catalog import (
+    _fit_parameters,
     catalog,
     entry_by_id,
     match_catalog,
@@ -162,6 +163,16 @@ def test_drift_zero_is_a_fit_not_a_scale():
     h = require_closed(entry.build({"lam": Fraction(0)}))
     matches = match_catalog(h)
     assert [(m.entry_id, m.params) for m in matches] == [("T3:Ya+le2-N1-l", {"lam": 0})]
+
+
+def test_a_fit_spanning_less_than_the_target_is_rejected():
+    # every vector of (Ya, e2, e2) lies in the span of the record's (Ya, e2,
+    # e3 - e4), so the fit's solve succeeds and only the rank, 2 not 3, rejects it
+    entry = entry_by_id("T2:Ya-W2")
+    target = require_closed(entry.build(entry.defaults[0])).normal_form[1]
+    ya, e2, _ = entry.generators
+    assert _fit_parameters(entry, target) == {}
+    assert _fit_parameters(entry._replace(generators=(ya, e2, e2)), target) is None
 
 
 def test_matching_survives_translation_conjugation():

@@ -466,6 +466,20 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
         assert f"{argv[1]}:" in errors[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--entry", "T9:nope"],
+    ["witness", "--entry", "T9:nope"],
+    ["export", "--entry", "T9:nope", "--out", "-"],
+    ["witness", "--entry", "T1:R3"],
+], ids=["orbit-unknown-entry", "witness-unknown-entry", "export-unknown-entry",
+        "witness-proper-entry"])
+def test_entry_errors_print_one_error_line_and_no_output(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 REQUEST_MIX = """
 import contextlib, io, sys
 import minkact.cli

@@ -32,10 +32,11 @@ from minkact.linalg import (
 )
 
 
-def test_frac_accepts_ints_and_strings():
+def test_frac_accepts_ints_and_fractions_only():
     assert frac(3) == Fraction(3)
-    assert frac("1/2") == Fraction(1, 2)
     assert frac(Fraction(-2, 7)) == Fraction(-2, 7)
+    with pytest.raises(TypeError):
+        frac("1/2")
 
 
 def test_mink_inner_signature():

@@ -1,8 +1,8 @@
 """Every name a ``minkact`` module imports is used in that module, every
 module-level private name is used somewhere in the package, every record
 field is read somewhere in the package, its demos or its tests (every
-``CatalogEntry`` field in the package itself), and no loop calls a one-shot
-group exponential.
+``CatalogEntry`` field in the package itself), no loop calls a one-shot
+group exponential, and no test asserts a method it never calls.
 
 Stdlib ``ast`` checks standing in for a linter's unused-import and dead-code
 rules.  ``__init__`` modules are skipped by the import check: their imports are
@@ -189,3 +189,63 @@ def test_the_check_sees_an_exponential_per_t():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_loop_calls_a_one_shot_exponential(path):
     assert exponentials_in_loops(path.read_text()) == []
+
+
+def method_names(sources):
+    """Names of the methods defined on the package's classes, less every name
+    that is a field, a property or an assigned attribute anywhere: on these a
+    bare ``obj.name`` is a bound method, and so always true."""
+    methods, data = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                data.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign):
+                    data.add(stmt.target.id)
+                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    decorators = {getattr(d, "id", getattr(d, "attr", None))
+                                  for d in stmt.decorator_list}
+                    is_property = decorators & {"property", "cached_property"}
+                    (data if is_property else methods).add(stmt.name)
+    return methods - data
+
+
+def uncalled_method_asserts(source, methods):
+    """(line, name) for each ``assert`` whose test, or an operand of its
+    ``not``, ``and`` or ``or``, is a bare attribute named in ``methods``: such
+    an assertion can never fail (under ``not``, never pass)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        stack = [node.test] if isinstance(node, ast.Assert) else []
+        while stack:
+            expr = stack.pop()
+            if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.Not):
+                stack.append(expr.operand)
+            elif isinstance(expr, ast.BoolOp):
+                stack.extend(expr.values)
+            elif isinstance(expr, ast.Attribute) and expr.attr in methods:
+                found.append((expr.lineno, expr.attr))
+    return sorted(found)
+
+
+def test_the_check_sees_an_uncalled_method():
+    source = ("class Poly(NamedTuple):\n    degree: int\n\n"
+              "    def is_zero(self):\n        return not self.degree\n\n"
+              "    @property\n    def dim(self):\n        return 4\n")
+    assert method_names([source]) == {"is_zero"}
+    asserts = ("assert p.is_zero\nassert not q.is_zero\nassert p.dim and r.is_zero\n"
+               "assert p.is_zero() and p.degree\n")
+    assert uncalled_method_asserts(asserts, {"is_zero"}) == [
+        (1, "is_zero"), (2, "is_zero"), (3, "is_zero")]
+
+
+def test_no_assertion_tests_an_uncalled_method():
+    root = SRC.parents[1]
+    methods = method_names([p.read_text() for p in sorted(SRC.glob("*.py"))])
+    assert "is_zero" in methods
+    paths = sorted((root / "tests").glob("*.py")) + sorted((root / "perfbench").glob("test_*.py"))
+    found = {p.name: uncalled_method_asserts(p.read_text(), methods) for p in paths}
+    assert found == dict.fromkeys(found, [])
