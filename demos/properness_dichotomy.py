@@ -15,7 +15,7 @@ Run:  python3 demos/properness_dichotomy.py
 from fractions import Fraction
 
 from minkact.catalog import entry_by_id, nonproperness_witness
-from minkact.group import NumericIsometry, act, compose, exp_element, translation
+from minkact.group import Isometry, act, compose, exp_element, translation
 from minkact.linalg import vscale, vsub
 from minkact.properness import (
     check_witness,
@@ -66,7 +66,7 @@ def nonproper_side():
     print("      n      |g_n|          g_n.x - x")
     for n, norm in zip(rep.steps, rep.group_norms):
         x = witness.point_at(n)
-        drift = max(abs(c) for c in vsub(act(NumericIsometry(*witness.group_at(n)), x), x))
+        drift = max(abs(c) for c in vsub(act(Isometry(*witness.group_at(n)), x), x))
         print(f"  {n:>5d}  {norm:>12.4g}  {drift:>12.3g}")
     print(f"  group norms diverge while the images stay Cauchy "
           f"(tail gap {rep.image_gap:.3g}) -- properness fails.")

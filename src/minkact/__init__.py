@@ -37,7 +37,6 @@ from .catalog import (
 )
 from .group import (
     Isometry,
-    NumericIsometry,
     compose,
     exp_element,
     exp_map,

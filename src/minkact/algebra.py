@@ -82,9 +82,9 @@ class AlgebraElement(NamedTuple):
         return AlgebraElement(mat_scale(c, self.linear), vscale(c, self.trans))
 
 
-def element(linear=None, trans=None) -> AlgebraElement:
-    return AlgebraElement(linear if linear is not None else ZERO_MAT4,
-                          tuple(frac(t) for t in trans) if trans is not None else ZERO4)
+def element() -> AlgebraElement:
+    """The zero element."""
+    return AlgebraElement(ZERO_MAT4, ZERO4)
 
 
 def standard_generator(label) -> AlgebraElement:

@@ -229,7 +229,8 @@ def _in_float_range(cmd):
 
 
 def _resolve_entry(args):
-    """Entry + parameter dict from --entry/--lambda/--mu/--a/--b, or None on error."""
+    """(entry, parameter dict, closed subalgebra) from --entry/--lambda/--mu/--a/--b,
+    or None on error."""
     try:
         entry = entry_by_id(args.entry)
     except KeyError:
@@ -249,17 +250,15 @@ def _resolve_entry(args):
         print(f"error: parameters [{_fmt_params(params)}] are outside the "
               f"admissible range for {entry.entry_id}", file=sys.stderr)
         return None
-    return entry, params
+    return entry, params, require_closed(entry.build(params))
 
 
 def cmd_orbit(args):
     resolved = _resolve_entry(args)
     if resolved is None:
         return 2
-    entry, params = resolved
-    h = require_closed(entry.build(params))
-    pt = args.point if args.point is not None else (1, 2, 3, 5)
-    rep = orbit_dimension(h, pt)
+    entry, params, h = resolved
+    rep = orbit_dimension(h, args.point)
     if args.json:
         print(json.dumps({
             "entry": entry.entry_id,
@@ -282,12 +281,11 @@ def cmd_witness(args):
     resolved = _resolve_entry(args)
     if resolved is None:
         return 2
-    entry, params = resolved
+    entry, params, h = resolved
     if entry.proper:
         print(f"error: {entry.entry_id} acts properly; no escape witness applies",
               file=sys.stderr)
         return 2
-    h = require_closed(entry.build(params))
     witness, mechanism = nonproperness_witness(entry, params, h)
     try:
         rep = check_witness(witness, steps=args.steps, tol=args.tol)
@@ -322,11 +320,8 @@ def cmd_export(args):
     resolved = _resolve_entry(args)
     if resolved is None:
         return 2
-    entry, params = resolved
-    base = args.point if args.point is not None else (1, 2, 3, 5)
-    h = require_closed(entry.build(params))
-    basis = h.basis[:3]
-    base_f = [float(c) for c in base]
+    basis = resolved[2].basis[:3]
+    base_f = [float(c) for c in args.point]
 
     if args.grid is not None:
         if args.grid < 1:
@@ -456,14 +451,15 @@ def build_parser():
                         help="orbit dimension and causal type at a point")
     po.add_argument("--entry", required=True, help="catalog entry id")
     _param_flags(po)
-    po.add_argument("--point", type=_point_type,
+    po.add_argument("--point", type=_point_type, default="1,2,3,5",
                     help="base point as four rationals (default 1,2,3,5)")
     po.set_defaults(func=cmd_orbit)
 
     pw = sub.add_parser("witness",
                         help="run the escaping-sequence properness refutation")
-    # the escape check needs the dyadic ladder 1, 2, 4, 8 at least
-    pw.add_argument("--steps", type=_int_at_least(8), default=1024,
+    # a hyperbolic walk at t_n = log(1+n) grows its norm about like n, so the
+    # check that the last norm exceeds 10x the first needs the ladder to reach 32
+    pw.add_argument("--steps", type=_int_at_least(32), default=1024,
                     help="escape-sequence ladder length (default 1024)")
     pw.add_argument("--tol", type=_positive_float, default=1e-6,
                     help="convergence tolerance (default 1e-6)")
@@ -475,7 +471,7 @@ def build_parser():
     sampling(pe)
     pe.add_argument("--entry", required=True, help="catalog entry id")
     _param_flags(pe)
-    pe.add_argument("--point", type=_point_type,
+    pe.add_argument("--point", type=_point_type, default="1,2,3,5",
                     help="base point as four rationals (default 1,2,3,5)")
     pe.add_argument("--grid", type=int,
                     help="export an n^3 parameter lattice instead of random samples")

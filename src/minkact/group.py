@@ -6,7 +6,7 @@ touches them.  Exponentials exp(tX) come from one closed form on the 4x4
 blocks driven by the two Lorentz invariants tr(X^2) and Pf(eta X), one map per
 algebra element evaluated per t: exact for nilpotent X and an exact t, plain
 Python floats otherwise (boosts, rotations by generic angles, properness
-sequences, orbit patches).  Float isometries are the same tuples, so
+sequences, orbit patches).  Float isometries are the same type, so
 composition and the action serve both.  Exact rational rotations and boosts
 come from half-angle/half-velocity parameterizations and from the Cayley
 transform of a compact linear part about a point, which the properness
@@ -40,14 +40,7 @@ from .subalgebra import lorentz_invariants
 
 
 class Isometry(NamedTuple):
-    """Exact isometry (V, v): Lorentz matrix plus translation."""
-
-    V: tuple
-    v: tuple
-
-
-class NumericIsometry(NamedTuple):
-    """Float isometry for sequence evaluation: the same tuples, of floats."""
+    """Isometry (V, v): Lorentz matrix plus translation, of Fractions or floats."""
 
     V: tuple
     v: tuple
@@ -60,8 +53,7 @@ def lorentz_ok(V) -> bool:
 
 def compose(g, h):
     """(V,v)(U,u) = (VU, v + V u), in floats when either factor is."""
-    kind = NumericIsometry if NumericIsometry in (type(g), type(h)) else Isometry
-    return kind(matmul(g.V, h.V), vadd(g.v, matvec(g.V, h.v)))
+    return Isometry(matmul(g.V, h.V), vadd(g.v, matvec(g.V, h.v)))
 
 
 def act(g, p):
@@ -128,7 +120,7 @@ def exp_map(a: AlgebraElement):
     trace_sq, pfaffian = lorentz_invariants(a.linear)
     nilpotent = trace_sq == 0 and pfaffian == 0
 
-    def blocks(kind, one, x, p, tr, pf):
+    def blocks(one, x, p, tr, pf):
         powers = [] if mat_is_zero(x) else [x, matmul(x, x)]
         if tr or pf:
             powers.append(matmul(x, powers[1]))
@@ -141,15 +133,15 @@ def exp_map(a: AlgebraElement):
             acc = [row[:i] + (c0,) + row[i + 1:] for i, row in enumerate(one)]
             for c, m in zip(linear, powers):
                 acc = [tuple(map(add, ra, map(mul, repeat(c), rm))) for ra, rm in zip(acc, m)]
-            return kind(tuple(acc), tuple(sum(map(mul, coefficients, e)) for e in images))
+            return Isometry(tuple(acc), tuple(sum(map(mul, coefficients, e)) for e in images))
         return at
 
     # each half is built at its first t; n / d converts faster than float(Fraction)
     floats = cache(lambda: blocks(
-        NumericIsometry, _FLOAT_IDENTITY,
+        _FLOAT_IDENTITY,
         tuple(tuple(e.numerator / e.denominator for e in row) for row in a.linear),
         tuple(e.numerator / e.denominator for e in a.trans), float(trace_sq), float(pfaffian)))
-    fractions = cache(lambda: blocks(Isometry, IDENTITY4, a.linear, a.trans, trace_sq, pfaffian))
+    fractions = cache(lambda: blocks(IDENTITY4, a.linear, a.trans, trace_sq, pfaffian))
     return lambda t: (fractions()(frac(t)) if nilpotent and not isinstance(t, float)
                       else floats()(float(t)))
 
@@ -161,7 +153,7 @@ def exp_element_exact(a: AlgebraElement, t) -> Isometry:
     return exp_map(a)(frac(t))
 
 
-def exp_element_numeric(a: AlgebraElement, t: float) -> NumericIsometry:
+def exp_element_numeric(a: AlgebraElement, t: float) -> Isometry:
     """Float exp(t a) from the closed form of :func:`exp_coefficients`."""
     return exp_map(a)(float(t))
 

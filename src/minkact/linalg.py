@@ -90,9 +90,10 @@ def matmul(a, b):
 
 
 def matvec(a, v):
-    if len(a[0]) != len(v):
+    """a v, built as a list (faster than a generator); no rows give ()."""
+    if a and len(a[0]) != len(v):
         raise DimensionMismatchError("matrix width != vector length")
-    return tuple(sum(map(mul, row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def transpose(a):

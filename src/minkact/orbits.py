@@ -290,19 +290,13 @@ class OrbitReport:
         return causal_class(self._echelon[0])
 
 
-def _at(gens, scaled):
-    """Each generator's integer rows dotted with ``scaled`` = (D*p, D): from
-    ``h.killing_rows``, the Killing fields at p, each times an integer > 0."""
-    return [[sum(map(mul, row, scaled)) for row in gen] for gen in gens]
-
-
 def _report(h: Subalgebra, p, scaled) -> OrbitReport:
     """The report at a rational p, ``scaled`` = (D*p, D): its rank is t plus
     the rank of the ``h.quotient_rows`` fields, those modulo the t
     translations; its echelon is computed when a check first reads it."""
     t, rows = h.quotient_rows
-    return OrbitReport(p, t + integer_rank(_at(rows, scaled)),
-                       lambda: integer_rref(_at(h.killing_rows, scaled)))
+    return OrbitReport(p, t + integer_rank([matvec(g, scaled) for g in rows]),
+                       lambda: integer_rref([matvec(g, scaled) for g in h.killing_rows]))
 
 
 def orbit_dimension(h: Subalgebra, p) -> OrbitReport:

@@ -12,8 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minkact
+import minkact.cli
 from minkact.algebra import GENERATOR_ORDER, standard_generator
+from minkact.catalog import catalog
 from minkact.cli import format_element, main, parse_element, parse_generator_file
+from minkact.properness import WitnessFailedError
 
 
 def write_generators(tmp_path, name, lines):
@@ -192,6 +195,15 @@ def test_classify_closed_but_not_cohomogeneity_one(tmp_path, capsys):
     assert "match: Excluded:K1N:" in out
 
 
+def test_classify_transitive_group_with_every_translation(tmp_path, capsys):
+    # the translation ideal is all of R^{3,1}: the boost's quotient field has no rows
+    path = write_generators(tmp_path, "full.txt", ["Ya", "e1", "e2", "e3", "e4"])
+    assert main(["classify", path]) == 0
+    out = capsys.readouterr().out
+    assert "cohomogeneity 0 (orbit dims {4} over 32 samples)" in out
+    assert "match: none (not in the catalog)" in out
+
+
 def test_classify_cohomogeneity_does_not_follow_the_samples(tmp_path, capsys):
     # T4:AN: the one sample at seed 66 lies on a 1-dimensional orbit
     path = write_generators(tmp_path, "an.txt", ["Ya", "Yn1", "Yn2"])
@@ -355,6 +367,35 @@ def test_witness_on_proper_entry_is_usage_error(capsys):
     assert "acts properly; no escape witness applies" in capsys.readouterr().err
 
 
+def test_witness_loose_tolerance_passes(capsys):
+    assert main(["witness", "--entry", "T4:AN", "--tol", "1e-3"]) == 0
+    assert "(tol 0.001)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry_id", [e.entry_id for e in catalog() if not e.proper])
+def test_every_nonproper_record_passes_the_shortest_ladder(entry_id, capsys):
+    """At the floor of --steps, 32, every hyperbolic walk has grown its norm
+    past ten times the first (it grows about like n at t_n = log(1+n))."""
+    assert main(["witness", "--entry", entry_id, "--steps", "32"]) == 0
+    assert capsys.readouterr().out.startswith(f"PASS {entry_id}: ")
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_witness_failure_is_a_fail_line(as_json, monkeypatch, capsys):
+    def fail(*_args, **_kwargs):
+        raise WitnessFailedError("images are not Cauchy: tail gap 0.5")
+
+    monkeypatch.setattr(minkact.cli, "check_witness", fail)
+    assert main(["witness", "--entry", "T4:AN", *(["--json"] if as_json else [])]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    if as_json:
+        assert json.loads(out) == {"entry": "T4:AN", "pass": False,
+                                   "detail": "images are not Cauchy: tail gap 0.5"}
+    else:
+        assert out.splitlines() == ["FAIL T4:AN: images are not Cauchy: tail gap 0.5"]
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
@@ -430,6 +471,13 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     ["classify", "{tmp}/huge_exponent.txt"],
     ["orbit", "--entry", "T1:R3", "--point", "1,2,3,1e100000"],
     ["orbit", "--entry", "T2:Ya+le1-W2", "--lambda", "1e10000000"],
+    ["witness", "--entry", "T2:SO11xR2", "--steps", "16"],
+    ["witness", "--entry", "T2:SO11xR2", "--steps", "31"],
+    ["classify", "{tmp}/empty_term.txt"],
+    ["classify", "{tmp}/not_rational.txt"],
+    ["classify", "{tmp}/comments.txt"],
+    ["classify", "{tmp}/zero.txt", "--samples", "two"],
+    ["witness", "--entry", "T4:AN", "--tol", "abc"],
 ], ids=[
     "classify-zero-denominator", "classify-not-utf8", "witness-mu", "orbit-lambda", "export-a",
     "witness-b", "orbit-point", "export-missing-dir", "verify-samples-0",
@@ -440,11 +488,18 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     "export-a-overflows", "export-b-overflows", "orbit-seed", "witness-seed", "export-json",
     "classify-coefficient-past-4300-digits", "orbit-point-past-4300-digits",
     "orbit-lambda-exponent-1e10000000",
+    # a hyperbolic ladder ending below 32 has not yet grown its norm tenfold
+    "witness-steps-16", "witness-steps-31",
+    "classify-empty-term", "classify-not-rational", "classify-only-comments",
+    "classify-samples-not-integer", "witness-tol-not-number",
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     (tmp_path / "zero.txt").write_text("Ya + 1/0*e1\n")
     (tmp_path / "latin1.txt").write_bytes("Ya\n# \u00e9t\u00e9\nYk1\n".encode("latin-1"))
     (tmp_path / "huge_exponent.txt").write_text("Ya + 1e5000*e1\ne2\ne3 - e4\n")
+    (tmp_path / "empty_term.txt").write_text("Ya +\n")
+    (tmp_path / "not_rational.txt").write_text("x*e1\n")
+    (tmp_path / "comments.txt").write_text("# Ya\n\n   # e1\n")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if "1e10000000" in argv:  # unchecked, Fraction would build 10**(10**7): fail fast
         src = str(Path(minkact.__file__).resolve().parents[1])

@@ -13,7 +13,6 @@ from test_subalgebra import small_coords
 from minkact.algebra import AlgebraElement, adjoint, linear_from_coords, standard_generator
 from minkact.group import (
     Isometry,
-    NumericIsometry,
     act,
     cayley,
     cayley_so3,
@@ -71,10 +70,11 @@ def test_exact_exponential_rejects_boosts():
 def test_exp_element_dispatch():
     ya = standard_generator("Ya")
     numeric = exp_element(ya, 1)  # exact impossible -> numeric fallback
-    assert isinstance(numeric, NumericIsometry)
+    assert isinstance(numeric, Isometry)
     assert all(type(c) is float for c in (*numeric.v, *(c for row in numeric.V for c in row)))
     exact = exp_element(standard_generator("Yn2"), Fraction(2))
     assert isinstance(exact, Isometry)
+    assert all(type(c) is Fraction for c in (*exact.v, *(c for row in exact.V for c in row)))
 
 
 @pytest.mark.parametrize("name", ["Yk1", "Yk2", "Yk3", "Ya", "Yn1", "Yn2"])

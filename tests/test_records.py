@@ -9,7 +9,7 @@ import pytest
 
 from minkact.algebra import lift_constraints, standard_generator
 from minkact.catalog import catalog, entry_by_id, match_catalog, nonproperness_witness
-from minkact.group import exp_map, translation
+from minkact.group import translation
 from minkact.linalg import causal_type, solve_linear, vec4
 from minkact.orbits import ExpInvariant, cohomogeneity
 from minkact.properness import (check_witness, clock_certificate,
@@ -47,7 +47,6 @@ RECORDS = {
     "AlgebraElement": lambda _r: standard_generator("Ya"),
     "LiftFamily": lambda _r: lift_constraints([standard_generator("Ya").linear]),
     "Isometry": lambda _r: translation((1, 2, 3, 5)),
-    "NumericIsometry": lambda _r: exp_map(standard_generator("Ya"))(0.5),
     "NotClosed": lambda _r: closure_check(map(standard_generator, ("Yk1", "Yk2"))),
     "Subalgebra": lambda _r: screw()[0],
     "SubalgebraInvariants": lambda _r: screw()[0].profile,

@@ -122,7 +122,7 @@ def test_every_record_field_is_read():
                for p in sorted(d.glob("*.py"))]
     trees = [ast.parse(p.read_text()) for p in MODULES]
     records = {name: tree for tree in trees for name in record_types(tree)}
-    assert len(records) == 22
+    assert len(records) == 21
     assert {name: unread_fields(dataclass_fields(tree, name), readers)
             for name, tree in records.items()} == dict.fromkeys(records, [])
 
@@ -249,3 +249,66 @@ def test_no_assertion_tests_an_uncalled_method():
     paths = sorted((root / "tests").glob("*.py")) + sorted((root / "perfbench").glob("test_*.py"))
     found = {p.name: uncalled_method_asserts(p.read_text(), methods) for p in paths}
     assert found == dict.fromkeys(found, [])
+
+
+def defaulted_parameters(source):
+    """(function, position, parameter) for each parameter with a default of a
+    module-level function; keyword-only parameters have position None."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            found.extend((node.name, i, a.arg) for i, a in enumerate(positional) if i >= first)
+            found.extend((node.name, None, a.arg)
+                         for a, default in zip(args.kwonlyargs, args.kw_defaults) if default)
+    return found
+
+
+def passed_arguments(sources):
+    """Per called name (a function or an attribute): the most positional
+    arguments one call passes, unbounded through ``*args``, and the keywords
+    passed, None standing for a ``**kwargs``."""
+    positional, keywords = {}, {}
+    for tree in map(ast.parse, sources):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                count = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                         else len(node.args))
+                positional[name] = max(positional.get(name, 0), count)
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return positional, keywords
+
+
+def options_without_caller(definitions, callers):
+    """'function(parameter=)' for each defaulted parameter that no call in
+    ``callers`` passes, by keyword, by position or through ``*args`` or
+    ``**kwargs``: an option nobody sets is a second code path nobody runs."""
+    positional, keywords = passed_arguments(callers)
+    return sorted(f"{name}({param}=)" for source in definitions
+                  for name, position, param in defaulted_parameters(source)
+                  if not {param, None} & keywords.get(name, set())
+                  and (position is None or positional.get(name, 0) <= position))
+
+
+def test_the_check_sees_an_option_without_a_caller():
+    source = ("def scale(x, factor=1, spare=0, *, unit=None, label=''):\n    return x\n\n"
+              "def pick(a, b=2):\n    return a\n")
+    assert defaulted_parameters(source) == [
+        ("scale", 1, "factor"), ("scale", 2, "spare"), ("scale", None, "unit"),
+        ("scale", None, "label"), ("pick", 1, "b")]
+    calls = "scale(2, 3)\nobj.scale(1, unit=2)\npick(1)\n"
+    assert options_without_caller([source], [calls]) == [
+        "pick(b=)", "scale(label=)", "scale(spare=)"]
+    spread = "pick(*pair)\nscale(1, **options)\n"
+    assert options_without_caller([source], [calls, spread]) == []
+
+
+def test_every_option_has_a_caller():
+    root = SRC.parents[1]
+    callers = [p.read_text() for d in (SRC, root / "tests", root / "demos", root / "perfbench")
+               for p in sorted(d.glob("*.py"))]
+    assert options_without_caller([p.read_text() for p in MODULES], callers) == []
