@@ -6,10 +6,12 @@ is added to them scaled by its value; then the expected conjugation
 invariants, explicit witness points for every non-generic orbit stratum, and
 the properness verdict.  Each fact is stated once: the family is the id's
 prefix, the parameter names are the decorations' keys, admissibility is the
-names that must not vanish, the cohomogeneity is 1 unless a record says
-otherwise, the expected strata are the generic dimension plus those of the
-witness points, and the orbit space of a proper table record is derived from
-its Killing fields.  `verify_entry` replays all of it; `match_catalog`
+names that must not vanish, the invariants are the translation ideal's
+signature and the one-parameter types (the causal kind and the three
+dimensions follow), the cohomogeneity is 1 unless a record says otherwise,
+the expected strata are the generic dimension plus those of the witness
+points, and the orbit space of a proper table record is derived from its
+Killing fields.  `verify_entry` replays all of it; `match_catalog`
 re-identifies an arbitrary closed subalgebra against the table: one exact
 linear solve on the span's translation normal form fits a record's parameters.
 
@@ -36,8 +38,7 @@ from typing import NamedTuple
 
 from .algebra import coords10, element, fundamental_field, standard_generator
 from .linalg import (
-    CausalClass,
-    CausalKind,
+    classify_signature,
     echelon_basis,
     mink_inner,
     rank_of,
@@ -91,24 +92,9 @@ _M = OneParamType.MIXED
 _P = OneParamType.PARABOLIC
 
 
-def _sp(n):
-    return CausalClass(CausalKind.SPACELIKE, n, 0, 0)
-
-
-def _lor(d):
-    return CausalClass(CausalKind.LORENTZIAN, d - 1, 1, 0)
-
-
-def _deg(d):
-    return CausalClass(CausalKind.DEGENERATE, d - 1, 0, 1)
-
-
-_TIME1 = CausalClass(CausalKind.TIMELIKE, 0, 1, 0)
-_LIGHT1 = CausalClass(CausalKind.LIGHTLIKE, 0, 0, 1)
-
-
-def _inv(dim, tdim, tcausal, pdim, profile):
-    return SubalgebraInvariants(dim, tdim, tcausal, pdim, tuple(profile))
+def _inv(signature, types):
+    """A record's invariants: its ideal's signature (n+, n-, n0) and its types."""
+    return SubalgebraInvariants(classify_signature(*signature), tuple(types))
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +208,21 @@ def builtin_catalog():
         entry_id="T1:R3",
         summary="translations of a spacelike 3-plane",
         generators=(T1, T2, T3),
-        expected_invariants=_inv(3, 3, _sp(3), 0, ()),
+        expected_invariants=_inv((3, 0, 0), ()),
         proper=True,
     ))
     add(CatalogEntry(
         entry_id="T1:R21",
         summary="translations of a timelike 3-plane",
         generators=(T2, T3, T4),
-        expected_invariants=_inv(3, 3, _lor(3), 0, ()),
+        expected_invariants=_inv((2, 1, 0), ()),
         proper=True,
     ))
     add(CatalogEntry(
         entry_id="T1:W3",
         summary="translations of the degenerate 3-plane x3+x4=0",
         generators=(T1, T2, TL),
-        expected_invariants=_inv(3, 3, _deg(3), 0, ()),
+        expected_invariants=_inv((2, 0, 1), ()),
         proper=True,
     ))
 
@@ -245,7 +231,7 @@ def builtin_catalog():
         entry_id="T2:SO11xR2",
         summary="boost of the (e3,e4) plane times spacelike translations",
         generators=(YA, T1, T2),
-        expected_invariants=_inv(3, 2, _sp(2), 1, (_H,)),
+        expected_invariants=_inv((2, 0, 0), (_H,)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 2)),
         proper=False,
     ))
@@ -253,7 +239,7 @@ def builtin_catalog():
         entry_id="T2:SO2xR11",
         summary="rotation of the (e1,e2) plane times timelike-plane translations",
         generators=(YK1, T3, T4),
-        expected_invariants=_inv(3, 2, _lor(2), 1, (_E,)),
+        expected_invariants=_inv((1, 1, 0), (_E,)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 2), ((0, 0, 3, 5), 2)),
         proper=True,
     ))
@@ -263,7 +249,7 @@ def builtin_catalog():
         generators=(YA, T2, TL),
         decorations={"lam": (T1, O, O)}, nonzero=("lam",),
         defaults=({"lam": Fraction(1)}, {"lam": Fraction(-2)}),
-        expected_invariants=_inv(3, 2, _deg(2), 1, (_H,)),
+        expected_invariants=_inv((1, 0, 1), (_H,)),
         proper=True,
         errata=("erratum:degenerate-locus",),
     ))
@@ -271,7 +257,7 @@ def builtin_catalog():
         entry_id="T2:Ya-W2",
         summary="pure boost extended by the degenerate plane W2 (drift 0)",
         generators=(YA, T2, TL),
-        expected_invariants=_inv(3, 2, _deg(2), 1, (_H,)),
+        expected_invariants=_inv((1, 0, 1), (_H,)),
         strata_witnesses=_const_witnesses(((0, 0, 1, -1), 2), ((0, 0, 0, 0), 2)),
         proper=False,
     ))
@@ -281,7 +267,7 @@ def builtin_catalog():
         generators=(YN1, T2, TL),
         decorations={"mu": (T4, O, O)}, nonzero=("mu",),
         defaults=({"mu": Fraction(3)},),
-        expected_invariants=_inv(3, 2, _deg(2), 1, (_P,)),
+        expected_invariants=_inv((1, 0, 1), (_P,)),
         proper=True,
         errata=("erratum:deg-regime-lorentzian",),
     ))
@@ -289,7 +275,7 @@ def builtin_catalog():
         entry_id="T2:Yn1-W2",
         summary="pure null rotation extended by W2 (drift 0)",
         generators=(YN1, T2, TL),
-        expected_invariants=_inv(3, 2, _deg(2), 1, (_P,)),
+        expected_invariants=_inv((1, 0, 1), (_P,)),
         strata_witnesses=_const_witnesses(((1, 0, 0, 0), 2), ((0, 0, 0, 0), 2)),
         proper=False,
     ))
@@ -299,7 +285,7 @@ def builtin_catalog():
         entry_id="T3:SO21xRe1",
         summary="Lorentz group of the (e2,e3,e4) summand times the e1 line",
         generators=(YK3, YA, YN2, T1),
-        expected_invariants=_inv(4, 1, _sp(1), 3, (_E, _H, _P)),
+        expected_invariants=_inv((1, 0, 0), (_E, _H, _P)),
         strata_witnesses=_const_witnesses(((1, 0, 0, 0), 1)),
         proper=False,
     ))
@@ -307,7 +293,7 @@ def builtin_catalog():
         entry_id="T3:AN2xRe1",
         summary="solvable boost+null-rotation plane group times the e1 line",
         generators=(YA, YN2, T1),
-        expected_invariants=_inv(3, 1, _sp(1), 2, (_H, _P)),
+        expected_invariants=_inv((1, 0, 0), (_H, _P)),
         strata_witnesses=_const_witnesses(((0, 1, 1, -1), 2), ((5, 0, 0, 0), 1)),
         proper=False,
     ))
@@ -315,7 +301,7 @@ def builtin_catalog():
         entry_id="T3:SO3xRe4",
         summary="spatial rotations times time translations",
         generators=(YK1, YK2, YK3, T4),
-        expected_invariants=_inv(4, 1, _TIME1, 3, (_E, _E, _E)),
+        expected_invariants=_inv((0, 1, 0), (_E, _E, _E)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 3), 1)),
         proper=True,
     ))
@@ -323,7 +309,7 @@ def builtin_catalog():
         entry_id="T3:K1A-l",
         summary="rotation+boost pair extended by the null line",
         generators=(YK1, YA, TL),
-        expected_invariants=_inv(3, 1, _LIGHT1, 2, (_E, _H)),
+        expected_invariants=_inv((0, 0, 1), (_E, _H)),
         strata_witnesses=_const_witnesses(
             ((0, 0, 1, 0), 2), ((1, 1, 1, -1), 2), ((0, 0, 1, -1), 1)),
         proper=False,
@@ -334,7 +320,7 @@ def builtin_catalog():
         generators=(YA, YN1, TL),
         decorations={"lam": (T2, O, O)},
         defaults=({"lam": Fraction(1)}, {"lam": Fraction(-2)}),
-        expected_invariants=_inv(3, 1, _LIGHT1, 2, (_H, _P)),
+        expected_invariants=_inv((0, 0, 1), (_H, _P)),
         strata_witnesses=_const_witnesses(((1, 0, 1, -1), 2)),
         proper=False,
     ))
@@ -347,7 +333,7 @@ def builtin_catalog():
                   {"lam": Fraction(1), "mu": Fraction(3)},
                   {"lam": Fraction(-2), "mu": Fraction(0)},
                   {"lam": Fraction(-2), "mu": Fraction(3)}),
-        expected_invariants=_inv(3, 1, _LIGHT1, 2, (_P, _P)),
+        expected_invariants=_inv((0, 0, 1), (_P, _P)),
         strata_witnesses=_screw_witnesses,
         proper=False,
     ))
@@ -355,7 +341,7 @@ def builtin_catalog():
         entry_id="T3:K1N-l",
         summary="rotation plus both null rotations, over the null line",
         generators=(YK1, YN1, YN2, TL),
-        expected_invariants=_inv(4, 1, _LIGHT1, 3, (_E, _P, _P)),
+        expected_invariants=_inv((0, 0, 1), (_E, _P, _P)),
         strata_witnesses=_const_witnesses(((1, 2, 1, -1), 2), ((0, 0, 1, -1), 1)),
         proper=False,
     ))
@@ -366,8 +352,7 @@ def builtin_catalog():
         decorations={"a": (O, O, YK1, O), "b": (O, O, YA, O)}, nonzero=("a", "b"),
         defaults=({"a": Fraction(1), "b": Fraction(1)},
                   {"a": Fraction(2), "b": Fraction(-1)}),
-        expected_invariants=_inv(4, 1, _LIGHT1, 3, (_M, _P, _P)),
-        expected_cohomogeneity=1,  # the table's claim; the verifier computes 0
+        expected_invariants=_inv((0, 0, 1), (_M, _P, _P)),
         strata_witnesses=_const_witnesses(
             ((1, 2, 3, 5), 4), ((1, 2, 1, -1), 2), ((0, 0, 0, 0), 1)),
         proper=False,
@@ -379,7 +364,7 @@ def builtin_catalog():
         entry_id="T4:SO31",
         summary="the full connected Lorentz group (origin fixed)",
         generators=(YK1, YK2, YK3, YA, YN1, YN2),
-        expected_invariants=_inv(6, 0, _sp(0), 6, (_E, _E, _E, _H, _P, _P)),
+        expected_invariants=_inv((0, 0, 0), (_E, _E, _E, _H, _P, _P)),
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 0)),
         proper=False,
     ))
@@ -387,7 +372,7 @@ def builtin_catalog():
         entry_id="T4:K1AN",
         summary="rotation, boost, and both null rotations (origin fixed)",
         generators=(YK1, YA, YN1, YN2),
-        expected_invariants=_inv(4, 0, _sp(0), 4, (_E, _H, _P, _P)),
+        expected_invariants=_inv((0, 0, 0), (_E, _H, _P, _P)),
         strata_witnesses=_const_witnesses(((0, 0, 1, -1), 1), ((0, 0, 0, 0), 0)),
         proper=False,
     ))
@@ -398,7 +383,7 @@ def builtin_catalog():
         decorations={"a": (YK1, O, O), "b": (YA, O, O)}, nonzero=("a", "b"),
         defaults=({"a": Fraction(1), "b": Fraction(1)},
                   {"a": Fraction(2), "b": Fraction(-1)}),
-        expected_invariants=_inv(3, 0, _sp(0), 3, (_M, _P, _P)),
+        expected_invariants=_inv((0, 0, 0), (_M, _P, _P)),
         strata_witnesses=_const_witnesses(((1, 2, 1, -1), 2), ((0, 0, 0, 0), 0)),
         proper=False,
     ))
@@ -406,7 +391,7 @@ def builtin_catalog():
         entry_id="T4:AN",
         summary="boost and both null rotations (origin fixed)",
         generators=(YA, YN1, YN2),
-        expected_invariants=_inv(3, 0, _sp(0), 3, (_H, _P, _P)),
+        expected_invariants=_inv((0, 0, 0), (_H, _P, _P)),
         strata_witnesses=_const_witnesses(((1, 2, 1, -1), 1), ((0, 0, 0, 0), 0)),
         proper=False,
     ))
@@ -416,7 +401,7 @@ def builtin_catalog():
         entry_id="Excluded:SO21",
         summary="Lorentz group of a 3-summand alone: orbits never exceed dim 2",
         generators=(YK3, YA, YN2),
-        expected_invariants=_inv(3, 0, _sp(0), 3, (_E, _H, _P)),
+        expected_invariants=_inv((0, 0, 0), (_E, _H, _P)),
         expected_cohomogeneity=2,
         strata_witnesses=_const_witnesses(((5, 0, 0, 0), 0), ((0, 0, 0, 0), 0)),
         proper=False,
@@ -425,7 +410,7 @@ def builtin_catalog():
         entry_id="Excluded:SO3",
         summary="spatial rotations alone: orbits are spheres (max dim 2)",
         generators=(YK1, YK2, YK3),
-        expected_invariants=_inv(3, 0, _sp(0), 3, (_E, _E, _E)),
+        expected_invariants=_inv((0, 0, 0), (_E, _E, _E)),
         expected_cohomogeneity=2,
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 0)),
         proper=True,
@@ -434,7 +419,7 @@ def builtin_catalog():
         entry_id="Excluded:K1N",
         summary="rotation plus both null rotations without translations: max dim 2",
         generators=(YK1, YN1, YN2),
-        expected_invariants=_inv(3, 0, _sp(0), 3, (_E, _P, _P)),
+        expected_invariants=_inv((0, 0, 0), (_E, _P, _P)),
         expected_cohomogeneity=2,
         strata_witnesses=_const_witnesses(((0, 0, 0, 0), 0), ((0, 0, 1, -1), 0)),
         proper=False,
@@ -443,7 +428,7 @@ def builtin_catalog():
         entry_id="Excluded:K1AN-l",
         summary="point stabilizer extended by the null line: dim-4 orbits appear",
         generators=(YK1, YA, YN1, YN2, TL),
-        expected_invariants=_inv(5, 1, _LIGHT1, 4, (_E, _H, _P, _P)),
+        expected_invariants=_inv((0, 0, 1), (_E, _H, _P, _P)),
         expected_cohomogeneity=0,
         strata_witnesses=_const_witnesses(
             ((1, 2, 3, 5), 4), ((1, 2, 3, -3), 2), ((0, 0, 0, 0), 1)),
@@ -453,7 +438,7 @@ def builtin_catalog():
         entry_id="Excluded:AN-l",
         summary="boost and null rotations over the null line: dim-4 orbits appear",
         generators=(YA, YN1, YN2, TL),
-        expected_invariants=_inv(4, 1, _LIGHT1, 3, (_H, _P, _P)),
+        expected_invariants=_inv((0, 0, 1), (_H, _P, _P)),
         expected_cohomogeneity=0,
         strata_witnesses=_const_witnesses(((1, 2, 3, -3), 1), ((0, 0, 0, 0), 1)),
         proper=False,
@@ -462,7 +447,7 @@ def builtin_catalog():
         entry_id="Excluded:AN1-W2",
         summary="boost and one null rotation over W2: dim-4 orbits appear",
         generators=(YA, YN1, T2, TL),
-        expected_invariants=_inv(4, 2, _deg(2), 2, (_H, _P)),
+        expected_invariants=_inv((1, 0, 1), (_H, _P)),
         expected_cohomogeneity=0,
         strata_witnesses=_const_witnesses(((1, 2, 3, -3), 2)),
         proper=False,
@@ -626,8 +611,8 @@ def _check_invariants(run):
 
 def _declared_mismatch(run, params, survey):
     """The first declared (point, dim) whose orbit, one of the survey's extra
-    points, has another dimension, as (point, got, want); else None."""
-    return next(((pt, rep.dim, want) for (pt, want), rep
+    points, has another dimension, as (point text, got, want); else None."""
+    return next(((point_text(pt), rep.dim, want) for (pt, want), rep
                  in zip(run.entry.strata_witnesses(params), survey.strata[run.samples:])
                  if rep.dim != want), None)
 
@@ -651,9 +636,9 @@ def _check_cohomogeneity(run):
         for orbit in rep.strata if isinstance(space, OrbitSpaceSpec) else ():
             expect = orbit.dim == 3 and space.causal_at(orbit.point)
             if expect and orbit.causal.kind is not expect:
-                return _failed("cohomogeneity", params, f"principal orbit at {orbit.point} is "
-                                                        f"{orbit.causal.kind.value}, expected "
-                                                        f"{expect.value}")
+                return _failed("cohomogeneity", params,
+                               f"principal orbit at {point_text(orbit.point)} is "
+                               f"{orbit.causal.kind.value}, expected {expect.value}")
     dims = ",".join(str(d) for d in entry.expected_strata(entry.defaults[0]))
     return CheckResult("cohomogeneity", True,
                        f"orbit dims {{{dims}}} over {run.samples} samples + declared loci")
@@ -837,8 +822,8 @@ def _erratum_dim4(run):
         if det != (_SIGMA * _SIGMA * _SIGMA).scale(-params["b"]):
             return _failed("erratum:dim4-off-W3", params, f"det of the four fields is {det}")
         if mismatch := _declared_mismatch(run, params, survey):
-            return CheckResult("erratum:dim4-off-W3", False,
-                               f"orbit dim at {point_text(mismatch[0])} is {mismatch[1]}")
+            return _failed("erratum:dim4-off-W3", params,
+                           "orbit dim at {} is {}".format(*mismatch))
     return CheckResult(
         "erratum:dim4-off-W3", True,
         "orbits have dimension 4 off the null hyperplane p3+p4=0 (det of the "

@@ -292,27 +292,22 @@ def invariant_forms(linears):
 
 
 class SubalgebraInvariants(NamedTuple):
-    """Cheap conjugation-invariant profile used to pre-filter catalog matches."""
+    """Cheap conjugation-invariant profile used to pre-filter catalog matches:
+    the translation ideal's causal class and the projection's sorted types."""
 
-    dim: int
-    translation_dim: int
     translation_causal: CausalClass
-    projection_dim: int
     one_param_profile: tuple
 
     def describe(self) -> str:
-        profile = ",".join(t.value for t in self.one_param_profile) or "-"
-        return (f"dim {self.dim}; translations {self.translation_dim} "
-                f"({self.translation_causal}); linear {self.projection_dim} [{profile}]")
+        """The profile with the dimensions it implies: the ideal's n+ + n- + n0,
+        the projection's one type per dimension, and their sum."""
+        c, types = self.translation_causal, self.one_param_profile
+        t = c.n_plus + c.n_minus + c.n_zero
+        return (f"dim {t + len(types)}; translations {t} ({c}); "
+                f"linear {len(types)} [{','.join(x.value for x in types) or '-'}]")
 
 
 def invariants(h: Subalgebra) -> SubalgebraInvariants:
     translations, projection = split_parts(h)
     profile = tuple(sorted((one_param_type(x) for x in projection), key=lambda t: t.value))
-    return SubalgebraInvariants(
-        dim=h.dim,
-        translation_dim=len(translations),
-        translation_causal=causal_type(translations),
-        projection_dim=len(projection),
-        one_param_profile=profile,
-    )
+    return SubalgebraInvariants(causal_type(translations), profile)

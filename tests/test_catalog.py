@@ -23,8 +23,8 @@ from minkact.catalog import (
 )
 from minkact.group import act, cayley_so3, compose, rational_boost_34, translation
 from minkact.linalg import CausalKind, integral, vec4
-from minkact.orbits import (ExpInvariant, OrbitSpaceKind, Poly, cohomogeneity, orbit_dimension,
-                            orbit_space_report, orbit_space_spec)
+from minkact.orbits import (ExpInvariant, OrbitSpaceKind, OrbitSpaceSpec, Poly, cohomogeneity,
+                            orbit_dimension, orbit_space_report, orbit_space_spec)
 from minkact.properness import check_witness, fixed_point_nonproper_certificate
 from minkact.subalgebra import normalize_translations, recenter, require_closed
 
@@ -260,6 +260,38 @@ def test_a_wrong_proper_flag_fails_rows_instead_of_raising(entry_id):
         assert failed == {"properness", "orbit_space"}
         assert rows["orbit_space"].detail == (
             "at -: no coordinate axis separates the invariant's levels")
+
+
+def _row(entry, name):
+    return next(c for c in verify_entry(entry).checks if c.name == name)
+
+
+# every point in a FAIL detail is printed as point_text prints it, after the
+# instantiation it was found at
+
+def test_a_principal_orbit_of_the_wrong_causal_kind_is_printed_as_text(monkeypatch):
+    monkeypatch.setattr(OrbitSpaceSpec, "causal_at", lambda _self, _p: CausalKind.SPACELIKE)
+    check = _row(entry_by_id("T2:SO2xR11"), "cohomogeneity")
+    assert not check.passed
+    assert check.detail == (
+        "at -: principal orbit at (10/3,-13/2,-47/5,0) is Lorentzian, expected Spacelike")
+
+
+def test_a_declared_point_of_the_wrong_dimension_is_printed_as_text():
+    entry = entry_by_id("T3:K1A-l")
+    points = entry.stratum_points({})
+    entry = entry._replace(strata_witnesses=lambda _p: tuple(zip(points, (1, 2, 2))))
+    check = _row(entry, "cohomogeneity")
+    assert not check.passed
+    assert check.detail == "at -: declared stratum point (0,0,1,0) has dim 2, expected 1"
+
+
+def test_the_dimension_erratum_names_its_instantiation():
+    entry = entry_by_id("T3:N-aK1bA-l")
+    declared = entry.strata_witnesses({})[:-1] + (((0, 0, 0, 0), 2),)
+    check = _row(entry._replace(strata_witnesses=lambda _p: declared), "erratum:dim4-off-W3")
+    assert not check.passed
+    assert check.detail == "at a=1,b=1: orbit dim at (0,0,0,0) is 1"
 
 
 def test_verify_rows_are_the_benchmark_oracle_rows(monkeypatch):

@@ -34,6 +34,7 @@ from minkact.orbits import (
     lie_derivative,
     orbit_dimension,
     orbit_space_report,
+    orbit_space_spec,
     quadratic_point,
 )
 from minkact.subalgebra import Subalgebra, closure_check, require_closed
@@ -539,3 +540,23 @@ def test_transversal_missing_boundary_fails():
     )
     with pytest.raises(EvidenceFailedError):
         orbit_space_report(h, spec, cohomogeneity(h))
+
+
+def test_a_shifted_halfline_invariant_fails_where_it_is_negative():
+    h = require_closed((YK1, E3, E4))
+    spec = OrbitSpaceSpec(
+        kind=OrbitSpaceKind.HALFLINE,
+        invariant=P1 * P1 + P2 * P2 - Poly.const(1),
+        transversal=(vec4(0, 0, 0, 0), vec4(1, 0, 0, 0), vec4(2, 0, 0, 0)),
+        singular=(3, CausalKind.LORENTZIAN),
+    )
+    with pytest.raises(EvidenceFailedError, match=r"invariant is negative at \(0,0,0,0\)"):
+        orbit_space_report(h, spec, cohomogeneity(h))
+
+
+def test_open_orbits_have_no_orbit_space():
+    # Excluded:AN-l has four-dimensional orbits: no form is invariant and no
+    # exponential is semi-invariant
+    with pytest.raises(EvidenceFailedError,
+                       match="no invariant form or exponential semi-invariant"):
+        orbit_space_spec(require_closed(entry_by_id("Excluded:AN-l").build({})))

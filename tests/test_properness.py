@@ -391,14 +391,29 @@ def scaled_identity(c):
     return tuple(tuple(c if i == j else 0.0 for j in range(4)) for i in range(4))
 
 
-def test_bounded_sequence_is_rejected():
-    fake = WitnessSequence(
-        description="identity forever",
-        group_at=lambda n: (scaled_identity(1.0), (0.0,) * 4),
-        point_at=lambda n: (0.0,) * 4,
-    )
-    with pytest.raises(WitnessFailedError, match="do not diverge"):
-        check_witness(fake)
+def fake_witness(group_at, point_at=lambda n: (0.0,) * 4):
+    return WitnessSequence(description="a hand-made sequence", group_at=group_at,
+                           point_at=point_at)
+
+
+def dilation(n):
+    return scaled_identity(float(n)), (0.0,) * 4
+
+
+@pytest.mark.parametrize("witness,steps,message", [
+    (fake_witness(lambda n: (scaled_identity(1.0), (0.0,) * 4)), 1024, "do not diverge"),
+    (fake_witness(lambda n: dilation(300 if n == 1024 else n)), 1024,
+     "not eventually monotone"),
+    (fake_witness(dilation, lambda n: (math.sin(float(n)), 0.0, 0.0, 0.0)), 1024,
+     "base points are not Cauchy"),
+    (fake_witness(lambda n: (scaled_identity(float(n)), (math.sin(float(n)), 0.0, 0.0, 0.0))),
+     1024, "images are not Cauchy"),
+    (fixed_point_witness(YA.linear, (0, 0, 0, 0), OneParamType.HYPERBOLIC), 7,
+     "at least 4 dyadic steps"),
+], ids=["bounded", "norm-dip", "wandering-base-point", "wandering-image", "short-ladder"])
+def test_a_witness_failing_a_condition_is_rejected(witness, steps, message):
+    with pytest.raises(WitnessFailedError, match=message):
+        check_witness(witness, steps=steps)
 
 
 @pytest.mark.parametrize("witness,message", [
@@ -410,16 +425,6 @@ def test_bounded_sequence_is_rejected():
 def test_witness_outside_float_reach_raises_overflow(witness, message):
     with pytest.raises(OverflowError, match=message):
         check_witness(witness)
-
-
-def test_wandering_base_point_is_rejected():
-    fake = WitnessSequence(
-        description="diverging group, non-Cauchy points",
-        group_at=lambda n: (scaled_identity(float(n)), (0.0,) * 4),
-        point_at=lambda n: (math.sin(float(n)), 0.0, 0.0, 0.0),
-    )
-    with pytest.raises(WitnessFailedError, match="not Cauchy"):
-        check_witness(fake)
 
 
 # ---------------------------------------------------------------------------

@@ -365,11 +365,10 @@ def test_normalization_residuals_are_conjugation_invariant():
 
 def test_invariants_of_boost_with_spacelike_plane():
     inv = invariants(require_closed((YA, E1, E2)))
-    assert inv.dim == 3
-    assert inv.translation_dim == 2
     assert inv.translation_causal.kind is CausalKind.SPACELIKE
-    assert inv.projection_dim == 1
     assert inv.one_param_profile == (OneParamType.HYPERBOLIC,)
+    assert inv.describe() == ("dim 3; translations 2 (Spacelike (2,0,0)); "
+                              "linear 1 [Hyperbolic]")
 
 
 def test_invariants_profile_is_sorted_and_conjugation_invariant():
