@@ -18,7 +18,7 @@ from .linalg import (
     ZERO4,
     ZERO_MAT4,
     DependentBasisError,
-    echelon_basis,
+    echelon_form,
     frac,
     integer_rref,
     integral,
@@ -29,7 +29,7 @@ from .linalg import (
     mat_sub,
     matmul,
     matvec,
-    reduce_mod,
+    reduce_form,
     solve_linear,
     transpose,
     vadd,
@@ -132,7 +132,8 @@ def structure_constants(basis) -> dict:
     column takes a pivot; a bracket lies in the span when its column vanishes
     below the pivot rows, which then hold d times its coefficients.  Raises
     DependentBasisError for dependent input, and NotClosedError with the first
-    pair (i, j) outside the span and its bracket otherwise.
+    pair (i, j) outside the span and its bracket, read off the same integer
+    rows, otherwise.
     """
     k = len(basis)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -143,7 +144,8 @@ def structure_constants(basis) -> dict:
         raise DependentBasisError("basis of a subalgebra must be independent")
     for col, (i, j) in enumerate(pairs, k):
         if any(row[col] for row in reduced[k:]):
-            raise NotClosedError(i, j, bracket(basis[i], basis[j]))
+            raise NotClosedError(i, j, from_coords10(
+                [Fraction(x, d * d) for x in bracket10(rows[i], rows[j])]))
     return {pair: tuple(Fraction(row[col], row[p] * d) for row, p in zip(reduced, pivots))
             for col, pair in enumerate(pairs, k)}
 
@@ -243,9 +245,10 @@ class LiftFamily(NamedTuple):
 
 
 def reduction_matrix(span_vectors):
-    """Matrix of the linear map 'reduce modulo span' on R^4 (kills the span)."""
-    ech = echelon_basis(list(span_vectors))
-    return transpose([reduce_mod(ech, e) for e in IDENTITY4])
+    """Matrix of d times the linear map 'reduce modulo span' on R^4, for d
+    the denominator of the span's :func:`echelon_form`: its kernel is the span."""
+    form = echelon_form(span_vectors)
+    return transpose([reduce_form(form, e) for e in IDENTITY4])
 
 
 def lift_constraints(proj_basis, translation_span=()) -> LiftFamily:

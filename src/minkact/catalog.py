@@ -39,10 +39,11 @@ from typing import NamedTuple
 from .algebra import coords10, element, fundamental_field, standard_generator
 from .linalg import (
     classify_signature,
-    echelon_basis,
+    echelon_form,
+    integral,
     mink_inner,
     rank_of,
-    reduce_mod,
+    reduce_form,
     solve_linear,
     vec4,
 )
@@ -477,24 +478,25 @@ class MatchResult(NamedTuple):
 
 
 def _fit_parameters(entry, target):
-    """The parameters at which ``entry.build`` spans exactly the echelon rows
-    ``target``, or None.
+    """The parameters at which ``entry.build`` spans exactly the echelon form
+    ``target`` = (rows, d), or None.
 
     The basis is affine in the parameters, generators plus decorations, so
-    its remainder modulo ``target`` is too: one exact solve makes the
-    generators' remainders cancel against the decorations'.  A unique
-    solution is the fit.  A line of solutions through zero is a homogeneous
-    family, fixed only up to scale (the rotation/boost mixtures); it is
-    normalized to first parameter 1.  Anything else fits nothing.  Every
-    fitted build vector then lies in the span of ``target``, so the build
-    spans it exactly when its rank is ``len(target)``.
+    its remainder modulo ``target`` is too: one exact solve, on all their
+    coordinates over one denominator, makes the generators' remainders cancel
+    against the decorations'.  A unique solution is the fit.  A line of
+    solutions through zero is a homogeneous family, fixed only up to scale
+    (the rotation/boost mixtures); it is normalized to first parameter 1.
+    Anything else fits nothing.  Every fitted build vector then lies in the
+    span of ``target``, so the build spans it exactly when its rank is the
+    number of ``target`` rows.
     """
-    def remainders(basis):
-        return [x for b in basis for x in reduce_mod(target, coords10(b))]
-
-    base = remainders(entry.generators)
-    units = [remainders(d) for d in entry.decorations.values()]
-    sol = solve_linear([[u[r] for u in units] for r in range(len(base))], [-z for z in base])
+    width = 10 * len(entry.generators)
+    ints, _ = integral([coords10(b) for basis in (entry.generators, *entry.decorations.values())
+                        for b in basis])
+    rems = [x for row in ints for x in reduce_form(target, row)]
+    base, units = rems[:width], [rems[i:i + width] for i in range(width, len(rems), width)]
+    sol = solve_linear([[u[r] for u in units] for r in range(width)], [-z for z in base])
     if sol.particular is None or len(sol.kernel) > 1:
         return None
     values = sol.particular
@@ -504,7 +506,7 @@ def _fit_parameters(entry, target):
             return None
         values = tuple(x / line[0] for x in line)
     params = dict(zip(entry.params, values))
-    return params if rank_of([coords10(b) for b in entry.build(params)]) == len(target) else None
+    return params if rank_of(map(coords10, entry.build(params))) == len(target[0]) else None
 
 
 def match_catalog(h: Subalgebra):
@@ -790,8 +792,8 @@ def _erratum_not_closed(run):
             return CheckResult("erratum:printed-lambda-not-closed", False,
                                f"decorated variant unexpectedly closed at "
                                f"a={a}, b={b}")
-        rows = echelon_basis([coords10(x) for x in printed])
-        residual = reduce_mod(rows, coords10(verdict.witness))
+        form = echelon_form(coords10(x) for x in printed)
+        residual = tuple(x / form[1] for x in reduce_form(form, coords10(verdict.witness)))
         expected = coords10(T1.scaled(-2 * a) + T2.scaled(-b))
         if residual != expected:
             return CheckResult("erratum:printed-lambda-not-closed", False,

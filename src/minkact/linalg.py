@@ -5,8 +5,9 @@ Nothing in this module makes a float.  Vectors are 4-tuples of
 sums serve float tuples alike).  Elimination and signatures run on Python
 ints: :func:`integral` clears the denominators and :func:`integer_rref` is
 the one Gauss-Jordan kernel, under :func:`rref` and every solve built on it;
-a reader of a rank alone uses the forward-only :func:`integer_rank`.  The
-signature convention is (+, +, +, -) with ``eta`` the diagonal form matrix.
+a reader of a rank alone uses the forward-only :func:`integer_rank`.  A span
+is its integer :func:`echelon_form`, which :func:`reduce_form` reduces modulo.
+The signature convention is (+, +, +, -) with ``eta`` the diagonal form matrix.
 """
 
 from __future__ import annotations
@@ -208,31 +209,39 @@ def rank_of(rows) -> int:
     return integer_rank(integral(list(rows))[0])
 
 
+def echelon_form(vectors):
+    """(rows, d): the reduced echelon rows of the span of ``vectors`` as integer
+    rows over one denominator d > 0.  Every pivot is d and the gcd of d and all
+    the entries is 1, so equal spans give equal pairs: pivot row i of
+    :func:`integer_rref`, at content one, is its pivot p_i times reduced row i
+    in lowest terms, so d is the lcm of the p_i and row i is scaled by d / p_i."""
+    ints, pivots = integer_rref(integral(list(vectors))[0])
+    d = math.lcm(*(row[c] for row, c in zip(ints, pivots)))
+    return tuple(tuple(x * (d // row[c]) for x in row) for row, c in zip(ints, pivots)), d
+
+
+def reduce_form(form, v):
+    """d times the remainder of ``v`` modulo the span of ``form`` = (rows, d):
+    the rows are d R_i for reduced echelon rows R_i, so d (v - sum v[c_i] R_i),
+    c_i the pivot columns, is d v - sum v[c_i] row_i.  It is linear in ``v``,
+    integer for integer ``v``, and zero exactly when ``v`` lies in the span."""
+    rows, d = form
+    out = [d * x for x in v]
+    for row in rows:
+        f = v[next(i for i, x in enumerate(row) if x)]
+        if f:
+            out = [x - f * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
 def echelon_basis(vectors):
-    """Deterministic echelonized basis of the span of ``vectors``."""
-    reduced, pivots = rref(vectors)
-    return reduced[:len(pivots)]
-
-
-def reduce_mod(echelon_rows, v):
-    """Remainder of ``v`` modulo the span of ``echelon_rows``.
-
-    The rows must be in reduced echelon form (as :func:`echelon_basis` returns
-    them): each row's pivot column is then cleared from ``v`` without
-    disturbing the pivots already cleared.  The remainder is zero exactly when
-    ``v`` lies in the span.
-    """
-    v = tuple(v)
-    for row in echelon_rows:
-        piv = next(i for i, c in enumerate(row) if c != 0)
-        if v[piv] != 0:
-            f = v[piv] / row[piv]
-            v = tuple(x - f * y for x, y in zip(v, row))
-    return v
+    """The rows of the :func:`echelon_form` of ``vectors`` as Fractions."""
+    rows, d = echelon_form(vectors)
+    return [tuple(Fraction(x, d) for x in row) for row in rows]
 
 
 def spans_equal(vs, ws) -> bool:
-    return echelon_basis(list(vs)) == echelon_basis(list(ws))
+    return echelon_form(vs) == echelon_form(ws)
 
 
 class LinearSolution(NamedTuple):

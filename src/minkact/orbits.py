@@ -332,9 +332,9 @@ def generic_orbit_dimension(h: Subalgebra, seen: int = 0) -> int:
     root of a nonzero minor reaches T, so a minor nonzero anywhere is
     nonzero at p*."""
     d = min(h.dim, 4)
-    if seen == d or seen == 3 and not any(x for row in h.normal_form[1] for x in row[6:]):
+    if seen == d or seen == 3 and not any(x for row in h.normal_form[1][0] for x in row[6:]):
         return seen
-    ideal = [row[6:] for row in h.echelon_rows if not any(row[:6])]
+    ideal = [row[6:] for row in h.echelon_rows[0] if not any(row[:6])]
     pivots = {next(c for c, x in enumerate(v) if x) for v in ideal}
     if any(sum(map(mul, r, v)) for gen in h.quotient_rows[1] for r in gen for v in ideal):
         pivots = set()  # X V is not in V: every coordinate stays free

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .algebra import AlgebraElement, element
 from .group import act, cayley, compose, exp_element, exp_map, translation
-from .linalg import (ZERO4, echelon_basis, kernel_of, mat_is_zero, matvec, reduce_mod,
+from .linalg import (ZERO4, echelon_form, kernel_of, mat_is_zero, matvec, reduce_form,
                      solve_linear, sylvester_signature, transpose, vadd, vec4, vsub)
 from .orbits import QuadraticPoint, clocks, killing_matrix, point_text
 from .subalgebra import (OneParamType, Subalgebra, _pfaffian_polar, _trace_product,
@@ -370,7 +370,8 @@ def recover_element(cert: ClockCertificate, x, y):
     sx = _image(s, x)
     if cert.kind == "translations":
         d = vsub(y, sx)
-        k = translation(vsub(d, reduce_mod(echelon_basis([z.trans for z in cert.kernel]), d)))
+        form = echelon_form(z.trans for z in cert.kernel)
+        k = translation(vsub(d, [x / form[1] for x in reduce_form(form, d)]))
     else:
         u, v = vsub(sx, cert.point), vsub(y, cert.point)
         w = vadd(u, v)

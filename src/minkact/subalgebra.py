@@ -7,6 +7,7 @@ invariant profile used for catalog matching.
 from __future__ import annotations
 
 import functools
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -22,11 +23,11 @@ from .linalg import (
     CausalClass,
     causal_type,
     char_poly,
-    echelon_basis,
+    echelon_form,
     integral,
     mat_is_zero,
     matvec,
-    reduce_mod,
+    reduce_form,
     solve_linear,
     vadd,
 )
@@ -101,16 +102,15 @@ class Subalgebra(_Record):
         row, the rows d*r_q - sum_j T_j[q] r_(P_j) of its integer (d*X | d*x) for
         each column q that no ideal row T_j (pivot P_j) pivots on.  Dotted with
         (D*p, D), they give its field at p modulo the ideal's constant fields."""
-        ints, d = integral(self.echelon_rows)  # the ideal rows' pivots become d
+        ints, d = self.echelon_rows  # the ideal rows' pivots are d
         k = sum(1 for row in ints if any(row[:6]))  # echelon order: linear rows first
         ideal = [row[6:] for row in ints[k:]]
         pivots = [next(c for c, x in enumerate(row) if x) for row in ideal]
         rows = []
-        for row in ints[:k]:
-            aff = [(*r, t) for r, t in zip(linear_from_coords(row[:6], int), row[6:])]
-            rows.append(tuple([d * a - sum(t[q] * aff[p][i] for t, p in zip(ideal, pivots))
-                               for i, a in enumerate(aff[q])]
-                              for q in range(4) if q not in pivots))
+        for row in ints[:k]:  # reduce_form of each column of (d*X | d*x)
+            cols = [reduce_form((ideal, d), col)
+                    for col in (*zip(*linear_from_coords(row[:6], int)), row[6:])]
+            rows.append(tuple([c[q] for c in cols] for q in range(4) if q not in pivots))
         return len(ideal), tuple(rows)
 
     @functools.cached_property
@@ -120,14 +120,14 @@ class Subalgebra(_Record):
 
     @functools.cached_property
     def normal_form(self):
-        """(p, rows): the translation normal form of the span, computed once
+        """(p, form): the translation normal form of the span, computed once
         per subalgebra; see :func:`normalize_translations`."""
         return _translation_normal_form(self)
 
     @functools.cached_property
     def echelon_rows(self):
-        """Echelon rows of the span (linear rows first), computed once."""
-        return tuple(echelon_basis([coords10(b) for b in self.basis]))
+        """The span's :func:`echelon_form` (rows, d), linear rows first, computed once."""
+        return echelon_form(coords10(b) for b in self.basis)
 
 
 class NotClosed(NamedTuple):
@@ -164,40 +164,44 @@ def require_closed(basis) -> Subalgebra:
 
 
 def split_parts(h: Subalgebra):
-    """(translation basis, projection basis): h's intersection with the
-    translations and the image of its linear-part projection, both echelonized.
-    """
-    rows = h.echelon_rows
-    translations = [row[6:] for row in rows if all(c == 0 for c in row[:6])]
-    projection = [linear_from_coords(row[:6]) for row in rows
-                  if any(c != 0 for c in row[:6])]
+    """(translation rows, projection matrices): d times echelonized bases of h's
+    intersection with the translations and of the span of its linear parts."""
+    rows, _ = h.echelon_rows
+    translations = [row[6:] for row in rows if not any(row[:6])]
+    projection = [linear_from_coords(row[:6], int) for row in rows if any(row[:6])]
     return translations, projection
 
 
 def _translation_normal_form(h: Subalgebra):
-    """(p, echelon rows of the span recentred at p), read off the span alone.
+    """(p, echelon form of the span recentred at p), read off the span alone.
 
-    The echelon rows of h are linear rows (X_i, x_i), then the translation
-    ideal's rows (0, t).  Recentring at p makes the decorations x_i, stacked
-    and reduced modulo the ideal, D + M p: column j of M is X_i e_j reduced
-    modulo the ideal, stacked over i.  Their canonical value is the remainder
-    r of D modulo the column span of M, and p solves M p = r - D.
+    The echelon rows of h are d times linear rows (X_i, x_i), then d times the
+    translation ideal's rows (0, t).  Recentring at p makes the decorations
+    x_i, stacked and reduced modulo the ideal, D + M p: column j of M is
+    X_i e_j reduced modulo the ideal, stacked over i.  Their canonical value
+    is the remainder r of D modulo the column span of M, and p solves
+    M p = r - D.  Here d^2 M and e d r are integers, e the denominator of the
+    echelon form of M's columns, and so are the recentred rows over e d.
     """
-    rows = h.echelon_rows
+    rows, d = form = h.echelon_rows
     linear = [row for row in rows if any(row[:6])]  # echelon order: these come first
     ideal_rows = rows[len(linear):]
     if not linear:
-        return (Fraction(0),) * 4, ideal_rows
-    ideal = [row[6:] for row in ideal_rows]
-    mats = [linear_from_coords(row[:6]) for row in linear]
-    moves = [[x for m in mats for x in reduce_mod(ideal, [r[j] for r in m])]
+        return (Fraction(0),) * 4, form
+    ideal = ([row[6:] for row in ideal_rows], d)
+    mats = [linear_from_coords(row[:6], int) for row in linear]
+    moves = [[x for m in mats for x in reduce_form(ideal, [r[j] for r in m])]
              for j in range(4)]
     decorations = [x for row in linear for x in row[6:]]
-    residual = reduce_mod(echelon_basis(moves), decorations)
-    p = solve_linear(list(zip(*moves)),
-                     [r - d for r, d in zip(residual, decorations)]).particular
-    normal = tuple((*row[:6], *residual[4 * i:4 * i + 4]) for i, row in enumerate(linear))
-    return p, normal + ideal_rows
+    moves_form = echelon_form(moves)
+    residual, e = reduce_form(moves_form, decorations), moves_form[1]
+    p = solve_linear([[e * x for x in row] for row in zip(*moves)],
+                     [d * (r - e * x) for r, x in zip(residual, decorations)]).particular
+    normal = [(*(e * x for x in row[:6]), *residual[4 * i:4 * i + 4])
+              for i, row in enumerate(linear)]
+    normal += [tuple(e * x for x in row) for row in ideal_rows]
+    g = math.gcd(e * d, *(x for row in normal for x in row))
+    return p, (tuple(tuple(x // g for x in row) for row in normal), e * d // g)
 
 
 def normalize_translations(h: Subalgebra):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from minkact.algebra import adjoint, coords10, standard_generator
 from minkact.catalog import (
+    O,
     _fit_parameters,
     catalog,
     entry_by_id,
@@ -173,6 +174,19 @@ def test_a_fit_spanning_less_than_the_target_is_rejected():
     ya, e2, _ = entry.generators
     assert _fit_parameters(entry, target) == {}
     assert _fit_parameters(entry._replace(generators=(ya, e2, e2)), target) is None
+
+
+@pytest.mark.parametrize("entry, name", [pytest.param(e, name, id=f"{e.entry_id}-{name}")
+                                         for e in PARAMETRISED for name in e.params])
+def test_a_mutated_record_fits_with_its_own_rows(entry, name):
+    # the mutant keeps the entry_id, so a fit that remembered a record's
+    # remainders by its id would fit the original's normal form again
+    target = require_closed(entry.build(entry.defaults[0])).normal_form[1]
+    mutant = entry._replace(decorations={**entry.decorations,
+                                         name: (O,) * len(entry.generators)})
+    assert _fit_parameters(entry, target) is not None
+    assert mutant.entry_id == entry.entry_id
+    assert _fit_parameters(mutant, target) is None
 
 
 def test_matching_survives_translation_conjugation():

@@ -15,6 +15,7 @@ from minkact.linalg import (
     char_poly,
     classify_signature,
     echelon_basis,
+    echelon_form,
     frac,
     integer_rank,
     integer_rref,
@@ -23,7 +24,7 @@ from minkact.linalg import (
     mat,
     mink_inner,
     rank_of,
-    reduce_mod,
+    reduce_form,
     rref,
     solve_linear,
     spans_equal,
@@ -72,10 +73,15 @@ def test_rref_pivot_limit_leaves_augmented_column_unpivoted():
 
 
 def test_reduce_mod_echelon_basis():
-    ech = echelon_basis([(1, 0, 2, 0), (0, 1, 0, 3)])
-    assert reduce_mod(ech, (2, -1, 4, -3)) == (0, 0, 0, 0)
-    assert reduce_mod(ech, (1, 1, 3, 3)) == (0, 0, 1, 0)
-    assert reduce_mod([], (1, 2, 3, 4)) == (1, 2, 3, 4)
+    form = echelon_form([(1, 0, 2, 0), (0, 1, 0, 3)])
+    assert form == (((1, 0, 2, 0), (0, 1, 0, 3)), 1)
+    assert reduce_form(form, (2, -1, 4, -3)) == (0, 0, 0, 0)
+    assert reduce_form(form, (1, 1, 3, 3)) == (0, 0, 1, 0)
+    assert reduce_form(echelon_form([]), (1, 2, 3, 4)) == (1, 2, 3, 4)
+    # the reduced row (1, 0, 1/2, 0) over d = 2: d times the remainder
+    half = echelon_form([(Fraction(-4, 3), 0, Fraction(-2, 3), 0)])
+    assert half == (((2, 0, 1, 0),), 2)
+    assert reduce_form(half, (1, 0, 0, 0)) == (0, 0, -1, 0)
 
 
 def test_rank_and_span_membership():
@@ -310,6 +316,57 @@ def test_kernel_of_is_sympy_nullspace_made_primitive(rows):
         assert math.gcd(*(int(x) for x in v)) == 1
         assert v[f] > 0
         assert [v[f] * Fraction(int(x.p), int(x.q)) for x in w] == list(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_dependent_rows())
+@example([[Fraction(0), Fraction(0)]])
+@example([[Fraction(-4, 3), Fraction(2, 9)], [Fraction(1, 6), Fraction(0)]])
+def test_echelon_form_is_the_sympy_rref_times_its_denominator(rows):
+    ints, d = echelon_form(rows)
+    reduced, pivots = _sympy_rref(rows)
+    assert d > 0 and all(type(x) is int for row in ints for x in row)
+    assert list(ints) == [tuple(d * x for x in row) for row in reduced[:len(pivots)]]
+    assert [row[c] for row, c in zip(ints, pivots)] == [d] * len(pivots)
+    assert math.gcd(d, *(x for row in ints for x in row)) == 1
+    assert echelon_basis(rows) == reduced[:len(pivots)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_dependent_rows(), st.data())
+def test_two_bases_of_one_span_give_one_echelon_form(rows, data):
+    # an invertible change of basis: unit lower-triangular integer shears,
+    # nonzero rational scales and a new order
+    m, cols = len(rows), len(rows[0])
+    shears = data.draw(st.lists(st.integers(-3, 3), min_size=m * m, max_size=m * m))
+    scales = data.draw(st.lists(rationals.filter(bool), min_size=m, max_size=m))
+    order = data.draw(st.permutations(range(m)))
+    mixed = [[scales[i] * (rows[i][c] + sum(shears[m * i + j] * rows[j][c] for j in range(i)))
+              for c in range(cols)] for i in range(m)]
+    form = echelon_form(rows)
+    assert echelon_form([mixed[i] for i in order]) == form
+    assert echelon_form(rows + mixed) == form
+    assert spans_equal(mixed, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_dependent_rows(), st.data())
+def test_reduce_form_is_d_times_the_remainder_and_linear(rows, data):
+    cols = len(rows[0])
+    u, v = (data.draw(st.lists(rationals, min_size=cols, max_size=cols)) for _ in range(2))
+    a, b = data.draw(rationals), data.draw(rationals)
+    form = echelon_form(rows)
+    reduced, pivots = _sympy_rref(rows)
+    # the Fraction remainder: zero on the pivot columns, u less a vector of the span
+    remainder = [x - sum((u[c] * r[k] for r, c in zip(reduced, pivots)), Fraction(0))
+                 for k, x in enumerate(u)]
+    assert not any(remainder[c] for c in pivots)
+    assert sympy.Matrix(rows + [[x - y for x, y in zip(u, remainder)]]).rank() == len(pivots)
+    assert reduce_form(form, u) == tuple(form[1] * x for x in remainder)
+    combined = reduce_form(form, [a * x + b * y for x, y in zip(u, v)])
+    assert combined == tuple(a * x + b * y
+                             for x, y in zip(reduce_form(form, u), reduce_form(form, v)))
+    assert all(type(x) is int for x in reduce_form(form, range(cols)))
 
 
 def _eigenvalue_signs(gram):

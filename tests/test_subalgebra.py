@@ -33,7 +33,7 @@ from minkact.linalg import (
     mat_is_zero,
     matmul,
     rank_of,
-    reduce_mod,
+    reduce_form,
     solve_linear,
     vec4,
 )
@@ -75,7 +75,7 @@ def test_rotation_and_one_null_rotation_do_not_close():
 def test_rotation_with_both_null_rotations_closes():
     h = require_closed((YK1, YN1, YN2))
     assert h.dim == 3
-    assert not any(reduce_mod(h.echelon_rows, coords10(YN2.scaled(Fraction(-7, 3)))))
+    assert not any(reduce_form(h.echelon_rows, coords10(YN2.scaled(Fraction(-7, 3)))))
 
 
 def test_closure_check_rejects_dependent_basis():
