@@ -34,15 +34,16 @@ import functools
 import time
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import coords10, element, fundamental_field, standard_generator
 from .linalg import (
     classify_signature,
     echelon_form,
+    integer_rank,
     integral,
     mink_inner,
-    rank_of,
     reduce_form,
     solve_linear,
     vec4,
@@ -489,9 +490,12 @@ def _fit_parameters(entry, target):
     (the rotation/boost mixtures); it is normalized to first parameter 1.
     Anything else fits nothing.  Every fitted build vector then lies in the
     span of ``target``, so the build spans it exactly when its rank is the
-    number of ``target`` rows.
+    number of ``target`` rows.  That rank is read on the cleared rows: with
+    the values over one denominator e, build row i is e times generator row
+    i plus each value's numerator times its decoration's row i.
     """
-    width = 10 * len(entry.generators)
+    n = len(entry.generators)
+    width = 10 * n
     ints, _ = integral([coords10(b) for basis in (entry.generators, *entry.decorations.values())
                         for b in basis])
     rems = [x for row in ints for x in reduce_form(target, row)]
@@ -505,8 +509,9 @@ def _fit_parameters(entry, target):
         if any(values) or line[0] == 0:
             return None
         values = tuple(x / line[0] for x in line)
-    params = dict(zip(entry.params, values))
-    return params if rank_of(map(coords10, entry.build(params))) == len(target[0]) else None
+    (nums,), e = integral([values])
+    rows = [[e * g + sum(map(mul, nums, ds)) for g, *ds in zip(*ints[i::n])] for i in range(n)]
+    return dict(zip(entry.params, values)) if integer_rank(rows) == len(target[0]) else None
 
 
 def match_catalog(h: Subalgebra):
@@ -605,9 +610,8 @@ def _check_invariants(run):
     for params, h in run.insts:
         got = h.profile
         if got != entry.expected_invariants:
-            return CheckResult("invariants", False,
-                               f"at {_fmt_params(params)}: got [{got.describe()}], "
-                               f"expected [{entry.expected_invariants.describe()}]")
+            return _failed("invariants", params, f"got [{got.describe()}], "
+                           f"expected [{entry.expected_invariants.describe()}]")
     return CheckResult("invariants", True, entry.expected_invariants.describe())
 
 
@@ -666,19 +670,18 @@ def nonproperness_witness(entry, params, h):
 def _check_properness(run):
     entry, notes = run.entry, []
     for params, h in run.insts:
-        label = _fmt_params(params)
         if entry.proper:
             cert = clock_certificate(h)
             if cert is None:
                 stab = fixed_point_nonproper_certificate(h, entry.stratum_points(params))
                 why = "no clock certificate" if stab is None else f"unexpected {stab.describe()}"
-                return CheckResult("properness", False, f"at {label}: {why}")
-            notes.append(f"at {label}: {cert.describe()}" if params else cert.describe())
+                return _failed("properness", params, why)
+            notes.append(f"at {_fmt_params(params)}: {cert.describe()}" if params
+                         else cert.describe())
             continue
         stab = fixed_point_nonproper_certificate(h, entry.stratum_points(params))
         if stab is None:
-            return CheckResult("properness", False,
-                               f"at {label}: no non-properness certificate found")
+            return _failed("properness", params, "no non-properness certificate found")
         notes.append(stab.describe())
     if entry.proper:
         return CheckResult("properness", True, "proper: " + "; ".join(notes))
@@ -713,15 +716,12 @@ def _check_roundtrip(run):
     fitted build spans h's normal form, which must be h's own span."""
     for params, h in run.insts:
         matches = match_catalog(h)
-        label = _fmt_params(params)
         ids = [m.entry_id for m in matches]
         if ids != [run.entry.entry_id]:
-            return CheckResult("matching-roundtrip", False,
-                               f"at {label}: matched {ids or 'nothing'}")
+            return _failed("matching-roundtrip", params, f"matched {ids or 'nothing'}")
         if h.normal_form[1] != h.echelon_rows:
-            return CheckResult(
-                "matching-roundtrip", False,
-                f"at {label}: fitted {_fmt_params(matches[0].params)} spans another algebra")
+            return _failed("matching-roundtrip", params,
+                           f"fitted {_fmt_params(matches[0].params)} spans another algebra")
     return CheckResult(
         "matching-roundtrip", True,
         f"unique re-identification after translation conjugation "

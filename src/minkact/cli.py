@@ -324,9 +324,6 @@ def cmd_export(args):
     base_f = [float(c) for c in args.point]
 
     if args.grid is not None:
-        if args.grid < 1:
-            print("error: --grid must be at least 1", file=sys.stderr)
-            return 2
         n = args.grid
         ts = [(-2.0 + 4.0 * k / (n - 1)) if n > 1 else 0.0 for k in range(n)]
         triples = [(t1, t2, t3) for t1 in ts for t2 in ts for t3 in ts]
@@ -473,7 +470,7 @@ def build_parser():
     _param_flags(pe)
     pe.add_argument("--point", type=_point_type, default="1,2,3,5",
                     help="base point as four rationals (default 1,2,3,5)")
-    pe.add_argument("--grid", type=int,
+    pe.add_argument("--grid", type=_int_at_least(1),
                     help="export an n^3 parameter lattice instead of random samples")
     pe.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     pe.set_defaults(func=cmd_export)

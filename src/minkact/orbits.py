@@ -119,8 +119,15 @@ class Poly:
         return Poly(out)
 
     def eval(self, p):
-        return sum((c * math.prod(map(pow, p, mono)) for mono, c in self.terms.items()),
-                   Fraction(0))
+        """The value at a rational p, summed in integers: the coefficients are
+        a_m / c over one denominator c, the point is (D p, D), and each
+        monomial is homogenized by D to the degree n, so the value is
+        sum a_m (D p)^m D^(n - |m|) / (c D^n)."""
+        (coeffs,), c = integral([list(self.terms.values())])
+        q = integral([(*p, 1)])[0][0]
+        n = max(map(sum, self.terms), default=0)
+        return Fraction(sum(a * math.prod(map(pow, q, (*m, n - sum(m))))
+                            for m, a in zip(self.terms, coeffs)), c * q[4] ** n)
 
     def nonzero_point(self):
         """A small integer point where the polynomial is nonzero (None if zero)."""
@@ -421,22 +428,10 @@ class OrbitSpaceSpec(_Record):
                 else [f.diff(k) for k in range(4)])
         return mink_inner(grad, grad)
 
-    @cached_property
-    def _integer_norm(self):
-        """N's terms as (exponents, coefficient), times a positive integer and
-        homogenized to degree 2 by a fifth variable."""
-        (coeffs,), _ = integral([list(self.gradient_norm.terms.values())])
-        return [((*mono, 2 - sum(mono)), c) for mono, c in zip(self.gradient_norm.terms, coeffs)]
-
     def causal_at(self, p) -> CausalKind:
         """The causal kind of the level-set orbit through p: Lorentzian,
-        spacelike or degenerate as N(p) is positive, negative or zero.  The
-        sign is that of D^2 N(p), evaluated in integers at (D p, D); a
-        constant N is not evaluated."""
-        terms = self._integer_norm
-        q = (integral([(*p, 1)])[0][0] if any(m != (0, 0, 0, 0, 2) for m, _ in terms)
-             else (0, 0, 0, 0, 1))
-        value = sum(c * math.prod(map(pow, q, mono)) for mono, c in terms)
+        spacelike or degenerate as N(p) is positive, negative or zero."""
+        value = self.gradient_norm.eval(p)
         return _KINDS[(value > 0) - (value < 0)]
 
     @property
@@ -508,17 +503,14 @@ def _semi_invariant(h: Subalgebra):
 
 
 def _transversal(invariant):
-    """The points t e_k, t = -2..2, on the first axis where the invariant's
-    restriction, a polynomial in t, takes distinct levels (for sigma
-    exp(-E/s), one along which E vanishes, with levels sigma)."""
-    ts = range(-2, 3)
+    """The points t e_k, t = -2..2, on the first coordinate axis where the
+    invariant takes five distinct values (for sigma exp(-E/s), skipping an
+    axis that E reads)."""
     for k in range(4):
-        if isinstance(invariant, ExpInvariant):
-            powers = {} if invariant.exp_cov[k] else {1: invariant.level_cov[k]}
-        else:
-            powers = {mono[k]: c for mono, c in invariant.terms.items() if sum(mono) == mono[k]}
-        if len({sum(c * t ** e for e, c in powers.items()) for t in ts}) == len(ts):
-            return tuple(tuple(Fraction(t * (j == k)) for j in range(4)) for t in ts)
+        if not (isinstance(invariant, ExpInvariant) and invariant.exp_cov[k]):
+            points = tuple(tuple(Fraction(t * (j == k)) for j in range(4)) for t in range(-2, 3))
+            if len(set(map(invariant.eval, points))) == len(points):
+                return points
     raise EvidenceFailedError("no coordinate axis separates the invariant's levels")
 
 

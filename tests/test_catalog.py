@@ -32,6 +32,7 @@ from minkact.subalgebra import normalize_translations, recenter, require_closed
 ALL = catalog()
 ORBITS_MODULE = importlib.import_module("minkact.orbits")
 SUBALGEBRA_MODULE = importlib.import_module("minkact.subalgebra")
+CATALOG_MODULE = importlib.import_module("minkact.catalog")
 SCALE_FAMILIES = {"T3:N-aK1bA-l", "T4:aK1bA-N"}
 PARAMETRISED = [e for e in ALL if e.params]
 
@@ -289,6 +290,23 @@ def test_a_principal_orbit_of_the_wrong_causal_kind_is_printed_as_text(monkeypat
     assert not check.passed
     assert check.detail == (
         "at -: principal orbit at (10/3,-13/2,-47/5,0) is Lorentzian, expected Spacelike")
+
+
+def test_every_failing_row_names_its_instantiation_first(monkeypatch):
+    line, so31 = entry_by_id("T2:Ya+le1-W2"), entry_by_id("T4:SO31")
+    wrong = line._replace(expected_invariants=so31.expected_invariants)
+    assert _row(wrong, "invariants").detail == (
+        "at lam=1: got [dim 3; translations 2 (Degenerate (1,0,1)); linear 1 [Hyperbolic]], "
+        "expected [dim 6; translations 0 (Spacelike (0,0,0)); "
+        "linear 6 [Elliptic,Elliptic,Elliptic,Hyperbolic,Parabolic,Parabolic]]")
+    assert _row(line._replace(proper=False), "properness").detail == (
+        "at lam=1: no non-properness certificate found")
+    assert _row(so31._replace(proper=True), "properness").detail == (
+        "at -: unexpected hyperbolic stabilizer at (0,0,0,0)")
+    monkeypatch.setattr(CATALOG_MODULE, "clock_certificate", lambda _h: None)
+    monkeypatch.setattr(CATALOG_MODULE, "match_catalog", lambda _h: [])
+    assert _row(line, "properness").detail == "at lam=1: no clock certificate"
+    assert _row(line, "matching-roundtrip").detail == "at lam=1: matched nothing"
 
 
 def test_a_declared_point_of_the_wrong_dimension_is_printed_as_text():

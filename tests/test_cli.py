@@ -430,13 +430,6 @@ def test_export_to_stdout(capsys):
     assert "wrote" not in out
 
 
-def test_export_rejects_bad_grid(tmp_path, capsys):
-    out_path = str(tmp_path / "x.csv")
-    assert main(["export", "--entry", "T1:R3", "--grid", "0",
-                 "--out", out_path]) == 2
-    assert "--grid must be at least 1" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # bad input: exit 2 with one "error:" line, never a traceback or a check FAIL
 # ---------------------------------------------------------------------------
@@ -451,6 +444,7 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     ["witness", "--entry", "T4:aK1bA-N", "--b", "1/0"],
     ["orbit", "--entry", "T1:R3", "--point", "1,2,3,1/0"],
     ["export", "--entry", "T1:R3", "--grid", "2", "--out", "{tmp}/missing/x.csv"],
+    ["export", "--entry", "T1:R3", "--grid", "0", "--out", "{tmp}/x.csv"],
     ["verify", "--entry", "T1:R3", "--samples", "0"],
     ["classify", "{tmp}/zero.txt", "--samples", "-3"],
     ["verify", "--entry", "T2:SO11xR2", "--steps", "8", "--tol", "1e-6"],
@@ -480,7 +474,7 @@ def test_export_rejects_bad_grid(tmp_path, capsys):
     ["witness", "--entry", "T4:AN", "--tol", "abc"],
 ], ids=[
     "classify-zero-denominator", "classify-not-utf8", "witness-mu", "orbit-lambda", "export-a",
-    "witness-b", "orbit-point", "export-missing-dir", "verify-samples-0",
+    "witness-b", "orbit-point", "export-missing-dir", "export-grid-zero", "verify-samples-0",
     "classify-samples-negative", "verify-takes-no-ladder-options", "witness-steps-4",
     "witness-tol-negative", "witness-tol-nan",
     "export-point-past-float", "witness-lambda-past-float", "export-lambda-past-float",
@@ -517,6 +511,8 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert err.splitlines()[-1] == errors[0]
+    if "0" in argv:  # a count flag below its floor
+        assert "must be at least 1" in errors[0]
     if argv[0] == "classify" and "--samples" not in argv:  # the file is at fault
         assert f"{argv[1]}:" in errors[0]
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +83,31 @@ def test_poly_nonzero_point():
 def test_covector_form():
     f = Poly.covector((1, 0, -1, 2))
     assert f.eval((5, 7, 3, 1)) == 5 - 3 + 2
+
+
+_MONOMIALS = [m for m in product(range(4), repeat=4) if sum(m) <= 3]
+_SMALL_FRACTIONS = st.fractions(-10, 10, max_denominator=30)
+
+
+@given(st.dictionaries(st.sampled_from(_MONOMIALS), _SMALL_FRACTIONS, max_size=6),
+       st.tuples(*[_SMALL_FRACTIONS] * 4))
+@example({}, (Fraction(-1, 2), Fraction(3, 29), -4, Fraction(7, 30)))
+@example({(0, 0, 0, 0): Fraction(-7, 3)}, (Fraction(-5, 6), 0, 1, Fraction(1, 30)))
+@example({(3, 0, 0, 0): Fraction(1, 6), (0, 1, 1, 0): -2, (0, 0, 0, 1): Fraction(5, 7)},
+         (Fraction(-9, 28), Fraction(2, 3), Fraction(-1, 30), Fraction(11, 13)))
+@settings(max_examples=100, deadline=None)
+def test_poly_eval_matches_sympy_at_rational_points(terms, point):
+    """The homogenized integer sum of Poly.eval is sympy's exact value, for
+    degrees up to 3 (the zero polynomial and constants included) at rational
+    points with negative coordinates and denominators up to 30."""
+    xs = sympy.symbols("p1:5")
+    expr = sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([x ** e for x, e in zip(xs, m)]) for m, c in terms.items()),
+               sympy.Integer(0))
+    want = expr.subs({x: sympy.Rational(c.numerator, c.denominator) for x, c in zip(xs, point)})
+    got = Poly(terms).eval(point)
+    assert isinstance(got, Fraction)
+    assert got == Fraction(int(want.p), int(want.q))
 
 
 def test_lie_derivative_of_radius_under_rotation_vanishes():
