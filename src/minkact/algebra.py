@@ -244,13 +244,6 @@ class LiftFamily(NamedTuple):
         return [sum((tuple(v) for v in assignment), ()) for assignment in self.basis]
 
 
-def reduction_matrix(span_vectors):
-    """Matrix of d times the linear map 'reduce modulo span' on R^4, for d
-    the denominator of the span's :func:`echelon_form`: its kernel is the span."""
-    form = echelon_form(span_vectors)
-    return transpose([reduce_form(form, e) for e in IDENTITY4])
-
-
 def lift_constraints(proj_basis, translation_span=()) -> LiftFamily:
     """Solve for translation decorations that keep all brackets in the span.
 
@@ -263,7 +256,7 @@ def lift_constraints(proj_basis, translation_span=()) -> LiftFamily:
     """
     k = len(proj_basis)
     structure = structure_constants([AlgebraElement(x, ZERO4) for x in proj_basis])
-    reduce_mat = reduction_matrix(translation_span)
+    form = echelon_form(translation_span)
     rows = []
     nunk = 4 * k
     for (i, j), coeffs in structure.items():
@@ -278,9 +271,9 @@ def lift_constraints(proj_basis, translation_span=()) -> LiftFamily:
                 if c != 0:
                     row[4 * l + m] -= c
             block.append(row)
-        # impose reduce_mat . block = 0 (membership in the translation span)
-        rows.extend(row for row in matmul(reduce_mat, block)
-                    if any(x != 0 for x in row))
+        # each column of the block reduces to zero modulo the translation span
+        rows.extend(row for row in zip(*(reduce_form(form, col) for col in zip(*block)))
+                    if any(row))
     rows = rows or [[Fraction(0)] * nunk]  # unconstrained: the kernel is everything
     sol = solve_linear(rows, [0] * len(rows))
     assignments = tuple(

@@ -30,7 +30,7 @@ from .algebra import AlgebraElement, fundamental_field
 from .linalg import (CausalClass, CausalKind, causal_class, frac, integer_rank, integer_rref,
                      integral, kernel_of, matvec, mink_inner, rank_of, solve_linear,
                      sylvester_signature, transpose)
-from .subalgebra import Subalgebra, _Record, lorentz_invariants, split_parts
+from .subalgebra import Subalgebra, _Record, lorentz_invariants
 
 
 class EvidenceFailedError(AssertionError):
@@ -341,10 +341,9 @@ def generic_orbit_dimension(h: Subalgebra, seen: int = 0) -> int:
     d = min(h.dim, 4)
     if seen == d or seen == 3 and not any(x for row in h.normal_form[1][0] for x in row[6:]):
         return seen
-    ideal = [row[6:] for row in h.echelon_rows[0] if not any(row[:6])]
-    pivots = {next(c for c, x in enumerate(v) if x) for v in ideal}
+    _, (ideal, _), pivots = h.parts
     if any(sum(map(mul, r, v)) for gen in h.quotient_rows[1] for r in gen for v in ideal):
-        pivots = set()  # X V is not in V: every coordinate stays free
+        pivots = ()  # X V is not in V: every coordinate stays free
     s = max((sum(abs(x) for c, x in enumerate(r) if c not in pivots)
              for gen in h.killing_rows for r in gen), default=0)
     powers = ((2 + math.factorial(d) * s ** d) ** (d + 1) ** i for i in range(4))
@@ -487,8 +486,8 @@ def _semi_invariant(h: Subalgebra):
     k = +-sqrt(tr(X_b^2)/2) of a boost part.  The clocks are one kernel of the
     linear parts and the translation ideal, so each rate vanishes on the
     ideal.  None unless a clock, element and sign leave a line of (sigma, sigma0)."""
-    ideal = split_parts(h)[0]
-    for clock in kernel_of([col for b in h.basis for col in transpose(b.linear)] + ideal):
+    ideal = h.parts[1][0]
+    for clock in kernel_of([col for b in h.basis for col in transpose(b.linear)] + list(ideal)):
         rates = [sum(map(mul, clock, b.trans)) for b in h.basis]
         for b, rate in zip(h.basis, rates):
             root = rational_sqrt(lorentz_invariants(b.linear)[0] / 2)

@@ -97,21 +97,28 @@ class Subalgebra(_Record):
                      for b in self.basis)
 
     @functools.cached_property
+    def parts(self):
+        """(linear, ideal, pivots), the one reading of the echelon order (linear
+        rows first): per echelon row with a linear part, the row and its d*X as
+        an integer matrix; the translation ideal's echelon form, the last four
+        entries of its rows over d; and the pivot columns of those rows."""
+        rows, d = self.echelon_rows
+        linear = tuple((row, linear_from_coords(row[:6], int)) for row in rows if any(row[:6]))
+        ideal = tuple(row[6:] for row in rows[len(linear):])
+        return linear, (ideal, d), tuple(next(c for c, x in enumerate(v) if x) for v in ideal)
+
+    @functools.cached_property
     def quotient_rows(self):
         """(t, rows): the translation ideal's dimension t and, per linear echelon
         row, the rows d*r_q - sum_j T_j[q] r_(P_j) of its integer (d*X | d*x) for
         each column q that no ideal row T_j (pivot P_j) pivots on.  Dotted with
         (D*p, D), they give its field at p modulo the ideal's constant fields."""
-        ints, d = self.echelon_rows  # the ideal rows' pivots are d
-        k = sum(1 for row in ints if any(row[:6]))  # echelon order: linear rows first
-        ideal = [row[6:] for row in ints[k:]]
-        pivots = [next(c for c, x in enumerate(row) if x) for row in ideal]
+        linear, ideal, pivots = self.parts
         rows = []
-        for row in ints[:k]:  # reduce_form of each column of (d*X | d*x)
-            cols = [reduce_form((ideal, d), col)
-                    for col in (*zip(*linear_from_coords(row[:6], int)), row[6:])]
+        for row, mat in linear:  # reduce_form of each column of (d*X | d*x)
+            cols = [reduce_form(ideal, col) for col in (*zip(*mat), row[6:])]
             rows.append(tuple([c[q] for c in cols] for q in range(4) if q not in pivots))
-        return len(ideal), tuple(rows)
+        return len(pivots), tuple(rows)
 
     @functools.cached_property
     def profile(self):
@@ -163,15 +170,6 @@ def require_closed(basis) -> Subalgebra:
     return verdict
 
 
-def split_parts(h: Subalgebra):
-    """(translation rows, projection matrices): d times echelonized bases of h's
-    intersection with the translations and of the span of its linear parts."""
-    rows, _ = h.echelon_rows
-    translations = [row[6:] for row in rows if not any(row[:6])]
-    projection = [linear_from_coords(row[:6], int) for row in rows if any(row[:6])]
-    return translations, projection
-
-
 def _translation_normal_form(h: Subalgebra):
     """(p, echelon form of the span recentred at p), read off the span alone.
 
@@ -183,23 +181,20 @@ def _translation_normal_form(h: Subalgebra):
     M p = r - D.  Here d^2 M and e d r are integers, e the denominator of the
     echelon form of M's columns, and so are the recentred rows over e d.
     """
-    rows, d = form = h.echelon_rows
-    linear = [row for row in rows if any(row[:6])]  # echelon order: these come first
-    ideal_rows = rows[len(linear):]
+    linear, ideal, _ = h.parts
     if not linear:
-        return (Fraction(0),) * 4, form
-    ideal = ([row[6:] for row in ideal_rows], d)
-    mats = [linear_from_coords(row[:6], int) for row in linear]
-    moves = [[x for m in mats for x in reduce_form(ideal, [r[j] for r in m])]
+        return (Fraction(0),) * 4, h.echelon_rows
+    d = ideal[1]
+    moves = [[x for _, m in linear for x in reduce_form(ideal, [r[j] for r in m])]
              for j in range(4)]
-    decorations = [x for row in linear for x in row[6:]]
+    decorations = [x for row, _ in linear for x in row[6:]]
     moves_form = echelon_form(moves)
     residual, e = reduce_form(moves_form, decorations), moves_form[1]
     p = solve_linear([[e * x for x in row] for row in zip(*moves)],
                      [d * (r - e * x) for r, x in zip(residual, decorations)]).particular
     normal = [(*(e * x for x in row[:6]), *residual[4 * i:4 * i + 4])
-              for i, row in enumerate(linear)]
-    normal += [tuple(e * x for x in row) for row in ideal_rows]
+              for i, (row, _) in enumerate(linear)]
+    normal += [(0,) * 6 + tuple(e * x for x in v) for v in ideal[0]]
     g = math.gcd(e * d, *(x for row in normal for x in row))
     return p, (tuple(tuple(x // g for x in row) for row in normal), e * d // g)
 
@@ -312,6 +307,6 @@ class SubalgebraInvariants(NamedTuple):
 
 
 def invariants(h: Subalgebra) -> SubalgebraInvariants:
-    translations, projection = split_parts(h)
-    profile = tuple(sorted((one_param_type(x) for x in projection), key=lambda t: t.value))
-    return SubalgebraInvariants(causal_type(translations), profile)
+    linear, (ideal, _), _ = h.parts
+    profile = tuple(sorted((one_param_type(x) for _, x in linear), key=lambda t: t.value))
+    return SubalgebraInvariants(causal_type(ideal), profile)

@@ -9,6 +9,7 @@ with zero tolerance.
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,6 +204,64 @@ def test_lift_with_null_line_allowed():
     # strictly more freedom than the absolute lift of the same span
     strict = lift_constraints(mats)
     assert fam.dim >= strict.dim
+
+
+def _sympy_relative_lift(mats, span):
+    """(rank, kernel) of the lift system built in sympy alone: for each pair
+    i < j, N (X_i t_j - X_j t_i - sum_l c_l t_l) = 0, with c the coordinates
+    of [X_i, X_j] in the X_l and the rows of N spanning the annihilator of
+    ``span``, so that N v = 0 exactly when v lies in the span."""
+    k = len(mats)
+    xs = [sympy.Matrix(4, 4, lambda r, c, m=m: sympy.Rational(str(m[r][c]))) for m in mats]
+    span = sympy.Matrix(len(span), 4, [sympy.Rational(str(x)) for v in span for x in v])
+    annihilator = sympy.Matrix.vstack(sympy.zeros(0, 4), *(n.T for n in span.nullspace()))
+    flat = sympy.Matrix.hstack(*(x.reshape(16, 1) for x in xs))
+    rows = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            c = flat.solve((xs[i] * xs[j] - xs[j] * xs[i]).reshape(16, 1))
+            block = sympy.zeros(4, 4 * k)
+            block[:, 4 * j:4 * j + 4] += xs[i]
+            block[:, 4 * i:4 * i + 4] -= xs[j]
+            for l in range(k):
+                block[:, 4 * l:4 * l + 4] -= c[l] * sympy.eye(4)
+            rows.append(annihilator * block)
+    system = sympy.Matrix.vstack(sympy.zeros(0, 4 * k), *rows)
+    kernel = [[Fraction(int(x.p), int(x.q)) for x in v] for v in system.nullspace()]
+    return system.rank(), kernel
+
+
+def _records_linear_and_ideal():
+    """Each table record's linear projection and translation ideal, read off
+    the sympy rref of its default basis: linear coordinates come first, so the
+    rows with a linear part span the projection and the others the ideal."""
+    from minkact.catalog import catalog
+    cases = []
+    for entry in catalog():
+        rows = sympy.Matrix([[sympy.Rational(str(x)) for x in coords10(b)]
+                             for b in entry.build(entry.defaults[0])]).rref()[0].tolist()
+        rows = [[Fraction(int(x.p), int(x.q)) for x in row] for row in rows if any(row)]
+        linear = [linear_from_coords(row[:6]) for row in rows if any(row[:6])]
+        if linear:
+            cases.append(pytest.param(linear, [row[6:] for row in rows if not any(row[:6])],
+                                      id=entry.entry_id))
+    return cases
+
+
+@pytest.mark.parametrize("mats, span", [
+    *_records_linear_and_ideal(),
+    pytest.param([GENERATOR_MATRICES[n] for n in ("Yk1", "Ya", "Yn1", "Yn2")],
+                 [vec4(0, 0, 1, -1)], id="null-line"),
+    pytest.param([GENERATOR_MATRICES[n] for n in GENERATOR_ORDER], [vec4(1, 0, 0, 0)],
+                 id="lorentz-mod-e1"),
+    pytest.param([GENERATOR_MATRICES[n] for n in ("Ya", "Yk1")], [vec4(0, 1, 0, 0), vec4(0, 0, 1, 2)],
+                 id="non-invariant-plane"),
+])
+def test_relative_lift_is_the_sympy_kernel_of_the_projected_system(mats, span):
+    fam = lift_constraints(mats, translation_span=tuple(span))
+    rank, kernel = _sympy_relative_lift(mats, span)
+    assert fam.rank == rank
+    assert spans_equal(fam.flattened(), kernel)
 
 
 def test_lift_rejects_non_subalgebra():

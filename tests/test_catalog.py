@@ -156,6 +156,12 @@ def test_translation_conjugates_share_profile_normal_form_and_match(instance, q,
     assert conj.normal_form[1] == h.normal_form[1]
     assert [(m.entry_id, m.params) for m in match_catalog(conj)] \
         == [(m.entry_id, m.params) for m in match_catalog(h)]
+    # a change of basis alone keeps every fact cached on the span
+    same = require_closed(change_basis(rng, h.basis))
+    assert same.parts == h.parts
+    assert same.quotient_rows == h.quotient_rows
+    assert same.normal_form == h.normal_form
+    assert same.profile == h.profile
 
 
 def test_drift_zero_is_a_fit_not_a_scale():

@@ -48,7 +48,6 @@ from minkact.subalgebra import (
     one_param_type,
     recenter,
     require_closed,
-    split_parts,
 )
 
 YK1 = standard_generator("Yk1")
@@ -153,11 +152,11 @@ def test_structure_constants_cached_for_closed_spans():
     assert list(h.structure[(0, 1)]) == [0, -1, 0]
 
 
-def test_split_parts_separates_translations():
+def test_parts_separate_translations():
     h = require_closed((YK1, E3, E4))
-    translations, projection = split_parts(h)
-    assert len(translations) == 2 and len(projection) == 1
-    assert projection[0] == GENERATOR_MATRICES["Yk1"]
+    linear, (ideal, _), _ = h.parts
+    assert len(ideal) == 2 and len(linear) == 1
+    assert linear[0][1] == GENERATOR_MATRICES["Yk1"]
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,11 @@ def test_every_record_field_is_read():
     readers = [p.read_text() for d in (SRC, root / "demos", root / "tests")
                for p in sorted(d.glob("*.py"))]
     trees = [ast.parse(p.read_text()) for p in MODULES]
-    records = {name: tree for tree in trees for name in record_types(tree)}
+    records = {name: dataclass_fields(tree, name) for tree in trees for name in record_types(tree)}
     assert len(records) == 21
-    assert {name: unread_fields(dataclass_fields(tree, name), readers)
-            for name, tree in records.items()} == dict.fromkeys(records, [])
+    unread = set(unread_fields(set().union(*records.values()), readers))  # one parse of the readers
+    assert {name: sorted(fields & unread)
+            for name, fields in records.items()} == dict.fromkeys(records, [])
 
 
 def unread_parameters(source):
